@@ -119,14 +119,9 @@ def multi_interval_decay(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
     if m_max * u > ensemble.times[-1] * (1.0 + 1e-9):
         raise ValueError("grid does not cover m_max * u(x, R)")
     ms = np.arange(1, m_max + 1)
-    q = []
-    snapped = []
-    for m in ms:
-        t_snap = ensemble.nearest_time(m * u)
-        idx = ensemble.time_index(t_snap)
-        q.append(float(np.mean(ensemble.running_sup[:, idx] <= R)))
-        snapped.append(t_snap)
-    q = np.array(q)
+    idx = [ensemble.nearest_index(m * u) for m in ms]
+    q = np.array([float(np.mean(ensemble.running_sup[:, i] <= R)) for i in idx])
+    snapped = ensemble.times[idx].tolist()
     truncated = False
     pos = q > 0.0
     if not np.all(pos):
@@ -158,7 +153,7 @@ def spitzer_estimate(ensemble: PathEnsemble, x: float, t_list) -> list:
     """P^x(X_t < x) per probe time, with binomial standard errors."""
     out = []
     for t in t_list:
-        idx = ensemble.time_index(ensemble.nearest_time(t))
+        idx = ensemble.nearest_index(t)
         count = int(np.sum(ensemble.positions[:, idx] < x))
         est = ProbabilityEstimate.from_count(count, ensemble.n_paths)
         out.append({"t": float(ensemble.times[idx]), **est.to_dict()})
@@ -183,7 +178,7 @@ def etemadi_check(ensemble: PathEnsemble, v: Callable[[float], float], C: float,
     ok = True
     n = ensemble.n_paths
     for t in t_list:
-        idx = ensemble.time_index(ensemble.nearest_time(t))
+        idx = ensemble.nearest_index(t)
         ts = float(ensemble.times[idx])
         vt = float(v(ts))
         marg = ProbabilityEstimate.from_count(
@@ -207,8 +202,7 @@ def etemadi_check(ensemble: PathEnsemble, v: Callable[[float], float], C: float,
 
 def empirical_charfn(ensemble: PathEnsemble, xi: float, t: float) -> complex:
     """lambda_hat_t(xi) = ensemble mean of e^{i xi (X_t - x)} (compensated sums)."""
-    idx = ensemble.time_index(ensemble.nearest_time(t))
-    dx = ensemble.positions[:, idx] - ensemble.x0
+    dx = ensemble.positions[:, ensemble.nearest_index(t)] - ensemble.x0
     if xi == 0.0:
         return complex(1.0, 0.0)
     return complex(_compensated_mean(np.cos(xi * dx)), _compensated_mean(np.sin(xi * dx)))
@@ -301,14 +295,15 @@ def chung_statistic(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
         raise ValueError("need 0 < t_lo <= t_hi")
     if t_hi > ensemble.times[-1] * (1 + 1e-9) or t_hi < ensemble.times[0] * (1 - 1e-9):
         raise ValueError("window outside the stored grid")
-    probes = []
+    cols = set()
     t = t_hi
     while t >= t_lo * (1.0 - 1e-12):
-        probes.append(ensemble.nearest_time(t))
+        cols.add(ensemble.nearest_index(t))
         t *= 0.5
-    probes = sorted(set(probes))
-    if not probes:
+    if not cols:
         raise ValueError("window outside the stored grid")
+    idx = np.array(sorted(cols))
+    probes = ensemble.times[idx].tolist()
     rates = []
     for tp in probes:
         ll = math.log(abs(math.log(tp)))
@@ -317,7 +312,6 @@ def chung_statistic(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
             rates.append(u_inverse(measure, x, rho, config=config))
         else:
             rates.append(rho ** rate_exponent)
-    idx = np.array([ensemble.time_index(tp) for tp in probes])
     ratios = ensemble.running_sup[:, idx] / np.asarray(rates)
     values = np.min(ratios, axis=1)
     med, q25, q75 = (float(np.percentile(values, q)) for q in (50, 25, 75))

@@ -241,11 +241,12 @@ class PowerLawMeasure:
         return float(self.coefficient(x))
 
     def pu_factor(self, x):
-        """p^U(x, xi) = pu_factor(x) * |xi|^alpha(x)."""
+        """p^U(x, xi) = pu_factor(x) * |xi|^alpha(x); x may be an array."""
         if self.coefficient == NORMALIZED:
             return 1.0
-        a = self.alpha_at(x)
-        return self.coeff_at(x) * 4.0 / (a * (2.0 - a))
+        a = self.alpha(x)
+        out = self.coefficient(x) * 4.0 / (a * (2.0 - a))
+        return float(out) if np.ndim(out) == 0 else out
 
     def alpha_range(self):
         return self.alpha.bounds()
@@ -289,10 +290,6 @@ class AtomicMeasure:
         for loc, mass in self.atoms:
             seen[loc] = seen.get(loc, 0.0) + mass
         return all(abs(seen.get(-loc, 0.0) - m) <= 1e-15 * max(1.0, m) for loc, m in seen.items())
-
-    @property
-    def total_mass(self):
-        return sum(m for _, m in self.atoms)
 
     def locations(self):
         return np.array([loc for loc, _ in self.atoms])

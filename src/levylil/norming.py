@@ -26,38 +26,31 @@ from .symbols import DEFAULT_CONFIG, QuadratureConfig, eval_pU
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _pu_on_window(measure, ys, xi, config):
-    if isinstance(measure, PowerLawMeasure):
-        ys = np.asarray(ys, dtype=float)
-        alphas = measure.alpha(ys)
-        if measure.coefficient == "normalized":
-            factor = 1.0
-        else:
-            factor = measure.coefficient(ys) * 4.0 / (alphas * (2.0 - alphas))
-        return factor * np.abs(xi) ** alphas
-    return np.array([eval_pU(measure, float(y), xi, config=config) for y in np.atleast_1d(ys)])
-
-
 def ball_extremum(measure: MeasureSpec, x: float, radius: float, xi: float,
                   mode: str, *, n_grid: int = 257, y_tol: float = 1e-12,
                   config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Extremum of y -> p^U(y, xi) over |x - y| <= radius.
 
     Dense grid scan followed by golden-section refinement around the best
-    grid point.  State-independent measures short-circuit to a point value.
+    grid point.  State-independent measures short-circuit to a point value;
+    the others are power-law measures, whose p^U has a closed form.
     """
     if measure.is_state_independent:
         return float(eval_pU(measure, x, xi, config=config))
     sign = 1.0 if mode == "sup" else -1.0
+
+    def pu(ys):
+        return measure.pu_factor(ys) * abs(xi) ** measure.alpha(ys)
+
     ys = np.linspace(x - radius, x + radius, n_grid)
-    vals = sign * _pu_on_window(measure, ys, xi, config)
+    vals = sign * pu(ys)
     i = int(np.argmax(vals))
     best = vals[i]
     lo = ys[max(i - 1, 0)]
     hi = ys[min(i + 1, n_grid - 1)]
 
     def h(y):
-        return sign * float(_pu_on_window(measure, np.array([y]), xi, config)[0])
+        return sign * float(pu(np.array([y]))[0])
 
     a, b = lo, hi
     c1 = b - _GOLDEN * (b - a)
@@ -254,7 +247,7 @@ def kappa_reference_bound(measure: PowerLawMeasure, x: float, *, n_samples: int 
 # named norming-function objects (tables + CSV export)
 # --------------------------------------------------------------------------
 
-_KINDS = ("u", "u_inverse", "chung_rate", "upper_v", "symbol_w")
+_KINDS = ("u", "u_inverse", "chung_rate", "upper_v")
 
 
 @dataclass

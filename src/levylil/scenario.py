@@ -20,7 +20,7 @@ import datetime
 import json
 import math
 import os
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -28,8 +28,8 @@ from jsonschema.exceptions import best_match
 
 from . import classifiers, mc, norming, symbols
 from .measures import LevyTriplet, measure_from_dict, profile_from_dict
-from .simulate import (PathGrid, process_from_dict, process_from_triplet,
-                       save_ensemble_csv_dir, save_ensemble_jsonl,
+from .simulate import (PathGrid, SymmetricStableProcess, process_from_dict,
+                       process_from_triplet, save_ensemble_csv_dir, save_ensemble_jsonl,
                        simulate_ensemble, spec_hash)
 
 
@@ -115,76 +115,287 @@ _GRID_SCHEMA = {
 }
 
 
-def _analysis(name, properties, required=()):
-    props = {"name": {"const": name}, "label": {"type": "string"}}
-    props.update(properties)
-    return {"type": "object", "properties": props,
-            "required": ["name", *required], "additionalProperties": False}
-
-
 _NUM_LIST = {"type": "array", "minItems": 1, "items": {"type": "number"}}
 
-_ANALYSIS_SCHEMAS = [
-    _analysis("pu_grid", {"x_values": _NUM_LIST, "xi_values": _NUM_LIST,
-                          "method": {"enum": ["auto", "closed", "quadrature"]}},
-              required=["x_values", "xi_values"]),
-    _analysis("exponent_grid", {"x_values": _NUM_LIST, "xi_values": _NUM_LIST},
-              required=["x_values", "xi_values"]),
-    _analysis("tail_mass_grid", {"r_values": _NUM_LIST}, required=["r_values"]),
-    _analysis("sector", {"x_window": _NUM_LIST, "xi_grid": _NUM_LIST},
-              required=["x_window", "xi_grid"]),
-    _analysis("norming_table", {"kind": {"enum": ["u", "u_inverse", "chung_rate", "upper_v"]},
-                                "arguments": _NUM_LIST, "epsilon": {"type": "number"},
-                                "n": {"type": "integer", "minimum": 1}},
-              required=["kind", "arguments"]),
-    _analysis("kappa", {"R_grid": _NUM_LIST}, required=["R_grid"]),
-    _analysis("upper_function_test", {"epsilon": {"type": "number"},
-                                      "n": {"type": "integer", "minimum": 1},
-                                      "t_max": {"type": "number"},
-                                      "levels": {"type": "integer", "minimum": 8},
-                                      "ell_one": {"type": "boolean"}},
-              required=["epsilon", "t_max", "levels"]),
-    _analysis("lower_tail_test", {"v_exponent": {"type": "number"},
-                                  "v_log_exponent": {"type": "number"},
-                                  "C": {"type": "number"}, "t_max": {"type": "number"},
-                                  "levels": {"type": "integer", "minimum": 8}},
-              required=["v_exponent", "C", "t_max", "levels"]),
-    _analysis("symbol_liminf_test", {"g_exponent": {"type": "number"},
-                                     "g_scale": {"type": "number"},
-                                     "w_exponent": {"type": "number"},
-                                     "w_log_exponent": {"type": "number"},
-                                     "w_loglog_exponent": {"type": "number"},
-                                     "t_max": {"type": "number"},
-                                     "levels": {"type": "integer", "minimum": 8}},
-              required=["g_exponent", "w_exponent", "t_max", "levels"]),
-    _analysis("simulate", {"record_times": _NUM_LIST, "save": {"enum": ["jsonl", "csv"]},
-                           "ensemble_id": {"type": "string"}}),
-    _analysis("sup_probability", {"t": {"type": "number"}, "R": {"type": "number"},
-                                  "direction": {"enum": ["ge", "lt"]},
-                                  "ensemble_id": {"type": "string"}},
-              required=["t", "R"]),
-    _analysis("maximal_inequality", {"t_list": _NUM_LIST, "R_list": _NUM_LIST,
-                                     "ensemble_id": {"type": "string"}},
-              required=["t_list", "R_list"]),
-    _analysis("multi_interval_decay", {"R": {"type": "number"},
-                                       "m_max": {"type": "integer", "minimum": 1},
-                                       "ensemble_id": {"type": "string"}},
-              required=["R", "m_max"]),
-    _analysis("spitzer", {"t_list": _NUM_LIST, "ensemble_id": {"type": "string"}},
-              required=["t_list"]),
-    _analysis("etemadi", {"C": {"type": "number"}, "v_exponent": {"type": "number"},
-                          "v_log_exponent": {"type": "number"}, "t_list": _NUM_LIST,
-                          "ensemble_id": {"type": "string"}},
-              required=["C", "v_exponent", "t_list"]),
-    _analysis("charfn_bound", {"xi_list": _NUM_LIST, "t_list": _NUM_LIST,
-                               "epsilon": {"type": "number"},
-                               "ensemble_id": {"type": "string"}},
-              required=["xi_list", "t_list"]),
-    _analysis("chung_statistic", {"t_lo": {"type": "number"}, "t_hi": {"type": "number"},
-                                  "rate_exponent": {"type": "number"},
-                                  "ensemble_id": {"type": "string"}},
-              required=["t_lo", "t_hi"]),
-]
+STAGES = ("symbol", "norming", "classify", "simulate", "verify")
+
+
+class _Analysis(NamedTuple):
+    """``run(ctx, spec, ens, tag) -> (csv_header, rows, result)``; ``ens`` is the
+    verify stage's ensemble (else None), ``tag`` the stem of the output files."""
+
+    name: str
+    stage: str
+    properties: dict
+    required: tuple
+    run: Callable
+
+
+_ANALYSES: dict = {}
+
+
+def _analysis(name, stage, properties, required=()):
+    """Register the decorated runner; registration order is schema order."""
+    def register(run):
+        _ANALYSES[name] = _Analysis(name, stage, properties, tuple(required), run)
+        return run
+    return register
+
+
+def _power_log_family(a, b=0.0, c=0.0):
+    def f(t):
+        out = t ** a
+        if b:
+            out *= abs(math.log(t)) ** b
+        if c:
+            out *= math.log(abs(math.log(t))) ** c
+        return out
+    return f
+
+
+class _Context:
+    def __init__(self, doc):
+        self.scen_hash = spec_hash(doc)
+        self.outdir = doc.get("output_dir", "out")
+        self.x = float(doc.get("x", 0.0))
+        self.seed = int(doc["seed"])
+        self.paths = int(doc.get("paths", 1000))
+        self.measure = measure_from_dict(doc["measure"]) if "measure" in doc else None
+        self.process = process_from_dict(doc["process"]) if "process" in doc else None
+        self.drift = profile_from_dict(doc["drift"]) if "drift" in doc else 0.0
+        self.grid = PathGrid.from_dict(doc["grid"]) if "grid" in doc else None
+        self.ensembles = {}
+
+    def need_measure(self):
+        if self.measure is not None:
+            return self.measure
+        if self.process is not None:
+            return self.process.levy_measure
+        raise SchemaError("analysis needs a 'measure' (or a 'process' to derive one)")
+
+    def need_process(self):
+        if self.process is not None:
+            return self.process
+        if self.measure is not None:
+            return process_from_triplet(LevyTriplet(measure=self.measure, drift=self.drift))
+        raise SchemaError("analysis needs a 'process' (or an exactly simulatable 'measure')")
+
+    def triplet(self):
+        return LevyTriplet(measure=self.need_measure(), drift=self.drift)
+
+    def need_ensemble(self, spec):
+        eid = spec.get("ensemble_id", "main")
+        if eid not in self.ensembles:
+            if self.grid is None:
+                raise SchemaError("verification analyses need a 'grid' and a simulate analysis")
+            self.ensembles[eid] = simulate_ensemble(self.need_process(), self.x, self.grid,
+                                                    self.seed, self.paths)
+        return self.ensembles[eid]
+
+
+# --------------------------------------------------------------------------
+# analyses, in schema order
+# --------------------------------------------------------------------------
+
+@_analysis("pu_grid", "symbol", {"x_values": _NUM_LIST, "xi_values": _NUM_LIST,
+                                 "method": {"enum": ["auto", "closed", "quadrature"]}},
+           required=["x_values", "xi_values"])
+def _pu_grid(ctx, spec, ens, tag):
+    m = ctx.need_measure()
+    rows = [(float(xv), float(xiv),
+             symbols.eval_pU(m, float(xv), float(xiv), method=spec.get("method", "auto")))
+            for xv in spec["x_values"] for xiv in spec["xi_values"]]
+    return "x,xi,pu", rows, {"rows": len(rows), "csv": f"{tag}.csv"}
+
+
+@_analysis("exponent_grid", "symbol", {"x_values": _NUM_LIST, "xi_values": _NUM_LIST},
+           required=["x_values", "xi_values"])
+def _exponent_grid(ctx, spec, ens, tag):
+    trip = ctx.triplet()
+    rows = []
+    for xv in spec["x_values"]:
+        for xiv in spec["xi_values"]:
+            p = symbols.eval_exponent(trip, float(xv), float(xiv))
+            rows.append((float(xv), float(xiv), p.real, p.imag))
+    return "x,xi,re,im", rows, {"rows": len(rows), "csv": f"{tag}.csv"}
+
+
+@_analysis("tail_mass_grid", "symbol", {"r_values": _NUM_LIST}, required=["r_values"])
+def _tail_mass_grid(ctx, spec, ens, tag):
+    m = ctx.need_measure()
+    rows = [(float(r), symbols.tail_mass(m, ctx.x, float(r))) for r in spec["r_values"]]
+    return "r,tail_mass", rows, {"rows": len(rows), "csv": f"{tag}.csv"}
+
+
+@_analysis("sector", "symbol", {"x_window": _NUM_LIST, "xi_grid": _NUM_LIST},
+           required=["x_window", "xi_grid"])
+def _sector(ctx, spec, ens, tag):
+    est = symbols.sector_estimate(ctx.triplet(), tuple(spec["x_window"]), spec["xi_grid"])
+    return ("refinement,sup_ratio", list(enumerate(est.history)),
+            {"value": est.value, "flag": est.flag, "history": list(est.history)})
+
+
+@_analysis("norming_table", "norming",
+           {"kind": {"enum": ["u", "u_inverse", "chung_rate", "upper_v"]},
+            "arguments": _NUM_LIST, "epsilon": {"type": "number"},
+            "n": {"type": "integer", "minimum": 1}},
+           required=["kind", "arguments"])
+def _norming_table(ctx, spec, ens, tag):
+    nf = norming.build_norming_function(ctx.need_measure(), ctx.x, spec["kind"],
+                                        spec["arguments"], epsilon=spec.get("epsilon", 0.5),
+                                        n=spec.get("n", 1))
+    args, vals = nf.table()
+    return ("argument,value", list(zip(args.tolist(), vals.tolist())),
+            {"kind": spec["kind"], "form": nf.form, "csv": f"{tag}.csv"})
+
+
+@_analysis("kappa", "norming", {"R_grid": _NUM_LIST}, required=["R_grid"])
+def _kappa(ctx, spec, ens, tag):
+    est = norming.kappa_estimate(ctx.need_measure(), ctx.x, spec["R_grid"])
+    return ("R,kappa", list(zip(est.R_grid, est.kappa_values)),
+            {"kappa": est.kappa, "values": list(est.kappa_values)})
+
+
+@_analysis("upper_function_test", "classify",
+           {"epsilon": {"type": "number"}, "n": {"type": "integer", "minimum": 1},
+            "t_max": {"type": "number"}, "levels": {"type": "integer", "minimum": 8},
+            "ell_one": {"type": "boolean"}},
+           required=["epsilon", "t_max", "levels"])
+def _upper_function_test(ctx, spec, ens, tag):
+    verdict = classifiers.upper_function_test(
+        ctx.need_measure(), ctx.x, spec["epsilon"], spec.get("n", 1),
+        spec["t_max"], spec["levels"], ell_one=spec.get("ell_one", False))
+    return "index,block", list(enumerate(verdict.block_values)), verdict.to_dict()
+
+
+@_analysis("lower_tail_test", "classify",
+           {"v_exponent": {"type": "number"}, "v_log_exponent": {"type": "number"},
+            "C": {"type": "number"}, "t_max": {"type": "number"},
+            "levels": {"type": "integer", "minimum": 8}},
+           required=["v_exponent", "C", "t_max", "levels"])
+def _lower_tail_test(ctx, spec, ens, tag):
+    v = _power_log_family(spec["v_exponent"], spec.get("v_log_exponent", 0.0))
+    verdict = classifiers.lower_tail_test(ctx.need_measure(), v, spec["C"],
+                                          spec["t_max"], spec["levels"])
+    return "index,block", list(enumerate(verdict.block_values)), verdict.to_dict()
+
+
+@_analysis("symbol_liminf_test", "classify",
+           {"g_exponent": {"type": "number"}, "g_scale": {"type": "number"},
+            "w_exponent": {"type": "number"}, "w_log_exponent": {"type": "number"},
+            "w_loglog_exponent": {"type": "number"}, "t_max": {"type": "number"},
+            "levels": {"type": "integer", "minimum": 8}},
+           required=["g_exponent", "w_exponent", "t_max", "levels"])
+def _symbol_liminf_test(ctx, spec, ens, tag):
+    scale = spec.get("g_scale", 1.0)
+    expo = spec["g_exponent"]
+    w = _power_log_family(spec["w_exponent"], spec.get("w_log_exponent", 0.0),
+                          spec.get("w_loglog_exponent", 0.0))
+    verdict = classifiers.symbol_liminf_test(lambda xi: scale * xi ** expo, w,
+                                             spec["t_max"], spec["levels"])
+    return "index,level", list(enumerate(verdict.block_values)), verdict.to_dict()
+
+
+@_analysis("simulate", "simulate", {"record_times": _NUM_LIST,
+                                    "save": {"enum": ["jsonl", "csv"]},
+                                    "ensemble_id": {"type": "string"}})
+def _simulate(ctx, spec, ens, tag):
+    if ctx.grid is None:
+        raise SchemaError("simulate needs a 'grid'")
+    ens = simulate_ensemble(ctx.need_process(), ctx.x, ctx.grid, ctx.seed, ctx.paths,
+                            record_times=spec.get("record_times"))
+    ctx.ensembles[spec.get("ensemble_id", "main")] = ens
+    extra = {"scenario_hash": ctx.scen_hash}
+    if spec.get("save") == "jsonl":
+        save_ensemble_jsonl(ens, os.path.join(ctx.outdir, f"{tag}_paths.jsonl"), extra)
+    elif spec.get("save") == "csv":
+        save_ensemble_csv_dir(ens, os.path.join(ctx.outdir, f"{tag}_paths"), extra)
+    rows = list(zip(ens.times.tolist(),
+                    np.mean(ens.positions - ens.x0, axis=0).tolist(),
+                    np.median(ens.running_sup, axis=0).tolist()))
+    return ("t,mean_displacement,median_running_sup", rows,
+            {"paths": ens.n_paths, "grid_points": int(ens.times.size),
+             "final_median_running_sup": float(np.median(ens.running_sup[:, -1])),
+             "spec_hash": ens.metadata()["spec_hash"]})
+
+
+@_analysis("sup_probability", "verify", {"t": {"type": "number"}, "R": {"type": "number"},
+                                         "direction": {"enum": ["ge", "lt"]}},
+           required=["t", "R"])
+def _sup_probability(ctx, spec, ens, tag):
+    est = mc.estimate_sup_probability(ens, ens.nearest_time(spec["t"]), spec["R"],
+                                      spec.get("direction", "ge"))
+    return ("t,R,p_hat,standard_error",
+            [(spec["t"], spec["R"], est.p_hat, est.standard_error)], est.to_dict())
+
+
+@_analysis("maximal_inequality", "verify", {"t_list": _NUM_LIST, "R_list": _NUM_LIST},
+           required=["t_list", "R_list"])
+def _maximal_inequality(ctx, spec, ens, tag):
+    rep = mc.maximal_inequality_check(ens, ctx.need_measure(), ctx.x,
+                                      spec["t_list"], spec["R_list"])
+    rows = [(r["t"], r["R"], r["c1_candidate"], r["c2_candidate"]) for r in rep.pop("rows")]
+    return "t,R,c1_candidate,c2_candidate", rows, rep
+
+
+@_analysis("multi_interval_decay", "verify",
+           {"R": {"type": "number"}, "m_max": {"type": "integer", "minimum": 1}},
+           required=["R", "m_max"])
+def _multi_interval_decay(ctx, spec, ens, tag):
+    rep = mc.multi_interval_decay(ens, ctx.need_measure(), ctx.x, spec["R"], spec["m_max"])
+    return "m,q", list(zip(rep["m"], rep["q"])), rep
+
+
+@_analysis("spitzer", "verify", {"t_list": _NUM_LIST}, required=["t_list"])
+def _spitzer(ctx, spec, ens, tag):
+    rows = mc.spitzer_estimate(ens, ctx.x, spec["t_list"])
+    return ("t,p_hat,standard_error",
+            [(r["t"], r["p_hat"], r["standard_error"]) for r in rows], {"rows": rows})
+
+
+@_analysis("etemadi", "verify", {"C": {"type": "number"}, "v_exponent": {"type": "number"},
+                                 "v_log_exponent": {"type": "number"}, "t_list": _NUM_LIST},
+           required=["C", "v_exponent", "t_list"])
+def _etemadi(ctx, spec, ens, tag):
+    v = _power_log_family(spec["v_exponent"], spec.get("v_log_exponent", 0.0))
+    rep = mc.etemadi_check(ens, v, spec["C"], spec["t_list"])
+    return ("t,v,p_marginal,p_sup,tail_lower_bound",
+            [(r["t"], r["v"], r["marginal"]["p_hat"], r["sup"]["p_hat"], r["tail_lower_bound"])
+             for r in rep["rows"]], rep)
+
+
+@_analysis("charfn_bound", "verify", {"xi_list": _NUM_LIST, "t_list": _NUM_LIST,
+                                      "epsilon": {"type": "number"}},
+           required=["xi_list", "t_list"])
+def _charfn_bound(ctx, spec, ens, tag):
+    proc = ens.process
+    if not isinstance(proc, SymmetricStableProcess):
+        raise SchemaError("charfn_bound is available for stable processes")
+    family = symbols.SymbolFamily.from_stable(proc.alpha, proc.scale)
+    rep = mc.empirical_charfn_bound(ens, family, spec["xi_list"], spec["t_list"],
+                                    epsilon=spec.get("epsilon"))
+    rows = [(r["t"], r["xi"], r["modulus"], r["bound"], int(r["violated"]))
+            for r in rep.pop("rows")]
+    return "t,xi,modulus,bound,violated", rows, rep
+
+
+@_analysis("chung_statistic", "verify", {"t_lo": {"type": "number"},
+                                         "t_hi": {"type": "number"},
+                                         "rate_exponent": {"type": "number"}},
+           required=["t_lo", "t_hi"])
+def _chung_statistic(ctx, spec, ens, tag):
+    stat = mc.chung_statistic(ens, ctx.need_measure(), ctx.x, spec["t_lo"], spec["t_hi"],
+                              rate_exponent=spec.get("rate_exponent"))
+    return "probe_time,rate", list(zip(stat.probe_times, stat.rates)), stat.summary()
+
+
+def _analysis_schema(a: _Analysis) -> dict:
+    props = {"name": {"const": a.name}, "label": {"type": "string"}, **a.properties}
+    if a.stage == "verify":
+        props["ensemble_id"] = {"type": "string"}
+    return {"type": "object", "properties": props,
+            "required": ["name", *a.required], "additionalProperties": False}
+
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -199,22 +410,12 @@ SCENARIO_SCHEMA = {
         "grid": _GRID_SCHEMA,
         "paths": {"type": "integer", "minimum": 1},
         "output_dir": {"type": "string"},
-        "analyses": {"type": "array", "minItems": 1, "items": {"oneOf": _ANALYSIS_SCHEMAS}},
+        "analyses": {"type": "array", "minItems": 1,
+                     "items": {"oneOf": [_analysis_schema(a) for a in _ANALYSES.values()]}},
     },
     "required": ["seed", "analyses"],
     "additionalProperties": False,
 }
-
-_STAGE_OF = {
-    "pu_grid": 0, "exponent_grid": 0, "tail_mass_grid": 0, "sector": 0,
-    "norming_table": 1, "kappa": 1,
-    "upper_function_test": 2, "lower_tail_test": 2, "symbol_liminf_test": 2,
-    "simulate": 3,
-    "sup_probability": 4, "maximal_inequality": 4, "multi_interval_decay": 4,
-    "spitzer": 4, "etemadi": 4, "charfn_bound": 4, "chung_statistic": 4,
-}
-
-STAGES = ("symbol", "norming", "classify", "simulate", "verify")
 
 
 def _refine_error(err):
@@ -257,197 +458,17 @@ def load_scenario(path) -> dict:
     return doc
 
 
-def _power_log_family(a, b=0.0, c=0.0):
-    def f(t):
-        out = t ** a
-        if b:
-            out *= abs(math.log(t)) ** b
-        if c:
-            out *= math.log(abs(math.log(t))) ** c
-        return out
-    return f
-
-
-class _Context:
-    def __init__(self, doc):
-        self.doc = doc
-        self.x = float(doc.get("x", 0.0))
-        self.seed = int(doc["seed"])
-        self.paths = int(doc.get("paths", 1000))
-        self.measure = measure_from_dict(doc["measure"]) if "measure" in doc else None
-        self.process = process_from_dict(doc["process"]) if "process" in doc else None
-        self.drift = profile_from_dict(doc["drift"]) if "drift" in doc else 0.0
-        self.grid = PathGrid.from_dict(doc["grid"]) if "grid" in doc else None
-        self.ensembles = {}
-
-    def need_measure(self):
-        if self.measure is not None:
-            return self.measure
-        if self.process is not None:
-            return self.process.levy_measure
-        raise SchemaError("analysis needs a 'measure' (or a 'process' to derive one)")
-
-    def need_process(self):
-        if self.process is not None:
-            return self.process
-        if self.measure is not None:
-            return process_from_triplet(LevyTriplet(measure=self.measure, drift=self.drift))
-        raise SchemaError("analysis needs a 'process' (or an exactly simulatable 'measure')")
-
-    def triplet(self):
-        return LevyTriplet(measure=self.need_measure(), drift=self.drift)
-
-    def need_ensemble(self, spec):
-        eid = spec.get("ensemble_id", "main")
-        if eid not in self.ensembles:
-            if self.grid is None:
-                raise SchemaError("verification analyses need a 'grid' and a simulate analysis")
-            self.ensembles[eid] = simulate_ensemble(self.need_process(), self.x, self.grid,
-                                                    self.seed, self.paths)
-        return self.ensembles[eid]
-
-
-def _run_analysis(ctx: _Context, spec: dict, outdir: str, tag: str, hash_header: str,
-                  scen_hash: str):
-    name = spec["name"]
-    csv_path = os.path.join(outdir, f"{tag}.csv")
-
-    def write_csv(header, rows):
-        _atomic_write(csv_path, hash_header + header + "\n"
-                      + "\n".join(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                                           for v in row) for row in rows)
-                      + ("\n" if rows else ""))
-
-    if name == "pu_grid":
-        m = ctx.need_measure()
-        rows = [(float(xv), float(xiv),
-                 symbols.eval_pU(m, float(xv), float(xiv), method=spec.get("method", "auto")))
-                for xv in spec["x_values"] for xiv in spec["xi_values"]]
-        write_csv("x,xi,pu", rows)
-        return {"rows": len(rows), "csv": os.path.basename(csv_path)}
-    if name == "exponent_grid":
-        trip = ctx.triplet()
-        rows = []
-        for xv in spec["x_values"]:
-            for xiv in spec["xi_values"]:
-                p = symbols.eval_exponent(trip, float(xv), float(xiv))
-                rows.append((float(xv), float(xiv), p.real, p.imag))
-        write_csv("x,xi,re,im", rows)
-        return {"rows": len(rows), "csv": os.path.basename(csv_path)}
-    if name == "tail_mass_grid":
-        m = ctx.need_measure()
-        rows = [(float(r), symbols.tail_mass(m, ctx.x, float(r))) for r in spec["r_values"]]
-        write_csv("r,tail_mass", rows)
-        return {"rows": len(rows), "csv": os.path.basename(csv_path)}
-    if name == "sector":
-        est = symbols.sector_estimate(ctx.triplet(), tuple(spec["x_window"]), spec["xi_grid"])
-        write_csv("refinement,sup_ratio", list(enumerate(est.history)))
-        return {"value": est.value, "flag": est.flag, "history": list(est.history)}
-    if name == "norming_table":
-        nf = norming.build_norming_function(ctx.need_measure(), ctx.x, spec["kind"],
-                                            spec["arguments"], epsilon=spec.get("epsilon", 0.5),
-                                            n=spec.get("n", 1))
-        args, vals = nf.table()
-        write_csv("argument,value", list(zip(args.tolist(), vals.tolist())))
-        return {"kind": spec["kind"], "form": nf.form, "csv": os.path.basename(csv_path)}
-    if name == "kappa":
-        est = norming.kappa_estimate(ctx.need_measure(), ctx.x, spec["R_grid"])
-        write_csv("R,kappa", list(zip(est.R_grid, est.kappa_values)))
-        return {"kappa": est.kappa, "values": list(est.kappa_values)}
-    if name == "upper_function_test":
-        verdict = classifiers.upper_function_test(
-            ctx.need_measure(), ctx.x, spec["epsilon"], spec.get("n", 1),
-            spec["t_max"], spec["levels"], ell_one=spec.get("ell_one", False))
-        write_csv("index,block", list(enumerate(verdict.block_values)))
-        return verdict.to_dict()
-    if name == "lower_tail_test":
-        v = _power_log_family(spec["v_exponent"], spec.get("v_log_exponent", 0.0))
-        verdict = classifiers.lower_tail_test(ctx.need_measure(), v, spec["C"],
-                                              spec["t_max"], spec["levels"])
-        write_csv("index,block", list(enumerate(verdict.block_values)))
-        return verdict.to_dict()
-    if name == "symbol_liminf_test":
-        scale = spec.get("g_scale", 1.0)
-        expo = spec["g_exponent"]
-        w = _power_log_family(spec["w_exponent"], spec.get("w_log_exponent", 0.0),
-                              spec.get("w_loglog_exponent", 0.0))
-        verdict = classifiers.symbol_liminf_test(lambda xi: scale * xi ** expo, w,
-                                                 spec["t_max"], spec["levels"])
-        write_csv("index,level", list(enumerate(verdict.block_values)))
-        return verdict.to_dict()
-    if name == "simulate":
-        if ctx.grid is None:
-            raise SchemaError("simulate needs a 'grid'")
-        ens = simulate_ensemble(ctx.need_process(), ctx.x, ctx.grid, ctx.seed, ctx.paths,
-                                record_times=spec.get("record_times"))
-        ctx.ensembles[spec.get("ensemble_id", "main")] = ens
-        extra = {"scenario_hash": scen_hash}
-        if spec.get("save") == "jsonl":
-            save_ensemble_jsonl(ens, os.path.join(outdir, f"{tag}_paths.jsonl"), extra)
-        elif spec.get("save") == "csv":
-            save_ensemble_csv_dir(ens, os.path.join(outdir, f"{tag}_paths"), extra)
-        final = ens.running_sup[:, -1]
-        rows = list(zip(ens.times.tolist(),
-                        np.mean(ens.positions - ens.x0, axis=0).tolist(),
-                        np.median(ens.running_sup, axis=0).tolist()))
-        write_csv("t,mean_displacement,median_running_sup", rows)
-        return {"paths": ens.n_paths, "grid_points": int(ens.times.size),
-                "final_median_running_sup": float(np.median(final)),
-                "spec_hash": ens.metadata()["spec_hash"]}
-    if name == "sup_probability":
-        ens = ctx.need_ensemble(spec)
-        est = mc.estimate_sup_probability(ens, ens.nearest_time(spec["t"]), spec["R"],
-                                          spec.get("direction", "ge"))
-        write_csv("t,R,p_hat,standard_error",
-                  [(spec["t"], spec["R"], est.p_hat, est.standard_error)])
-        return est.to_dict()
-    if name == "maximal_inequality":
-        ens = ctx.need_ensemble(spec)
-        rep = mc.maximal_inequality_check(ens, ctx.need_measure(), ctx.x,
-                                          spec["t_list"], spec["R_list"])
-        write_csv("t,R,c1_candidate,c2_candidate",
-                  [(r["t"], r["R"], r["c1_candidate"], r["c2_candidate"]) for r in rep["rows"]])
-        rep.pop("rows")
-        return rep
-    if name == "multi_interval_decay":
-        ens = ctx.need_ensemble(spec)
-        rep = mc.multi_interval_decay(ens, ctx.need_measure(), ctx.x, spec["R"], spec["m_max"])
-        write_csv("m,q", list(zip(rep["m"], rep["q"])))
-        return rep
-    if name == "spitzer":
-        ens = ctx.need_ensemble(spec)
-        rows = mc.spitzer_estimate(ens, ctx.x, spec["t_list"])
-        write_csv("t,p_hat,standard_error",
-                  [(r["t"], r["p_hat"], r["standard_error"]) for r in rows])
-        return {"rows": rows}
-    if name == "etemadi":
-        ens = ctx.need_ensemble(spec)
-        v = _power_log_family(spec["v_exponent"], spec.get("v_log_exponent", 0.0))
-        rep = mc.etemadi_check(ens, v, spec["C"], spec["t_list"])
-        write_csv("t,v,p_marginal,p_sup,tail_lower_bound",
-                  [(r["t"], r["v"], r["marginal"]["p_hat"], r["sup"]["p_hat"],
-                    r["tail_lower_bound"]) for r in rep["rows"]])
-        return rep
-    if name == "charfn_bound":
-        ens = ctx.need_ensemble(spec)
-        proc = ens.process
-        if not hasattr(proc, "alpha") or not isinstance(getattr(proc, "alpha"), float):
-            raise SchemaError("charfn_bound is available for stable processes")
-        family = symbols.SymbolFamily.from_stable(proc.alpha, proc.scale)
-        rep = mc.empirical_charfn_bound(ens, family, spec["xi_list"], spec["t_list"],
-                                        epsilon=spec.get("epsilon"))
-        write_csv("t,xi,modulus,bound,violated",
-                  [(r["t"], r["xi"], r["modulus"], r["bound"], int(r["violated"]))
-                   for r in rep["rows"]])
-        rep.pop("rows")
-        return rep
-    if name == "chung_statistic":
-        ens = ctx.need_ensemble(spec)
-        stat = mc.chung_statistic(ens, ctx.need_measure(), ctx.x, spec["t_lo"], spec["t_hi"],
-                                  rate_exponent=spec.get("rate_exponent"))
-        write_csv("probe_time,rate", list(zip(stat.probe_times, stat.rates)))
-        return stat.summary()
-    raise SchemaError(f"unknown analysis {name!r}")
+def _run_analysis(ctx: _Context, spec: dict, tag: str) -> dict:
+    """Run one analysis through its registry entry and write its CSV."""
+    entry = _ANALYSES[spec["name"]]
+    ens = ctx.need_ensemble(spec) if entry.stage == "verify" else None
+    header, rows, result = entry.run(ctx, spec, ens, tag)
+    _atomic_write(os.path.join(ctx.outdir, f"{tag}.csv"),
+                  f"# scenario_hash={ctx.scen_hash}\n# seed={ctx.seed}\n" + header + "\n"
+                  + "\n".join(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                                       for v in row) for row in rows)
+                  + ("\n" if rows else ""))
+    return result
 
 
 def _atomic_write(path, text):
@@ -476,27 +497,24 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
         doc["output_dir"] = out
     validate_scenario(doc)
 
-    scen_hash = spec_hash(doc)
-    outdir = doc.get("output_dir", "out")
-    os.makedirs(outdir, exist_ok=True)
     ctx = _Context(doc)
-    hash_header = f"# scenario_hash={scen_hash}\n# seed={ctx.seed}\n"
-
-    wanted = set(range(len(STAGES))) if stages is None else {STAGES.index(s) for s in stages}
-    indexed = [(i, spec) for i, spec in enumerate(doc["analyses"])
-               if _STAGE_OF[spec["name"]] in wanted]
-    indexed.sort(key=lambda pair: (_STAGE_OF[pair[1]["name"]], pair[0]))
+    os.makedirs(ctx.outdir, exist_ok=True)
+    wanted = range(len(STAGES)) if stages is None else {STAGES.index(s) for s in stages}
+    staged = sorted((STAGES.index(_ANALYSES[spec["name"]].stage), i)
+                    for i, spec in enumerate(doc["analyses"]))
 
     results = {}
-    for i, spec in indexed:
-        tag = f"{i:02d}_{spec.get('label', spec['name'])}"
-        results[tag] = _run_analysis(ctx, spec, outdir, tag, hash_header, scen_hash)
+    for stage, i in staged:
+        if stage in wanted:
+            spec = doc["analyses"][i]
+            tag = f"{i:02d}_{spec.get('label', spec['name'])}"
+            results[tag] = _run_analysis(ctx, spec, tag)
 
-    report = {"scenario_hash": scen_hash, "seed": ctx.seed, "scenario": doc,
+    report = {"scenario_hash": ctx.scen_hash, "seed": ctx.seed, "scenario": doc,
               "results": results}
     if not canonical:
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    _atomic_write(os.path.join(outdir, "report.json"),
+    _atomic_write(os.path.join(ctx.outdir, "report.json"),
                   json.dumps(report, sort_keys=True, indent=2) + "\n")
     return report
 

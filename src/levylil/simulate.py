@@ -249,7 +249,7 @@ ProcessSpec = Union[SymmetricStableProcess, StableLikeProcess, CompoundPoissonPr
 def process_from_dict(d) -> ProcessSpec:
     kind = d.get("kind")
     if kind == "stable":
-        return SymmetricStableProcess(alpha=d["alpha"], scale=d.get("scale", 1.0))
+        return SymmetricStableProcess(alpha=float(d["alpha"]), scale=float(d.get("scale", 1.0)))
     if kind == "stable_like":
         scale = profile_from_dict(d["scale"]) if "scale" in d else ConstantProfile(1.0)
         return StableLikeProcess(alpha=profile_from_dict(d["alpha"]), scale=scale)
@@ -330,25 +330,16 @@ class PathSample:
                           seed_tag=self.seed_tag)
 
 
-def first_exit_times(times, running_sup, radii):
-    """Grid-measured first exit time per radius: first t with running_sup >= a."""
+def path_statistics(sample: PathSample, radii) -> dict:
+    """Per-radius first grid time with running_sup >= a (None if never)."""
     out = {}
-    rs = np.asarray(running_sup)
+    rs = sample.running_sup
     for a in radii:
         if a <= 0.0:
             raise ValueError("radii must be positive")
         idx = int(np.searchsorted(rs, a, side="left"))
-        out[float(a)] = float(times[idx]) if idx < rs.size else None
+        out[float(a)] = float(sample.times[idx]) if idx < rs.size else None
     return out
-
-
-def path_statistics(sample: PathSample, radii) -> dict:
-    """Per-radius first grid time with running_sup >= a (None if never)."""
-    return first_exit_times(sample.times, sample.running_sup, radii)
-
-
-def _draw_uniform_exponential(gen, n):
-    return gen.random(n), gen.standard_exponential(n)
 
 
 def simulate_path(process: ProcessSpec, x0: float, grid: PathGrid,
@@ -415,13 +406,15 @@ class PathEnsemble:
                           seed_tag=(self.master_seed, int(self.path_indices[i])))
 
     def time_index(self, t: float, *, tol: float = 1e-9) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol * max(abs(t), self.times[0]):
-            raise ValueError(f"t={t} is not a stored grid time")
-        return i
+        """Column of the stored time t; ValueError unless t is a stored time."""
+        return _grid_index(self.times, t, tol)
+
+    def nearest_index(self, t: float) -> int:
+        """Column of the stored time nearest to t."""
+        return _grid_index(self.times, t, None)
 
     def nearest_time(self, t: float) -> float:
-        return float(self.times[int(np.argmin(np.abs(self.times - t)))])
+        return float(self.times[self.nearest_index(t)])
 
     def metadata(self):
         d = {"process": self.process.to_dict(), "grid": self.grid.to_dict(),
@@ -458,7 +451,7 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
             raise MemoryError(
                 "ensemble too large to store at full resolution; pass record_times")
     else:
-        rec_idx = np.array([_match_time(times, t) for t in record_times], dtype=int)
+        rec_idx = np.array([_grid_index(times, t) for t in record_times], dtype=int)
         if np.any(np.diff(rec_idx) <= 0):
             raise ValueError("record_times must be strictly increasing grid times")
     rec_times = times[rec_idx]
@@ -478,10 +471,12 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
                         recorded=rec_idx.size != times.size)
 
 
-def _match_time(times, t, tol=1e-9):
+def _grid_index(times, t, tol=1e-9) -> int:
+    """Index of the grid time nearest to t.  Unless ``tol`` is None, t must be
+    a grid time up to that relative tolerance (ValueError otherwise)."""
     i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > tol * max(abs(t), times[0]):
-        raise ValueError(f"record time {t} is not on the grid")
+    if tol is not None and abs(times[i] - t) > tol * max(abs(t), times[0]):
+        raise ValueError(f"t={t} is not a stored grid time")
     return i
 
 
@@ -490,7 +485,7 @@ def _draw_chunk(master_seed, start, stop, n):
     w = np.empty((stop - start, n))
     for row, i in enumerate(range(start, stop)):
         gen = _path_generator(master_seed, i)
-        u[row], w[row] = _draw_uniform_exponential(gen, n)
+        u[row], w[row] = gen.random(n), gen.standard_exponential(n)
     return u, w
 
 

@@ -272,16 +272,6 @@ def test_norming_function_rejects_unknown_kind():
         ll.build_norming_function(M_CONST_15, 0.0, "bogus", [0.1, 0.2])
 
 
-def test_norming_function_symbol_w_direct():
-    # the w-norming of the liminf dichotomy is user-supplied; the container
-    # still carries it for CSV export
-    nf = ll.NormingFunction(kind="symbol_w", x=0.0, domain=(1e-4, 1e-1),
-                            form="closed_form", fn=lambda t: np.asarray(t) ** (2.0 / 3.0))
-    assert nf(1e-2) == pytest.approx(1e-2 ** (2 / 3), rel=1e-12)
-    args, vals = nf.table()
-    assert args.size == vals.size == 129
-
-
 def test_ball_extremum_against_dense_scan_oracle():
     # brute-force oracle: 100001-point scan of p^U(., 1/R) over the ball
     rng = np.random.default_rng(123)

@@ -2,6 +2,8 @@ import json
 import math
 import os
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,22 @@ def test_cli_verify_runs_simulation(tmp_path):
     assert len(names) == 1 and names[0].endswith("spitzer")
 
 
+def test_charfn_bound_accepts_integer_alpha(tmp_path):
+    doc = {
+        "seed": 3,
+        "process": {"kind": "stable", "alpha": 1},
+        "grid": {"t_max": 1.0, "steps": 64},
+        "paths": 300,
+        "output_dir": str(tmp_path / "out"),
+        "analyses": [{"name": "charfn_bound", "xi_list": [0.5, 1.0], "t_list": [0.25, 0.5]}],
+    }
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["verify", "--scenario", str(path), "--canonical-output"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    res = next(iter(report["results"].values()))
+    assert res["check"] == "empirical_charfn_bound"
+
+
 def test_cli_paths_and_steps_override(tmp_path):
     doc = {
         "seed": 3,
@@ -238,6 +256,8 @@ def test_schema_document_shipped(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["required"] == ["seed", "analyses"]
     assert doc["additionalProperties"] is False
+    shipped = Path(__file__).resolve().parent.parent / "docs" / "scenario.schema.json"
+    assert out.read_bytes() == shipped.read_bytes()
 
 
 def test_stable_like_scenario_end_to_end(tmp_path):

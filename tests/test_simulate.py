@@ -260,6 +260,15 @@ def test_process_dict_roundtrip():
         assert q.to_dict() == proc.to_dict()
 
 
+def test_integer_stable_alpha_hashes_like_float():
+    grid = ll.PathGrid(t_max=0.5, steps=16)
+    ens = [ll.simulate_ensemble(ll.process_from_dict({"kind": "stable", "alpha": a, "scale": s}),
+                                0.0, grid, 5, 3)
+           for a, s in ((1, 2), (1.0, 2.0))]
+    assert ens[0].metadata()["spec_hash"] == ens[1].metadata()["spec_hash"]
+    assert np.array_equal(ens[0].positions, ens[1].positions)
+
+
 def test_max_step_for_resolution():
     assert ll.max_step_for_resolution(0.01, 1.8) == pytest.approx(0.01 ** 1.8)
 
