@@ -28,8 +28,7 @@ from .simulate import (CompoundPoissonProcess, PathEnsemble, PathGrid, PathSampl
                        StableLikeProcess, SymmetricStableProcess,
                        load_ensemble_jsonl, max_step_for_resolution, path_statistics,
                        process_from_dict, process_from_triplet, sample_symmetric_stable,
-                       save_ensemble_csv_dir, save_ensemble_jsonl, simulate_ensemble,
-                       simulate_path)
+                       save_ensemble_jsonl, simulate_ensemble, simulate_path)
 from .symbols import (QuadratureConfig, SectorEstimate, SymbolFamily,
                       build_lower_envelope, build_symbol_family, eval_exponent,
                       eval_pU, sector_estimate, stable_levy_constant, tail_mass)

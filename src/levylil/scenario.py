@@ -29,8 +29,8 @@ from jsonschema.exceptions import best_match
 from . import classifiers, mc, norming, symbols
 from .measures import LevyTriplet, measure_from_dict, profile_from_dict
 from .simulate import (PathGrid, SymmetricStableProcess, process_from_dict,
-                       process_from_triplet, save_ensemble_csv_dir, save_ensemble_jsonl,
-                       simulate_ensemble, spec_hash)
+                       process_from_triplet, save_ensemble_jsonl, simulate_ensemble,
+                       spec_hash)
 
 
 class SchemaError(ValueError):
@@ -297,7 +297,7 @@ def _symbol_liminf_test(ctx, spec, ens, tag):
 
 
 @_analysis("simulate", "simulate", {"record_times": _NUM_LIST,
-                                    "save": {"enum": ["jsonl", "csv"]},
+                                    "save": {"enum": ["jsonl"]},
                                     "ensemble_id": {"type": "string"}})
 def _simulate(ctx, spec, ens, tag):
     if ctx.grid is None:
@@ -305,11 +305,9 @@ def _simulate(ctx, spec, ens, tag):
     ens = simulate_ensemble(ctx.need_process(), ctx.x, ctx.grid, ctx.seed, ctx.paths,
                             record_times=spec.get("record_times"))
     ctx.ensembles[spec.get("ensemble_id", "main")] = ens
-    extra = {"scenario_hash": ctx.scen_hash}
     if spec.get("save") == "jsonl":
-        save_ensemble_jsonl(ens, os.path.join(ctx.outdir, f"{tag}_paths.jsonl"), extra)
-    elif spec.get("save") == "csv":
-        save_ensemble_csv_dir(ens, os.path.join(ctx.outdir, f"{tag}_paths"), extra)
+        save_ensemble_jsonl(ens, os.path.join(ctx.outdir, f"{tag}_paths.jsonl"),
+                            {"scenario_hash": ctx.scen_hash})
     rows = list(zip(ens.times.tolist(),
                     np.mean(ens.positions - ens.x0, axis=0).tolist(),
                     np.median(ens.running_sup, axis=0).tolist()))
@@ -390,7 +388,8 @@ def _chung_statistic(ctx, spec, ens, tag):
 
 
 def _analysis_schema(a: _Analysis) -> dict:
-    props = {"name": {"const": a.name}, "label": {"type": "string"}, **a.properties}
+    props = {"name": {"const": a.name},
+             "label": {"type": "string", "pattern": "^[A-Za-z0-9_.-]+$"}, **a.properties}
     if a.stage == "verify":
         props["ensemble_id"] = {"type": "string"}
     return {"type": "object", "properties": props,

@@ -8,6 +8,10 @@ process kind draws a fixed layout of variates.  Paths are therefore
 reproducible bit-exactly and order-independent, whether generated one at a
 time or inside a vectorized ensemble.
 
+Persistence follows from the same contract: an ensemble is saved as a
+one-line manifest of its spec, seed and path count plus the SHA-256 of its
+arrays, and loading regenerates it and checks that hash.
+
 Stable marginals use the Chambers-Mallows-Stuck transform, standardized so a
 unit-scale variate S satisfies E e^{i xi S} = e^{-|xi|^alpha}.  Stable-like
 paths use frozen-coefficient Euler stepping: the displacement over a step of
@@ -522,57 +526,47 @@ def _simulate_chunk(process, x0, times, dts, master_seed, start, stop):
 
 
 # --------------------------------------------------------------------------
-# persistence (portable, binary-free)
+# persistence: seed manifests, regenerated and hash-checked on load
 # --------------------------------------------------------------------------
 
+def _ensemble_sha256(ensemble: PathEnsemble) -> str:
+    """SHA-256 of positions then running_sup, little-endian float64 C-order."""
+    h = hashlib.sha256()
+    for arr in (ensemble.positions, ensemble.running_sup):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def save_ensemble_jsonl(ensemble: PathEnsemble, path, extra_metadata=None):
-    """One metadata header line, then one JSON record per path."""
-    tmp = f"{path}.tmp-{os.getpid()}"
+    """One canonical-JSON manifest line: the spec and seed that regenerate the
+    ensemble, plus the SHA-256 of its arrays.  No per-path rows are written."""
     meta = ensemble.metadata()
-    if extra_metadata:
-        meta.update(extra_metadata)
-    meta["times"] = [float(t) for t in ensemble.times]
-    meta["recorded"] = ensemble.recorded
+    meta.update(extra_metadata or {})
+    meta.update(n_paths=ensemble.n_paths, times=ensemble.times.tolist(),
+                recorded=ensemble.recorded, sha256=_ensemble_sha256(ensemble))
+    tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write(canonical_json(meta) + "\n")
-        for i in range(ensemble.n_paths):
-            fh.write(canonical_json({
-                "path_index": int(ensemble.path_indices[i]),
-                "positions": [float(v) for v in ensemble.positions[i]],
-                "running_sup": [float(v) for v in ensemble.running_sup[i]],
-            }) + "\n")
     os.replace(tmp, path)
 
 
 def load_ensemble_jsonl(path) -> PathEnsemble:
+    """Regenerate the ensemble a manifest describes.  ValueError naming the
+    file unless the regenerated spec hash and array hash match the manifest."""
     with open(path) as fh:
         meta = json.loads(fh.readline())
-        rows = [json.loads(line) for line in fh if line.strip()]
-    rows.sort(key=lambda r: r["path_index"])
-    return PathEnsemble(
-        process=process_from_dict(meta["process"]),
-        grid=PathGrid.from_dict(meta["grid"]),
-        x0=meta["x0"], master_seed=meta["seed"],
-        times=np.array(meta["times"]),
-        positions=np.array([r["positions"] for r in rows]),
-        running_sup=np.array([r["running_sup"] for r in rows]),
-        path_indices=np.array([r["path_index"] for r in rows]),
-        recorded=meta["recorded"])
-
-
-def save_ensemble_csv_dir(ensemble: PathEnsemble, directory, extra_metadata=None):
-    """One CSV per path plus a metadata JSON, all embedding the spec hash."""
-    os.makedirs(directory, exist_ok=True)
-    meta = ensemble.metadata()
-    if extra_metadata:
-        meta.update(extra_metadata)
-    with open(os.path.join(directory, "metadata.json"), "w") as fh:
-        fh.write(canonical_json(meta) + "\n")
-    header = f"# spec_hash={meta['spec_hash']} seed={ensemble.master_seed}\n"
-    for i in range(ensemble.n_paths):
-        name = os.path.join(directory, f"path{int(ensemble.path_indices[i]):06d}.csv")
-        with open(name, "w") as fh:
-            fh.write(header)
-            fh.write("t,position,running_sup\n")
-            for t, p, r in zip(ensemble.times, ensemble.positions[i], ensemble.running_sup[i]):
-                fh.write(f"{t!r},{p!r},{r!r}\n")
+    stored = {k: meta.get(k) for k in ("spec_hash", "sha256")}
+    ens = got = None
+    if stored["sha256"] is not None:
+        try:
+            ens = simulate_ensemble(process_from_dict(meta["process"]), meta["x0"],
+                                    PathGrid.from_dict(meta["grid"]), meta["seed"],
+                                    meta["n_paths"],
+                                    record_times=meta["times"] if meta["recorded"] else None)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: cannot regenerate the ensemble: {exc!r}") from exc
+        got = {"spec_hash": ens.metadata()["spec_hash"], "sha256": _ensemble_sha256(ens)}
+    if got != stored:
+        raise ValueError(f"{path}: the manifest records {stored}, but the regenerated "
+                         f"ensemble gives {got}")
+    return ens

@@ -197,6 +197,30 @@ def test_cli_report_and_exit_codes(tmp_path, capsys):
     assert cli_main(["report", "--scenario", str(broken)]) == 2
 
 
+def test_label_that_is_not_a_file_name_rejected_up_front(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    doc = minimal_scenario(out)
+    doc["analyses"] = [{"name": "kappa", "R_grid": [0.5]},
+                       {"name": "kappa", "R_grid": [0.5], "label": "a/b"}]
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["report", "--scenario", str(path)]) == 2
+    assert "label" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_saved_manifest_size_does_not_grow_with_paths(tmp_path):
+    sizes = {}
+    for n in (10, 200):
+        doc = {"seed": 3, "process": {"kind": "stable", "alpha": 1.5},
+               "grid": {"t_max": 1.0, "steps": 64}, "paths": n,
+               "output_dir": str(tmp_path / f"out{n}"),
+               "analyses": [{"name": "simulate", "save": "jsonl"}]}
+        run_scenario(doc, canonical=True)
+        sizes[n] = (tmp_path / f"out{n}" / "00_simulate_paths.jsonl").stat().st_size
+    assert sizes[200] - sizes[10] == len("200") - len("10")
+
+
 def test_cli_verify_runs_simulation(tmp_path):
     doc = {
         "seed": 3,

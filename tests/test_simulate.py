@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,31 +280,61 @@ def test_max_step_for_resolution():
 # --------------------------------------------------------------------------
 
 def test_jsonl_roundtrip(tmp_path):
-    ens = ll.simulate_ensemble(STABLE_15, 0.25, ll.PathGrid(t_max=0.5, steps=16), 99, 5)
-    path = tmp_path / "paths.jsonl"
-    ll.save_ensemble_jsonl(ens, path)
-    back = ll.load_ensemble_jsonl(path)
-    assert np.array_equal(back.positions, ens.positions)
-    assert np.array_equal(back.running_sup, ens.running_sup)
-    assert back.x0 == ens.x0
-    assert back.master_seed == ens.master_seed
-    assert back.process.to_dict() == ens.process.to_dict()
-    first_line = path.read_text().splitlines()[0]
-    import json
-    meta = json.loads(first_line)
-    assert "spec_hash" in meta and meta["seed"] == 99
+    sinusoidal = ll.StableLikeProcess(alpha=ll.SinusoidalProfile(center=1.4, amplitude=0.3),
+                                      scale=ll.ConstantProfile(2.0))
+    cases = [
+        ll.simulate_ensemble(STABLE_15, 0.25, ll.PathGrid(t_max=0.5, steps=16), 99, 5),
+        ll.simulate_ensemble(sinusoidal, 0.1, ll.PathGrid(t_max=0.5, steps=32), 7, 6,
+                             record_times=[0.0625, 0.25, 0.5]),
+        ll.simulate_ensemble(ll.CompoundPoissonProcess(atoms=((1.0, 2.0), (-0.5, 1.0)),
+                                                       path_drift=0.1),
+                             -1.0, ll.PathGrid(t_max=2.0, steps=64), 3, 4),
+    ]
+    assert [e.recorded for e in cases] == [False, True, False]
+    for i, ens in enumerate(cases):
+        path = tmp_path / f"{i}_paths.jsonl"
+        ll.save_ensemble_jsonl(ens, path, {"scenario_hash": "abc"})
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1
+        meta = json.loads(lines[0])
+        assert meta["seed"] == ens.master_seed and meta["scenario_hash"] == "abc"
+        assert meta["n_paths"] == ens.n_paths
+        back = ll.load_ensemble_jsonl(path)
+        for field in ("positions", "running_sup", "times", "path_indices"):
+            assert np.array_equal(getattr(back, field), getattr(ens, field)), (i, field)
+        assert back.recorded == ens.recorded
+        assert back.metadata() == ens.metadata()
 
 
-def test_csv_dir_export(tmp_path):
+def _edit_manifest(path, **changes):
+    meta = json.loads(path.read_text())
+    meta.update(changes)
+    path.write_text(json.dumps(meta) + "\n")
+
+
+def _write_per_path_rows(ens, path):
+    # the earlier format: a header without a hash, then one JSON row per path
+    meta = dict(ens.metadata(), times=ens.times.tolist(), recorded=ens.recorded)
+    rows = [json.dumps({"path_index": i, "positions": ens.positions[i].tolist(),
+                        "running_sup": ens.running_sup[i].tolist()})
+            for i in range(ens.n_paths)]
+    path.write_text("\n".join([json.dumps(meta)] + rows) + "\n")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, seed=5)),
+    lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, sha256="0" * 64)),
+    _write_per_path_rows,
+    lambda ens, p: ll.save_ensemble_jsonl(ens.subsample(2), p),
+    lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, recorded=True,
+                                                                   times=[0.13])),
+], ids=["seed_edited", "hash_edited", "old_format", "subsampled", "off_grid_time"])
+def test_jsonl_load_rejects_mismatch(tmp_path, corrupt):
     ens = ll.simulate_ensemble(STABLE_15, 0.0, ll.PathGrid(t_max=0.5, steps=16), 4, 3)
-    d = tmp_path / "paths"
-    ll.save_ensemble_csv_dir(ens, d)
-    files = sorted(p.name for p in d.iterdir())
-    assert "metadata.json" in files
-    assert "path000000.csv" in files
-    text = (d / "path000001.csv").read_text()
-    assert text.startswith("# spec_hash=")
-    assert "t,position,running_sup" in text
+    path = tmp_path / "paths.jsonl"
+    corrupt(ens, path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        ll.load_ensemble_jsonl(path)
 
 
 def test_stable_like_matches_local_index_away_from_ramp():
