@@ -13,8 +13,8 @@ from .errors import (ClassifierError, DegenerateMeasureError, InverseUndefinedEr
                      QuadratureError, RhoOutOfRangeError, SectorViolationError)
 from .measures import (AffineClampedProfile, AtomicMeasure, ConstantProfile,
                        LevyTriplet, PowerLawMeasure, SinusoidalProfile,
-                       TabulatedMeasure, TanhRampProfile, check_integrability,
-                       measure_from_dict, profile_from_dict)
+                       TabulatedMeasure, TanhRampProfile, measure_from_dict,
+                       profile_from_dict)
 from .mc import (ChungStatistic, ProbabilityEstimate, chung_statistic,
                  empirical_charfn, empirical_charfn_bound, estimate_sup_probability,
                  etemadi_check, maximal_inequality_check, multi_interval_decay,
@@ -30,7 +30,8 @@ from .simulate import (CompoundPoissonProcess, PathEnsemble, PathGrid, PathSampl
                        process_from_dict, process_from_triplet, sample_symmetric_stable,
                        save_ensemble_jsonl, simulate_ensemble, simulate_path)
 from .symbols import (QuadratureConfig, SectorEstimate, SymbolFamily,
-                      build_lower_envelope, build_symbol_family, eval_exponent,
-                      eval_pU, sector_estimate, stable_levy_constant, tail_mass)
+                      build_lower_envelope, build_symbol_family, check_integrability,
+                      eval_exponent, eval_pU, sector_estimate, stable_levy_constant,
+                      tail_mass)
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ R \\ {0}.  Three variants are supported:
   state-dependent index alpha(x) in a compact subinterval of (0, 2);
 * ``AtomicMeasure`` -- finitely many atoms (location, mass);
 * ``TabulatedMeasure`` -- density samples on a log-spaced |y| grid,
-  interpreted as piecewise power-law (log-log linear) between knots.
+  interpreted as piecewise power-law (log-log linear) between knots; a
+  panel with a zero knot carries no mass.
 
 Coefficients that vary with x are expressed through a small set of named
 profiles (constant, affine-clamped, sinusoidal, tanh-ramp); there is no
@@ -16,7 +17,6 @@ general expression parser.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -218,10 +218,6 @@ class PowerLawMeasure:
             raise ValueError("truncation_radius must be positive")
 
     @property
-    def variant(self):
-        return "power_law"
-
-    @property
     def is_state_independent(self):
         if not self.alpha.is_constant:
             return False
@@ -276,10 +272,6 @@ class AtomicMeasure:
         object.__setattr__(self, "atoms", atoms)
 
     @property
-    def variant(self):
-        return "atomic"
-
-    @property
     def is_state_independent(self):
         return True
 
@@ -305,10 +297,12 @@ class AtomicMeasure:
 class TabulatedMeasure:
     """Density samples on a strictly increasing log-spaced |y| grid.
 
-    Between knots the density is interpolated log-log linearly (piecewise
-    power law), and it vanishes outside [grid[0], grid[-1]] -- the zero tail
-    correction for tabulated data.  With ``density_neg`` unset the measure is
-    symmetric, the samples describing both half-lines.
+    Between two positive knots the density is interpolated log-log linearly
+    (piecewise power law).  A panel with a zero knot carries no mass, and the
+    density vanishes outside [grid[0], grid[-1]] -- the zero tail correction
+    for tabulated data.  So ``density`` needs two adjacent positive knots.
+    With ``density_neg`` unset the measure is symmetric, the samples
+    describing both half-lines.
     """
 
     grid: tuple
@@ -325,8 +319,8 @@ class TabulatedMeasure:
             raise ValueError("tabulated grid must be positive and strictly increasing")
         if dens.shape != grid.shape:
             raise ValueError("density must match the grid")
-        if np.any(dens < 0) or not np.any(dens > 0):
-            raise ValueError("density must be nonnegative and not identically zero")
+        if np.any(dens < 0) or not np.any((dens[:-1] > 0) & (dens[1:] > 0)):
+            raise ValueError("density must be nonnegative and positive at two adjacent knots")
         object.__setattr__(self, "grid", tuple(grid))
         object.__setattr__(self, "density", tuple(dens))
         if self.density_neg is not None:
@@ -334,10 +328,6 @@ class TabulatedMeasure:
             if dn.shape != grid.shape or np.any(dn < 0):
                 raise ValueError("density_neg must match the grid and be nonnegative")
             object.__setattr__(self, "density_neg", tuple(dn))
-
-    @property
-    def variant(self):
-        return "tabulated"
 
     @property
     def is_state_independent(self):
@@ -406,34 +396,3 @@ class LevyTriplet:
     def to_dict(self):
         return {"drift": self.drift.to_dict(), "measure": self.measure.to_dict()}
 
-
-def check_integrability(measure: MeasureSpec, x: float = 0.0) -> float:
-    """Numerically evaluate int min(1, y^2) nu(x, dy) (must be finite)."""
-    if isinstance(measure, AtomicMeasure):
-        locs, masses = measure.locations(), measure.masses()
-        return float(np.sum(masses * np.minimum(1.0, locs ** 2)))
-    if isinstance(measure, PowerLawMeasure):
-        a = measure.alpha_at(x)
-        c = measure.coeff_at(x)
-        # int_0^1 y^2 y^(-1-a) dy + int_1^inf y^(-1-a) dy, both sides
-        return 2.0 * c * (1.0 / (2.0 - a) + 1.0 / a)
-    total = 0.0
-    grid = np.asarray(measure.grid)
-    for weight, dens in measure.sides():
-        from .symbols import _tab_panel_integrals
-        total += weight * _tab_panel_integrals(grid, dens, lambda lo, hi, A, b: _min1y2(lo, hi, A, b))
-    return total
-
-
-def _min1y2(lo, hi, A, b):
-    """int_lo^hi min(1, y^2) A y^b dy for a power-law panel."""
-    def power_int(p, u, v):
-        q = b + p + 1.0
-        if abs(q) < 1e-12:
-            return A * math.log(v / u)
-        return A * (v ** q - u ** q) / q
-    if hi <= 1.0:
-        return power_int(2.0, lo, hi)
-    if lo >= 1.0:
-        return power_int(0.0, lo, hi)
-    return power_int(2.0, lo, 1.0) + power_int(0.0, 1.0, hi)

@@ -496,7 +496,11 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
         doc["output_dir"] = out
     validate_scenario(doc)
 
-    ctx = _Context(doc)
+    try:
+        ctx = _Context(doc)
+    except (ValueError, TypeError) as exc:
+        # a constructor rejected a value that the schema lets through
+        raise SchemaError(f"invalid scenario: {exc}") from exc
     os.makedirs(ctx.outdir, exist_ok=True)
     wanted = range(len(STAGES)) if stages is None else {STAGES.index(s) for s in stages}
     staged = sorted((STAGES.index(_ANALYSES[spec["name"]].stage), i)

@@ -385,7 +385,9 @@ class PathEnsemble:
     With ``recorded=True`` the stored arrays are snapshots at a subset of the
     grid: stepping still happened on the full grid and ``running_sup`` is the
     full-grid supremum sampled at the recorded times (so it may exceed the
-    cummax of the recorded positions).
+    cummax of the recorded positions).  The one exception is a ``subsample``
+    view, which is flagged ``recorded`` too but whose ``running_sup`` is the
+    cummax of the coarse positions.
     """
 
     process: ProcessSpec
@@ -427,6 +429,13 @@ class PathEnsemble:
         return d
 
     def subsample(self, stride: int) -> "PathEnsemble":
+        """Every ``stride``-th grid time, flagged ``recorded``.
+
+        Its ``running_sup`` is the cummax of the coarse positions, not the
+        full-grid supremum: that gap is what ``mc.resolution_drift`` measures,
+        and regeneration cannot reproduce it, so ``load_ensemble_jsonl``
+        rejects a saved view.
+        """
         if self.recorded:
             raise ValueError("cannot subsample a recorded ensemble")
         idx = np.arange(stride - 1, self.times.size, stride)

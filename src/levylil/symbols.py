@@ -123,6 +123,19 @@ def _panel_coeffs(y1, y2, d1, d2):
     return d1 / y1 ** b, b
 
 
+def _panels(grid, dens):
+    """(y1, y2, A, b) for each panel of one tabulated side that carries mass.
+
+    The density is A y^b on [y1, y2] when both knots are positive; a panel
+    with a zero knot carries no mass, and nothing lies outside the grid.
+    """
+    g = np.asarray(grid, dtype=float)
+    d = np.asarray(dens, dtype=float)
+    for i in range(len(g) - 1):
+        if d[i] > 0.0 and d[i + 1] > 0.0:
+            yield (g[i], g[i + 1]) + _panel_coeffs(g[i], g[i + 1], d[i], d[i + 1])
+
+
 def _power_moment(A, b, p, lo, hi):
     """int_lo^hi A y^(b+p) dy."""
     q = b + p + 1.0
@@ -131,49 +144,18 @@ def _power_moment(A, b, p, lo, hi):
     return A * (hi ** q - lo ** q) / q
 
 
-def _linear_moment(y1, y2, d1, d2, p, lo, hi):
-    """int_lo^hi (c0 + c1 y) y^p dy for the linear chord through the knots."""
-    c1 = (d2 - d1) / (y2 - y1)
-    c0 = d1 - c1 * y1
-    return (c0 * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
-            + c1 * (hi ** (p + 2) - lo ** (p + 2)) / (p + 2))
-
-
-def _tab_moment(grid, dens, p, lo=None, hi=None):
-    """int y^p d(y) dy over [lo, hi] for one tabulated side (zero outside grid)."""
-    g = np.asarray(grid, dtype=float)
-    d = np.asarray(dens, dtype=float)
-    lo = g[0] if lo is None else max(lo, g[0])
-    hi = g[-1] if hi is None else min(hi, g[-1])
-    if hi <= lo:
-        return 0.0
+def _tab_moment(grid, dens, p, lo=0.0, hi=math.inf):
+    """int y^p d(y) dy over [lo, hi] for one tabulated side."""
     total = 0.0
-    for i in range(len(g) - 1):
-        a, b_ = max(g[i], lo), min(g[i + 1], hi)
-        if b_ <= a:
-            continue
-        d1, d2 = d[i], d[i + 1]
-        if d1 > 0.0 and d2 > 0.0:
-            A, e = _panel_coeffs(g[i], g[i + 1], d1, d2)
-            total += _power_moment(A, e, p, a, b_)
-        elif d1 > 0.0 or d2 > 0.0:
-            total += _linear_moment(g[i], g[i + 1], d1, d2, p, a, b_)
-    return total
-
-
-def _tab_panel_integrals(grid, dens, power_fn):
-    """Apply a closed-form panel functional over all positive-density panels."""
-    g = np.asarray(grid, dtype=float)
-    d = np.asarray(dens, dtype=float)
-    total = 0.0
-    for i in range(len(g) - 1):
-        if d[i] > 0.0 and d[i + 1] > 0.0:
-            A, e = _panel_coeffs(g[i], g[i + 1], d[i], d[i + 1])
-            total += power_fn(g[i], g[i + 1], A, e)
+    for y1, y2, A, b in _panels(grid, dens):
+        a, c = max(y1, lo), min(y2, hi)
+        if c > a:
+            total += _power_moment(A, b, p, a, c)
     return total
 
 
 def _tab_density_fn(grid, dens) -> Callable:
+    """The log-log interpolant as a function of y (zero on a zero-knot panel)."""
     g = np.log(np.asarray(grid, dtype=float))
     with np.errstate(divide="ignore"):
         ld = np.log(np.asarray(dens, dtype=float))
@@ -223,6 +205,11 @@ def eval_pU(measure: MeasureSpec, x: float, xi: float, *,
         total += w * (axi ** 2 * _tab_moment(measure.grid, dens, 2, hi=k)
                       + _tab_moment(measure.grid, dens, 0, lo=k))
     return total
+
+
+def check_integrability(measure: MeasureSpec, x: float = 0.0) -> float:
+    """int min(1, y^2) nu(x, dy), which is p^U(x, 1) and must be finite."""
+    return eval_pU(measure, x, 1.0)
 
 
 def _pu_power_law_quadrature(measure, x, axi, config):
@@ -346,22 +333,16 @@ def _exponent_tabulated(measure, xi, config):
 def _tab_oscillatory(grid, dens, f, axi, k, config, budget, kind):
     """int over the tabulated support of (1 - cos(axi y)) f or sin(axi y) f."""
     total = 0.0
-    for i in range(len(grid) - 1):
-        lo, hi = grid[i], grid[i + 1]
-        if dens[i] == 0.0 and dens[i + 1] == 0.0:
+    for y1, y2, A, b in _panels(grid, dens):
+        if kind == "sin":
+            total += _osc_panel(f, y1, y2, axi, "sin", config, budget)
             continue
-        if kind == "one_minus_cos":
-            if hi <= k:
-                total += _quad(lambda y: 2.0 * math.sin(0.5 * axi * y) ** 2 * f(y), lo, hi, config, budget)
-            else:
-                split = max(lo, min(k, hi))
-                if split > lo:
-                    total += _quad(lambda y: 2.0 * math.sin(0.5 * axi * y) ** 2 * f(y), lo, split,
-                                   config, budget)
-                mass = _tab_moment(grid, dens, 0, lo=split, hi=hi)
-                total += mass - _osc_panel(f, split, hi, axi, "cos", config, budget)
-        else:
-            total += _osc_panel(f, lo, hi, axi, "sin", config, budget)
+        # below the kink k by plain quadrature, above it as mass minus the cos integral
+        split = min(max(k, y1), y2)
+        total += _quad(lambda y: 2.0 * math.sin(0.5 * axi * y) ** 2 * f(y), y1, split,
+                       config, budget)
+        total += _power_moment(A, b, 0, split, y2) - _osc_panel(f, split, y2, axi, "cos",
+                                                                config, budget)
     return total
 
 

@@ -93,6 +93,9 @@ def test_tabulated_validation():
         ll.TabulatedMeasure(grid=(1.0, 0.5), density=(1.0, 1.0))
     with pytest.raises(ValueError):
         ll.TabulatedMeasure(grid=tuple(grid), density=tuple(np.zeros_like(grid)))
+    # no panel has two positive knots, so this is the zero measure
+    with pytest.raises(ValueError):
+        ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(0.0, 1.0, 0.0))
 
 
 def test_triplet_rejects_gaussian_part():
@@ -126,3 +129,6 @@ def test_integrability_check():
     a, c, g0, g1 = 1.5, 0.3, grid[0], grid[-1]
     oracle = 2 * c * ((1.0 ** 0.5 - g0 ** 0.5) / 0.5 + (1.0 ** -a - g1 ** -a) / a)
     assert ll.check_integrability(tab) == pytest.approx(oracle, rel=1e-10)
+    # a panel with a zero knot carries no mass: 0.1/y on [0.1, 1] only
+    zero_knot = ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(1.0, 0.1, 0.0))
+    assert ll.check_integrability(zero_knot) == pytest.approx(2 * 0.1 * (1 - 0.1 ** 2) / 2)

@@ -209,6 +209,26 @@ def test_label_that_is_not_a_file_name_rejected_up_front(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("change, argv, message", [
+    ({"measure": {"variant": "power_law", "alpha": 2.5}}, [], "alpha profile range"),
+    ({"measure": {"variant": "tabulated", "grid": [1.0], "density": [1.0]}}, [],
+     "at least two points"),
+    ({"grid": {"t_max": 1.0, "steps": 64, "layout": "geometric"}}, [], "needs levels"),
+    (None, ["--steps", "1000"], "power of two"),
+], ids=["alpha_above_2", "one_point_grid", "geometric_without_levels", "example_steps_1000"])
+def test_value_a_constructor_rejects_is_a_schema_error(tmp_path, capsys, change, argv, message):
+    out = tmp_path / "out"
+    if change is None:
+        path = Path(__file__).resolve().parent.parent / "docs" / "example_scenario.json"
+    else:
+        doc = minimal_scenario(out)
+        doc.update(change)
+        path = write_scenario(tmp_path, doc)
+    assert cli_main(["report", "--scenario", str(path), "--out", str(out), *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_saved_manifest_size_does_not_grow_with_paths(tmp_path):
     sizes = {}
     for n in (10, 200):

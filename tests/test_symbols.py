@@ -182,6 +182,22 @@ def test_tail_mass_closed_forms():
     assert ll.tail_mass(SYM_ATOMS, 0.0, 0.5) == pytest.approx(2.0)
 
 
+def test_zero_knot_panel_carries_no_mass():
+    # log-log interpolation of (1, 0.1, 0) on (0.1, 1, 10): d(y) = 0.1/y on
+    # [0.1, 1] and nothing on [1, 10], on each half-line
+    import mpmath
+    tab = ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(1.0, 0.1, 0.0))
+    assert ll.tail_mass(tab, 0.0, 1.0) == 0.0
+    assert ll.tail_mass(tab, 0.0, 0.5) == pytest.approx(0.2 * math.log(2.0), rel=1e-12)
+    # int min(1, y^2) nu(dy) = 2 int_0.1^1 0.1 y dy
+    assert ll.eval_pU(tab, 0.0, 1.0) == pytest.approx(0.099, rel=1e-12)
+    assert ll.check_integrability(tab) == pytest.approx(0.099, rel=1e-12)
+    re = 0.2 * mpmath.quad(lambda y: (1 - mpmath.cos(2 * y)) / y, [0.1, 0.5, 1.0])
+    p = ll.eval_exponent(ll.LevyTriplet(measure=tab), 0.0, 2.0)
+    assert p.real == pytest.approx(float(re), rel=1e-8)
+    assert p.imag == 0.0
+
+
 def test_tail_mass_decreasing_in_r():
     measures = [ll.PowerLawMeasure(alpha=1.3, coefficient=0.4), SYM_ATOMS]
     grid = np.geomspace(0.05, 50, 200)
