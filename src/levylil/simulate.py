@@ -2,11 +2,14 @@
 processes, with running suprema and first exit times.
 
 Randomness contract: every path owns a counter-based Philox stream derived
-statelessly from (master seed, path index) via SeedSequence spawn keys; the
-position inside the stream is a fixed function of the step index because each
-process kind draws a fixed layout of variates.  Paths are therefore
-reproducible bit-exactly and order-independent, whether generated one at a
-time or inside a vectorized ensemble.
+statelessly from (master seed, path index) via SeedSequence spawn keys.  The
+stable and stable-like kinds draw a fixed layout (all uniforms, then all
+exponentials, one of each per step).  Compound Poisson draws a
+count-dependent layout: a jump count, then that many jump times, then that
+many atom choices; it is still a fixed function of the path's own stream.
+Paths are therefore reproducible bit-exactly and order-independent, whether
+generated one at a time or inside an ensemble, in blocks of any size and on
+any number of threads.
 
 Persistence follows from the same contract: an ensemble is saved as a
 one-line manifest of its spec, seed and path count plus the SHA-256 of its
@@ -350,32 +353,18 @@ def simulate_path(process: ProcessSpec, x0: float, grid: PathGrid,
                   seed_tag: tuple) -> PathSample:
     """One path, deterministic given seed_tag = (master seed, path index).
 
-    Delegates to the same vectorized kernels as ensemble generation (with a
-    one-path chunk) so a path is bit-identical however it is produced.
+    Runs the same kernels as ensemble generation (on a one-path block) so a
+    path is bit-identical however it is produced.
     """
     times = grid.times()
     if times.size > _MAX_POINTS:
         raise ValueError("step count overflow")
-    master_seed, path_index = seed_tag
-    dts = np.diff(times, prepend=0.0)
-    pos, rs = _simulate_chunk(process, x0, times, dts, int(master_seed),
-                              int(path_index), int(path_index) + 1)
+    master_seed, path_index = int(seed_tag[0]), int(seed_tag[1])
+    pos, rs = np.empty((1, times.size)), np.empty((1, times.size))
+    _simulate_into(process, x0, times, np.arange(times.size), master_seed, path_index,
+                   pos, rs)
     return PathSample(x0=x0, times=times, positions=pos[0], running_sup=rs[0],
-                      seed_tag=(int(master_seed), int(path_index)))
-
-
-def _cp_positions(process, x0, times, dts, gen):
-    locs = np.array([l for l, _ in process.atoms])
-    masses = np.array([m for _, m in process.atoms])
-    probs = masses / masses.sum()
-    counts = gen.poisson(lam=process.rate * dts)
-    total = int(counts.sum())
-    step_sums = np.zeros(times.size)
-    if total > 0:
-        choices = gen.choice(locs.size, size=total, p=probs)
-        idx = np.repeat(np.arange(times.size), counts)
-        step_sums = np.bincount(idx, weights=locs[choices], minlength=times.size)
-    return x0 + process.path_drift * times + np.cumsum(step_sums)
+                      seed_tag=(master_seed, path_index))
 
 
 @dataclass
@@ -448,12 +437,21 @@ class PathEnsemble:
 
 
 def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
-                      master_seed: int, n_paths: int, *,
-                      record_times=None, chunk_size: int = 2048) -> PathEnsemble:
+                      master_seed: int, n_paths: int, *, record_times=None,
+                      chunk_size: Optional[int] = None,
+                      workers: Optional[int] = None) -> PathEnsemble:
     """Generate n_paths independent paths (paths keyed by index).
 
     ``record_times`` restricts storage to a subset of grid times while the
     stepping and the running supremum still use the full grid.
+
+    Paths are simulated in blocks of ``chunk_size`` paths (default: about
+    1 MiB of float64 per block buffer for the stable and compound-Poisson
+    kernels, 2048 paths for the stable-like step loop).  For the stable
+    kernel, ``workers`` threads share the blocks (default: the CPUs this
+    process may run on), each with its own four block buffers; the other
+    two kernels run on one thread.  Neither argument changes any bit of the
+    result.
     """
     times = grid.times()
     if times.size > _MAX_POINTS:
@@ -467,19 +465,15 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
         rec_idx = np.array([_grid_index(times, t) for t in record_times], dtype=int)
         if np.any(np.diff(rec_idx) <= 0):
             raise ValueError("record_times must be strictly increasing grid times")
-    rec_times = times[rec_idx]
     positions = np.empty((n_paths, rec_idx.size))
     running_sup = np.empty((n_paths, rec_idx.size))
-    dts = np.diff(times, prepend=0.0)
-
-    for start in range(0, n_paths, chunk_size):
-        stop = min(start + chunk_size, n_paths)
-        pos, rs = _simulate_chunk(process, x0, times, dts, master_seed, start, stop)
-        positions[start:stop] = pos[:, rec_idx]
-        running_sup[start:stop] = rs[:, rec_idx]
-
+    if workers is None:     # sched_getaffinity is missing on macOS and Windows
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    _simulate_into(process, x0, times, rec_idx, master_seed, 0, positions, running_sup,
+                   chunk_size, workers)
     return PathEnsemble(process=process, grid=grid, x0=x0, master_seed=int(master_seed),
-                        times=rec_times, positions=positions, running_sup=running_sup,
+                        times=times[rec_idx], positions=positions, running_sup=running_sup,
                         path_indices=np.arange(n_paths),
                         recorded=rec_idx.size != times.size)
 
@@ -493,45 +487,170 @@ def _grid_index(times, t, tol=1e-9) -> int:
     return i
 
 
-def _draw_chunk(master_seed, start, stop, n):
-    u = np.empty((stop - start, n))
-    w = np.empty((stop - start, n))
-    for row, i in enumerate(range(start, stop)):
-        gen = _path_generator(master_seed, i)
-        u[row], w[row] = gen.random(n), gen.standard_exponential(n)
-    return u, w
+# --------------------------------------------------------------------------
+# block kernels: each fills rows [start, stop) of the output arrays with the
+# paths first + start, ..., first + stop - 1 at the grid columns rec_idx
+# --------------------------------------------------------------------------
+
+_BLOCK_POINTS = 2 ** 17     # grid points per block buffer (1 MiB of float64)
+_STEP_LOOP_ROWS = 2048      # paths per stable-like block: the loop costs per step
+_DRAW_TILE = 16             # paths drawn row-major, then copied step-major
 
 
-def _simulate_chunk(process, x0, times, dts, master_seed, start, stop):
-    """Positions and running suprema for paths [start, stop) on the full grid."""
-    if isinstance(process, SymmetricStableProcess):
-        u, w = _draw_chunk(master_seed, start, stop, times.size)
-        inc = (process.scale * dts) ** (1.0 / process.alpha) * _cms(u, w, process.alpha)
-        pos = x0 + np.cumsum(inc, axis=1)
-        return pos, np.maximum.accumulate(np.abs(pos - x0), axis=1)
-    if isinstance(process, StableLikeProcess):
-        u, w = _draw_chunk(master_seed, start, stop, times.size)
-        n_rows = stop - start
-        xcur = np.full(n_rows, float(x0))
-        dev = np.zeros(n_rows)
-        pos = np.empty((n_rows, times.size))
-        rs = np.empty((n_rows, times.size))
-        for k in range(times.size):
+def _simulate_into(process, x0, times, rec_idx, master_seed, first, positions,
+                   running_sup, chunk_size=None, workers=1):
+    """Fill ``positions`` and ``running_sup`` (row r is path first + r) at the
+    grid columns ``rec_idx``.  Each path reads only its own stream, so any
+    split of the rows into blocks, and of the blocks over threads, gives the
+    same bits."""
+    kernel = next((k for cls, k in _KERNELS.items() if isinstance(process, cls)), None)
+    if kernel is None:
+        raise TypeError(f"unknown process type {type(process).__name__}")
+    if chunk_size is None:
+        chunk_size = (_STEP_LOOP_ROWS if kernel is _stable_like_blocks
+                      else max(1, _BLOCK_POINTS // times.size))
+    if chunk_size < 1 or workers < 1:
+        raise ValueError("chunk_size and workers must be positive")
+    n = positions.shape[0]
+    blocks = [(b, min(b + chunk_size, n)) for b in range(0, n, chunk_size)]
+    if not blocks:
+        return
+    # Only the stable kernel spends its time in ufuncs and fills that release
+    # the GIL; the other two run per-path or per-step Python that holds it,
+    # and measured slower on two threads than on one.
+    workers = min(workers, len(blocks)) if kernel is _stable_blocks else 1
+    args = (process, x0, times, rec_idx, int(master_seed), first, positions, running_sup)
+    if workers == 1:
+        kernel(*args, blocks)
+        return
+    from concurrent.futures import ThreadPoolExecutor   # kept off the import of levylil
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(kernel, *args, blocks[i::workers]) for i in range(workers)]
+        for future in futures:
+            future.result()
+
+
+def _draw_uniform_exponential(master_seed, first, u, w):
+    """Row r of u and w: the uniforms, then the exponentials, of path first + r.
+
+    The generators are built first, so that the fills, which release the GIL,
+    run back to back; two threads interleaving them path by path contend."""
+    gens = [_path_generator(master_seed, first + row) for row in range(u.shape[0])]
+    for gen, u_row, w_row in zip(gens, u, w):
+        gen.random(out=u_row)
+        gen.standard_exponential(out=w_row)
+
+
+def _store(positions, running_sup, rec_idx, start, stop, pos, rs):
+    positions[start:stop] = pos[:, rec_idx]
+    running_sup[start:stop] = rs[:, rec_idx]
+
+
+def _stable_blocks(process, x0, times, rec_idx, master_seed, first, positions,
+                   running_sup, blocks):
+    """Stable increments, cumsum and running sup in place on four block
+    buffers.  The ufunc sequence, ``**`` included (numpy has sqrt and square
+    fast paths for it), is that of ``_cms`` and the scaling, so the bits are
+    those of the unblocked transform."""
+    a = process.alpha
+    step = (process.scale * np.diff(times, prepend=0.0)) ** (1.0 / a)
+    rows = max(stop - start for start, stop in blocks)
+    bufs = [np.empty((rows, times.size)) for _ in range(4)]
+    for start, stop in blocks:
+        theta, w, s, c = (buf[:stop - start] for buf in bufs)
+        _draw_uniform_exponential(master_seed, first + start, theta, w)
+        theta -= 0.5
+        theta *= np.pi
+        np.maximum(w, 1e-300, out=w)
+        np.multiply(theta, a, out=s)
+        np.sin(s, out=s)
+        np.cos(theta, out=c)
+        c **= 1.0 / a
+        s /= c
+        np.multiply(theta, 1.0 - a, out=c)
+        np.cos(c, out=c)
+        c /= w
+        c **= (1.0 - a) / a
+        s *= c
+        s *= step
+        np.cumsum(s, axis=1, out=s)
+        s += x0
+        np.subtract(s, x0, out=c)
+        np.abs(c, out=c)
+        np.maximum.accumulate(c, axis=1, out=c)
+        _store(positions, running_sup, rec_idx, start, stop, s, c)
+
+
+def _compound_poisson_blocks(process, x0, times, rec_idx, master_seed, first, positions,
+                             running_sup, blocks):
+    """Exact compound Poisson.  Each path draws a Poisson(rate t_max) jump
+    count k, then k jump times uniform on (0, t_max], each added at the first
+    grid time at or after it, then k atoms by inverse CDF of the masses.  One
+    bincount per block sums the jumps per grid cell."""
+    n, t_max = times.size, times[-1]
+    locs = np.array([loc for loc, _ in process.atoms])
+    cdf = np.cumsum([mass for _, mass in process.atoms])
+    cdf /= cdf[-1]
+    base = x0 + process.path_drift * times
+    lam = process.rate * t_max
+    for start, stop in blocks:
+        m = stop - start
+        counts, at, pick = np.empty(m, dtype=int), [], []
+        for row in range(m):
+            gen = _path_generator(master_seed, first + start + row)
+            counts[row] = k = gen.poisson(lam)
+            at.append(gen.random(k))
+            pick.append(gen.random(k))
+        cells = (np.repeat(np.arange(m) * n, counts)
+                 + np.searchsorted(times, t_max * (1.0 - np.concatenate(at)), side="left"))
+        jumps = locs[np.searchsorted(cdf, np.concatenate(pick), side="right")]
+        # (bincount of no cells at all returns integer zeros)
+        pos = np.bincount(cells, jumps, m * n).astype(float, copy=False).reshape(m, n)
+        np.cumsum(pos, axis=1, out=pos)
+        pos += base
+        rs = np.abs(pos - x0)
+        np.maximum.accumulate(rs, axis=1, out=rs)
+        _store(positions, running_sup, rec_idx, start, stop, pos, rs)
+
+
+def _stable_like_blocks(process, x0, times, rec_idx, master_seed, first, positions,
+                        running_sup, blocks):
+    """Frozen-coefficient Euler steps over a block of paths at once.  The
+    draws are held step-major, so step k reads two contiguous rows; a
+    constant scale profile is evaluated once per block; only recorded steps
+    are stored."""
+    n = times.size
+    dts = np.diff(times, prepend=0.0)
+    slot = dict(zip(rec_idx.tolist(), range(rec_idx.size)))
+    constant_scale = process.scale.is_constant
+    rows = max(stop - start for start, stop in blocks)
+    u, w = np.empty((n, rows)), np.empty((n, rows))
+    tile_u, tile_w = np.empty((_DRAW_TILE, n)), np.empty((_DRAW_TILE, n))
+    for start, stop in blocks:
+        m = stop - start
+        for r0 in range(0, m, _DRAW_TILE):
+            r1 = min(r0 + _DRAW_TILE, m)
+            _draw_uniform_exponential(master_seed, first + start + r0,
+                                      tile_u[:r1 - r0], tile_w[:r1 - r0])
+            u[:, r0:r1] = tile_u[:r1 - r0].T
+            w[:, r0:r1] = tile_w[:r1 - r0].T
+        xcur = np.full(m, float(x0))
+        dev = np.zeros(m)
+        c = np.asarray(process.scale(xcur), dtype=float)
+        for k in range(n):
             a = np.asarray(process.alpha(xcur), dtype=float)
-            c = np.asarray(process.scale(xcur), dtype=float)
-            xcur = xcur + (c * dts[k]) ** (1.0 / a) * _cms(u[:, k], w[:, k], a)
+            if not constant_scale:
+                c = np.asarray(process.scale(xcur), dtype=float)
+            xcur = xcur + (c * dts[k]) ** (1.0 / a) * _cms(u[k, :m], w[k, :m], a)
             dev = np.maximum(dev, np.abs(xcur - x0))
-            pos[:, k] = xcur
-            rs[:, k] = dev
-        return pos, rs
-    if isinstance(process, CompoundPoissonProcess):
-        n_rows = stop - start
-        pos = np.empty((n_rows, times.size))
-        for row, i in enumerate(range(start, stop)):
-            gen = _path_generator(master_seed, i)
-            pos[row] = _cp_positions(process, x0, times, dts, gen)
-        return pos, np.maximum.accumulate(np.abs(pos - x0), axis=1)
-    raise TypeError(f"unknown process type {type(process).__name__}")
+            if k in slot:
+                positions[start:stop, slot[k]] = xcur
+                running_sup[start:stop, slot[k]] = dev
+
+
+_KERNELS = {SymmetricStableProcess: _stable_blocks,
+            CompoundPoissonProcess: _compound_poisson_blocks,
+            StableLikeProcess: _stable_like_blocks}
 
 
 # --------------------------------------------------------------------------

@@ -180,8 +180,9 @@ def tail_mass(measure: MeasureSpec, x: float, r: float) -> float:
         return float(np.sum(measure.masses()[np.abs(measure.locations()) > r]))
     if isinstance(measure, PowerLawMeasure):
         a = measure.alpha_at(x)
-        return 2.0 * measure.coeff_at(x) * r ** (-a) / a
-    return sum(w * _tab_moment(measure.grid, dens, 0, lo=r) for w, dens in measure.sides())
+        return float(2.0 * measure.coeff_at(x) * r ** (-a) / a)
+    return float(sum(w * _tab_moment(measure.grid, dens, 0, lo=r)
+                     for w, dens in measure.sides()))
 
 
 def eval_pU(measure: MeasureSpec, x: float, xi: float, *,
@@ -195,8 +196,8 @@ def eval_pU(measure: MeasureSpec, x: float, xi: float, *,
         return float(np.sum(masses * np.minimum((axi * locs) ** 2, 1.0)))
     if isinstance(measure, PowerLawMeasure):
         if method in ("auto", "closed"):
-            return measure.pu_factor(x) * axi ** measure.alpha_at(x)
-        return _pu_power_law_quadrature(measure, x, axi, config)
+            return float(measure.pu_factor(x) * axi ** measure.alpha_at(x))
+        return float(_pu_power_law_quadrature(measure, x, axi, config))
     if method == "closed":
         raise ValueError("no closed form for tabulated measures")
     k = 1.0 / axi
@@ -204,7 +205,7 @@ def eval_pU(measure: MeasureSpec, x: float, xi: float, *,
     for w, dens in measure.sides():
         total += w * (axi ** 2 * _tab_moment(measure.grid, dens, 2, hi=k)
                       + _tab_moment(measure.grid, dens, 0, lo=k))
-    return total
+    return float(total)
 
 
 def check_integrability(measure: MeasureSpec, x: float = 0.0) -> float:

@@ -1,13 +1,15 @@
 import json
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import levylil as ll
-from levylil.simulate import _path_generator
+from levylil.simulate import _cms, _path_generator
 
 
 STABLE_15 = ll.SymmetricStableProcess(alpha=1.5)
@@ -177,10 +179,129 @@ def test_ensemble_stable_like_matches_paths():
 
 def test_ensemble_compound_poisson_matches_paths():
     proc = ll.CompoundPoissonProcess(atoms=((1.0, 2.0), (-1.0, 2.0)), path_drift=0.1)
-    ens = ll.simulate_ensemble(proc, 0.0, GRID_256, 5, 6)
-    for i in (1, 3):
+    ens = ll.simulate_ensemble(proc, 0.0, GRID_256, 5, 6, chunk_size=4, workers=2)
+    for i in (1, 3, 5):
         p = ll.simulate_path(proc, 0.0, GRID_256, (5, i))
         assert np.array_equal(ens.positions[i], p.positions)
+        assert np.array_equal(ens.running_sup[i], p.running_sup)
+
+
+GRID_GEOMETRIC = ll.PathGrid(t_max=1.0, steps=64, layout="geometric", levels=8,
+                             points_per_level=8)
+KINDS = {
+    "stable": STABLE_15,
+    "stable_like": ll.StableLikeProcess(alpha=ll.SinusoidalProfile(center=1.4, amplitude=0.3),
+                                        scale=ll.TanhRampProfile(center=1.0, amplitude=0.5)),
+    "compound_poisson": ll.CompoundPoissonProcess(atoms=((1.0, 20.0), (-0.5, 10.0)),
+                                                  path_drift=0.3),
+}
+
+
+@pytest.mark.parametrize("record", [None, [0.125, 0.5, 1.0]], ids=["full", "recorded"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_ensemble_bits_independent_of_blocks_and_workers(kind, record):
+    grid = ll.PathGrid(t_max=1.0, steps=64)
+    runs = {(workers, chunk): ll.simulate_ensemble(KINDS[kind], 0.2, grid, 41, 23,
+                                                   record_times=record, chunk_size=chunk,
+                                                   workers=workers)
+            for workers in (1, 2, 3) for chunk in (1, 7, None)}
+    ref = runs[1, None]
+    for key, ens in runs.items():
+        assert np.array_equal(ens.positions, ref.positions), key
+        assert np.array_equal(ens.running_sup, ref.running_sup), key
+
+
+def test_stable_threads_stress_and_empty_ensemble():
+    # more threads than cores, one path per block, switching as often as the
+    # interpreter allows: a row written by the wrong thread or twice shows
+    ref = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 50, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ens = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 50, chunk_size=1, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(ens.positions, ref.positions)
+    assert np.array_equal(ens.running_sup, ref.running_sup)
+    assert ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 0).positions.shape == (0, 256)
+    with pytest.raises(ValueError):
+        ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 4, workers=0)
+
+
+@pytest.mark.parametrize("grid", [GRID_256, GRID_GEOMETRIC], ids=["uniform", "geometric"])
+@pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 1.0, 1.5, 1.99])
+def test_stable_kernel_matches_cms_reference(alpha, grid):
+    # the blocked in-place kernel against _cms applied path by path; alpha in
+    # {0.5, 2/3, 1} hits numpy's sqrt, square and identity fast paths of **
+    proc = ll.SymmetricStableProcess(alpha=alpha, scale=1.3)
+    ens = ll.simulate_ensemble(proc, 0.4, grid, 8, 9, chunk_size=4, workers=2)
+    times = grid.times()
+    step = (proc.scale * np.diff(times, prepend=0.0)) ** (1.0 / alpha)
+    for i in range(ens.n_paths):
+        gen = _path_generator(8, i)
+        u, w = gen.random(times.size), gen.standard_exponential(times.size)
+        pos = 0.4 + np.cumsum(step * _cms(u, w, alpha))
+        assert np.array_equal(ens.positions[i], pos)
+        assert np.array_equal(ens.running_sup[i], np.maximum.accumulate(np.abs(pos - 0.4)))
+
+
+def _compound_poisson_reference(proc, x0, times, seed, i):
+    """Path i by its definition: the jumps at times at most t, summed at t."""
+    gen = _path_generator(seed, i)
+    k = gen.poisson(proc.rate * times[-1])
+    at = times[-1] * (1.0 - gen.random(k))
+    masses = np.array([m for _, m in proc.atoms])
+    atom = np.searchsorted(np.cumsum(masses) / masses.sum(), gen.random(k), side="right")
+    sizes = np.array([loc for loc, _ in proc.atoms])[atom]
+    return np.array([x0 + proc.path_drift * t + sizes[at <= t].sum() for t in times])
+
+
+def test_compound_poisson_jumps_land_on_first_grid_time_at_or_after():
+    # integer jumps: every summation order gives the same bits
+    proc = ll.CompoundPoissonProcess(atoms=((1.0, 192.0), (2.0, 64.0)))
+    times = GRID_GEOMETRIC.times()
+    ens = ll.simulate_ensemble(proc, 0.0, GRID_GEOMETRIC, 12, 40, chunk_size=3, workers=2)
+    for i in range(ens.n_paths):
+        assert np.array_equal(ens.positions[i],
+                              _compound_poisson_reference(proc, 0.0, times, 12, i))
+    # jumps in (0, times[0]] = (0, 2^-8] count at index 0: one expected per path
+    assert np.count_nonzero(ens.positions[:, 0]) >= 10
+
+
+def test_compound_poisson_no_jump_probability():
+    # one-sided jumps: X_t = 0 exactly when no jump came by t, P = e^{-rate t}
+    proc = ll.CompoundPoissonProcess(atoms=((0.5, 1.0), (1.5, 2.0)))
+    rec = [0.125, 0.5, 1.0]
+    ens = ll.simulate_ensemble(proc, 0.0, GRID_256, 19, 4000, record_times=rec)
+    for j, t in enumerate(rec):
+        p = math.exp(-proc.rate * t)
+        p_hat = np.mean(ens.positions[:, j] == 0.0)
+        assert abs(p_hat - p) <= 5.0 * math.sqrt(p * (1.0 - p) / ens.n_paths), t
+
+
+def test_compound_poisson_path_drift_applied():
+    atoms = ((1.0, 2.0), (-1.0, 1.0))
+    flat, drifting = (ll.simulate_ensemble(ll.CompoundPoissonProcess(atoms=atoms, path_drift=d),
+                                           0.5, GRID_256, 3, 10) for d in (0.0, -0.7))
+    assert np.allclose(drifting.positions - flat.positions, -0.7 * flat.times,
+                       rtol=0.0, atol=1e-12)
+    assert np.array_equal(drifting.running_sup,
+                          np.maximum.accumulate(np.abs(drifting.positions - 0.5), axis=1))
+
+
+def test_recorded_stable_ensemble_memory_stays_in_blocks():
+    # 2048 x 4096 paths at four recorded times: block buffers only, not the
+    # 64 MiB (paths x steps) arrays an unblocked kernel would allocate
+    grid = ll.PathGrid(t_max=1.0, steps=4096)
+    tracemalloc.start()
+    try:
+        ens = ll.simulate_ensemble(STABLE_15, 0.0, grid, 2, 2048,
+                                   record_times=[0.125, 0.25, 0.5, 1.0], workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.positions.shape == (2048, 4)
+    assert peak < 32 * 2 ** 20
 
 
 def test_record_times_subset():

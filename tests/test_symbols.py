@@ -198,6 +198,21 @@ def test_zero_knot_panel_carries_no_mass():
     assert p.imag == 0.0
 
 
+@pytest.mark.parametrize("measure", [
+    ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(center=1.5, amplitude=0.3), coefficient=0.3),
+    SYM_ATOMS,
+    ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(1.0, 0.1, 0.02)),
+], ids=["power_law", "atomic", "tabulated"])
+def test_scalar_results_are_python_floats(measure):
+    # numpy scalars as arguments too: the result type must not depend on them
+    for x, xi, r in ((0.2, 1.5, 0.5), (np.float64(0.2), np.float64(1.5), np.float64(0.5))):
+        values = [ll.eval_pU(measure, x, xi), ll.tail_mass(measure, x, r),
+                  ll.check_integrability(measure, x)]
+        if isinstance(measure, ll.PowerLawMeasure):
+            values.append(ll.eval_pU(measure, x, xi, method="quadrature"))
+        assert [type(v) for v in values] == [float] * len(values)
+
+
 def test_tail_mass_decreasing_in_r():
     measures = [ll.PowerLawMeasure(alpha=1.3, coefficient=0.4), SYM_ATOMS]
     grid = np.geomspace(0.05, 50, 200)
