@@ -438,8 +438,7 @@ class PathEnsemble:
 
 def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
                       master_seed: int, n_paths: int, *, record_times=None,
-                      chunk_size: Optional[int] = None,
-                      workers: Optional[int] = None) -> PathEnsemble:
+                      chunk_size: Optional[int] = None) -> PathEnsemble:
     """Generate n_paths independent paths (paths keyed by index).
 
     ``record_times`` restricts storage to a subset of grid times while the
@@ -447,11 +446,10 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
 
     Paths are simulated in blocks of ``chunk_size`` paths (default: about
     1 MiB of float64 per block buffer for the stable and compound-Poisson
-    kernels, 2048 paths for the stable-like step loop).  For the stable
-    kernel, ``workers`` threads share the blocks (default: the CPUs this
-    process may run on), each with its own four block buffers; the other
-    two kernels run on one thread.  Neither argument changes any bit of the
-    result.
+    kernels, 2048 paths for the stable-like step loop).  The stable kernel
+    shares its blocks over one thread per CPU this process may run on; the
+    other two kernels run on one thread.  Neither the block size nor the
+    thread count changes any bit of the result.
     """
     times = grid.times()
     if times.size > _MAX_POINTS:
@@ -467,11 +465,8 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
             raise ValueError("record_times must be strictly increasing grid times")
     positions = np.empty((n_paths, rec_idx.size))
     running_sup = np.empty((n_paths, rec_idx.size))
-    if workers is None:     # sched_getaffinity is missing on macOS and Windows
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
     _simulate_into(process, x0, times, rec_idx, master_seed, 0, positions, running_sup,
-                   chunk_size, workers)
+                   chunk_size)
     return PathEnsemble(process=process, grid=grid, x0=x0, master_seed=int(master_seed),
                         times=times[rec_idx], positions=positions, running_sup=running_sup,
                         path_indices=np.arange(n_paths),
@@ -494,31 +489,40 @@ def _grid_index(times, t, tol=1e-9) -> int:
 
 _BLOCK_POINTS = 2 ** 17     # grid points per block buffer (1 MiB of float64)
 _STEP_LOOP_ROWS = 2048      # paths per stable-like block: the loop costs per step
-_DRAW_TILE = 16             # paths drawn row-major, then copied step-major
+# threads for the stable kernel (sched_getaffinity is missing on macOS and Windows)
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _simulate_into(process, x0, times, rec_idx, master_seed, first, positions,
-                   running_sup, chunk_size=None, workers=1):
+                   running_sup, chunk_size=None):
     """Fill ``positions`` and ``running_sup`` (row r is path first + r) at the
     grid columns ``rec_idx``.  Each path reads only its own stream, so any
     split of the rows into blocks, and of the blocks over threads, gives the
-    same bits."""
-    kernel = next((k for cls, k in _KERNELS.items() if isinstance(process, cls)), None)
-    if kernel is None:
+    same bits.
+
+    Only the stable kernel spends its time in ufuncs and fills that release
+    the GIL; the other two run per-path or per-step Python that holds it,
+    and measured slower on two threads than on one.
+    """
+    block_rows = max(1, _BLOCK_POINTS // times.size)
+    if isinstance(process, SymmetricStableProcess):
+        kernel, workers = _stable_blocks, _WORKERS
+    elif isinstance(process, CompoundPoissonProcess):
+        kernel, workers = _compound_poisson_blocks, 1
+    elif isinstance(process, StableLikeProcess):
+        kernel, workers, block_rows = _stable_like_blocks, 1, _STEP_LOOP_ROWS
+    else:
         raise TypeError(f"unknown process type {type(process).__name__}")
     if chunk_size is None:
-        chunk_size = (_STEP_LOOP_ROWS if kernel is _stable_like_blocks
-                      else max(1, _BLOCK_POINTS // times.size))
-    if chunk_size < 1 or workers < 1:
-        raise ValueError("chunk_size and workers must be positive")
+        chunk_size = block_rows
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
     n = positions.shape[0]
     blocks = [(b, min(b + chunk_size, n)) for b in range(0, n, chunk_size)]
     if not blocks:
         return
-    # Only the stable kernel spends its time in ufuncs and fills that release
-    # the GIL; the other two run per-path or per-step Python that holds it,
-    # and measured slower on two threads than on one.
-    workers = min(workers, len(blocks)) if kernel is _stable_blocks else 1
+    workers = min(workers, len(blocks))
     args = (process, x0, times, rec_idx, int(master_seed), first, positions, running_sup)
     if workers == 1:
         kernel(*args, blocks)
@@ -615,42 +619,26 @@ def _compound_poisson_blocks(process, x0, times, rec_idx, master_seed, first, po
 
 def _stable_like_blocks(process, x0, times, rec_idx, master_seed, first, positions,
                         running_sup, blocks):
-    """Frozen-coefficient Euler steps over a block of paths at once.  The
-    draws are held step-major, so step k reads two contiguous rows; a
-    constant scale profile is evaluated once per block; only recorded steps
-    are stored."""
+    """Frozen-coefficient Euler steps over a block of paths at once; only
+    recorded steps are stored."""
     n = times.size
     dts = np.diff(times, prepend=0.0)
     slot = dict(zip(rec_idx.tolist(), range(rec_idx.size)))
-    constant_scale = process.scale.is_constant
     rows = max(stop - start for start, stop in blocks)
-    u, w = np.empty((n, rows)), np.empty((n, rows))
-    tile_u, tile_w = np.empty((_DRAW_TILE, n)), np.empty((_DRAW_TILE, n))
+    u_buf, w_buf = np.empty((rows, n)), np.empty((rows, n))
     for start, stop in blocks:
-        m = stop - start
-        for r0 in range(0, m, _DRAW_TILE):
-            r1 = min(r0 + _DRAW_TILE, m)
-            _draw_uniform_exponential(master_seed, first + start + r0,
-                                      tile_u[:r1 - r0], tile_w[:r1 - r0])
-            u[:, r0:r1] = tile_u[:r1 - r0].T
-            w[:, r0:r1] = tile_w[:r1 - r0].T
-        xcur = np.full(m, float(x0))
-        dev = np.zeros(m)
-        c = np.asarray(process.scale(xcur), dtype=float)
+        u, w = u_buf[:stop - start], w_buf[:stop - start]
+        _draw_uniform_exponential(master_seed, first + start, u, w)
+        xcur = np.full(stop - start, float(x0))
+        dev = np.zeros(stop - start)
         for k in range(n):
             a = np.asarray(process.alpha(xcur), dtype=float)
-            if not constant_scale:
-                c = np.asarray(process.scale(xcur), dtype=float)
-            xcur = xcur + (c * dts[k]) ** (1.0 / a) * _cms(u[k, :m], w[k, :m], a)
+            c = np.asarray(process.scale(xcur), dtype=float)
+            xcur = xcur + (c * dts[k]) ** (1.0 / a) * _cms(u[:, k], w[:, k], a)
             dev = np.maximum(dev, np.abs(xcur - x0))
             if k in slot:
                 positions[start:stop, slot[k]] = xcur
                 running_sup[start:stop, slot[k]] = dev
-
-
-_KERNELS = {SymmetricStableProcess: _stable_blocks,
-            CompoundPoissonProcess: _compound_poisson_blocks,
-            StableLikeProcess: _stable_like_blocks}
 
 
 # --------------------------------------------------------------------------

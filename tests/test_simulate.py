@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 import levylil as ll
+from levylil import simulate
 from levylil.simulate import _cms, _path_generator
 
 
@@ -179,7 +180,7 @@ def test_ensemble_stable_like_matches_paths():
 
 def test_ensemble_compound_poisson_matches_paths():
     proc = ll.CompoundPoissonProcess(atoms=((1.0, 2.0), (-1.0, 2.0)), path_drift=0.1)
-    ens = ll.simulate_ensemble(proc, 0.0, GRID_256, 5, 6, chunk_size=4, workers=2)
+    ens = ll.simulate_ensemble(proc, 0.0, GRID_256, 5, 6, chunk_size=4)
     for i in (1, 3, 5):
         p = ll.simulate_path(proc, 0.0, GRID_256, (5, i))
         assert np.array_equal(ens.positions[i], p.positions)
@@ -199,42 +200,47 @@ KINDS = {
 
 @pytest.mark.parametrize("record", [None, [0.125, 0.5, 1.0]], ids=["full", "recorded"])
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_ensemble_bits_independent_of_blocks_and_workers(kind, record):
+def test_ensemble_bits_independent_of_blocks_and_workers(kind, record, monkeypatch):
     grid = ll.PathGrid(t_max=1.0, steps=64)
-    runs = {(workers, chunk): ll.simulate_ensemble(KINDS[kind], 0.2, grid, 41, 23,
-                                                   record_times=record, chunk_size=chunk,
-                                                   workers=workers)
-            for workers in (1, 2, 3) for chunk in (1, 7, None)}
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_WORKERS", workers)
+        for chunk in (1, 7, None):
+            runs[workers, chunk] = ll.simulate_ensemble(KINDS[kind], 0.2, grid, 41, 23,
+                                                        record_times=record, chunk_size=chunk)
     ref = runs[1, None]
     for key, ens in runs.items():
         assert np.array_equal(ens.positions, ref.positions), key
         assert np.array_equal(ens.running_sup, ref.running_sup), key
 
 
-def test_stable_threads_stress_and_empty_ensemble():
+def test_stable_threads_stress_and_empty_ensemble(monkeypatch):
     # more threads than cores, one path per block, switching as often as the
     # interpreter allows: a row written by the wrong thread or twice shows
-    ref = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 50, workers=1)
+    monkeypatch.setattr(simulate, "_WORKERS", 1)
+    ref = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 50)
+    monkeypatch.setattr(simulate, "_WORKERS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        ens = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 50, chunk_size=1, workers=8)
+        ens = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 50, chunk_size=1)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(ens.positions, ref.positions)
     assert np.array_equal(ens.running_sup, ref.running_sup)
     assert ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 0).positions.shape == (0, 256)
     with pytest.raises(ValueError):
-        ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 4, workers=0)
+        ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 4, chunk_size=0)
 
 
 @pytest.mark.parametrize("grid", [GRID_256, GRID_GEOMETRIC], ids=["uniform", "geometric"])
 @pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 1.0, 1.5, 1.99])
-def test_stable_kernel_matches_cms_reference(alpha, grid):
+def test_stable_kernel_matches_cms_reference(alpha, grid, monkeypatch):
     # the blocked in-place kernel against _cms applied path by path; alpha in
     # {0.5, 2/3, 1} hits numpy's sqrt, square and identity fast paths of **
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
     proc = ll.SymmetricStableProcess(alpha=alpha, scale=1.3)
-    ens = ll.simulate_ensemble(proc, 0.4, grid, 8, 9, chunk_size=4, workers=2)
+    ens = ll.simulate_ensemble(proc, 0.4, grid, 8, 9, chunk_size=4)
     times = grid.times()
     step = (proc.scale * np.diff(times, prepend=0.0)) ** (1.0 / alpha)
     for i in range(ens.n_paths):
@@ -260,7 +266,7 @@ def test_compound_poisson_jumps_land_on_first_grid_time_at_or_after():
     # integer jumps: every summation order gives the same bits
     proc = ll.CompoundPoissonProcess(atoms=((1.0, 192.0), (2.0, 64.0)))
     times = GRID_GEOMETRIC.times()
-    ens = ll.simulate_ensemble(proc, 0.0, GRID_GEOMETRIC, 12, 40, chunk_size=3, workers=2)
+    ens = ll.simulate_ensemble(proc, 0.0, GRID_GEOMETRIC, 12, 40, chunk_size=3)
     for i in range(ens.n_paths):
         assert np.array_equal(ens.positions[i],
                               _compound_poisson_reference(proc, 0.0, times, 12, i))
@@ -289,14 +295,16 @@ def test_compound_poisson_path_drift_applied():
                           np.maximum.accumulate(np.abs(drifting.positions - 0.5), axis=1))
 
 
-def test_recorded_stable_ensemble_memory_stays_in_blocks():
-    # 2048 x 4096 paths at four recorded times: block buffers only, not the
-    # 64 MiB (paths x steps) arrays an unblocked kernel would allocate
+def test_recorded_stable_ensemble_memory_stays_in_blocks(monkeypatch):
+    # 2048 x 4096 paths at four recorded times: block buffers only (four per
+    # thread), not the 64 MiB (paths x steps) arrays an unblocked kernel
+    # would allocate
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
     grid = ll.PathGrid(t_max=1.0, steps=4096)
     tracemalloc.start()
     try:
         ens = ll.simulate_ensemble(STABLE_15, 0.0, grid, 2, 2048,
-                                   record_times=[0.125, 0.25, 0.5, 1.0], workers=2)
+                                   record_times=[0.125, 0.25, 0.5, 1.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
