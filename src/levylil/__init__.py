@@ -24,11 +24,10 @@ from .norming import (KappaEstimate, NormingFunction, build_norming_function,
                       kappa_reference_bound, pU_ball_extremum, u_inverse, u_of_R,
                       upper_norming_v)
 from .scenario import SCENARIO_SCHEMA, SchemaError, run_scenario, write_schema
-from .simulate import (CompoundPoissonProcess, PathEnsemble, PathGrid, PathSample,
-                       StableLikeProcess, SymmetricStableProcess,
-                       load_ensemble_jsonl, max_step_for_resolution, path_statistics,
-                       process_from_dict, process_from_triplet, sample_symmetric_stable,
-                       save_ensemble_jsonl, simulate_ensemble, simulate_path)
+from .simulate import (CompoundPoissonProcess, PathEnsemble, PathGrid, StableLikeProcess,
+                       SymmetricStableProcess, load_ensemble_jsonl, process_from_dict,
+                       process_from_triplet, sample_symmetric_stable, save_ensemble_jsonl,
+                       simulate_ensemble, simulate_path)
 from .symbols import (QuadratureConfig, SectorEstimate, SymbolFamily,
                       build_lower_envelope, build_symbol_family, check_integrability,
                       eval_exponent, eval_pU, sector_estimate, stable_levy_constant,

@@ -23,8 +23,6 @@ order.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -69,16 +67,6 @@ class TestVerdict:
             d["c"] = self.constant
         d.update(self.extras)
         return d
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def blocks_to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "value"])
-            for k, v in enumerate(self.block_values):
-                writer.writerow([k, repr(float(v))])
 
 
 _GL_CACHE = {}

@@ -10,7 +10,7 @@ order with compensated summation, so results are deterministic given
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -331,11 +331,19 @@ def chung_statistic(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
 
 def resolution_drift(ensemble: PathEnsemble, statistic, stride: int = 2) -> dict:
     """Grid-discretization diagnostic: evaluate a scalar ensemble statistic at
-    full resolution and on the stride-subsampled grid, report the relative
-    drift.  Running suprema measured on a grid underestimate the true
-    supremum; a small drift indicates the grid resolves the statistic."""
+    full resolution and on every ``stride``-th grid time, report the relative
+    drift.  The coarse ensemble's running sup is the cummax of its own
+    positions, as the coarser grid would measure it.  Running suprema
+    measured on a grid underestimate the true supremum; a small drift
+    indicates the grid resolves the statistic."""
+    if ensemble.recorded:
+        raise ValueError("resolution_drift needs a full-grid ensemble")
+    idx = np.arange(stride - 1, ensemble.times.size, stride)
+    pos = ensemble.positions[:, idx]
+    coarse_ens = replace(ensemble, times=ensemble.times[idx], positions=pos,
+                         running_sup=np.maximum.accumulate(np.abs(pos - ensemble.x0), axis=1))
     full = float(statistic(ensemble))
-    coarse = float(statistic(ensemble.subsample(stride)))
+    coarse = float(statistic(coarse_ens))
     denom = max(abs(full), 1e-300)
     return {"full": full, "coarse": coarse, "stride": stride,
             "relative_drift": abs(full - coarse) / denom}
@@ -352,13 +360,8 @@ def _dual_exit_statistic(ensemble, measure, x, radii, config):
             usable.append((a, u * math.log(abs(math.log(u)))))
     if not usable:
         return np.array([])
-    best = np.full(ensemble.n_paths, -np.inf)
-    hit = np.zeros(ensemble.n_paths, dtype=bool)
+    best = np.full(ensemble.n_paths, np.nan)
     for a, denom in usable:
-        counts = np.sum(ensemble.running_sup < a, axis=1)   # first index with rs >= a
-        reached = counts < ensemble.times.size
-        taus = np.where(reached, ensemble.times[np.minimum(counts, ensemble.times.size - 1)], np.nan)
-        vals = taus / denom
-        best = np.where(reached, np.maximum(best, vals), best)
-        hit |= reached
-    return best[hit]
+        # fmax skips nan, the paths that never reach a
+        best = np.fmax(best, ensemble.first_passage_times(a) / denom)
+    return best[~np.isnan(best)]

@@ -11,7 +11,6 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -280,14 +279,6 @@ class NormingFunction:
             return np.asarray(self.arg_grid), np.asarray(self.values)
         grid = np.geomspace(self.domain[0], self.domain[1], 129)
         return grid, self.fn(grid)
-
-    def to_csv(self, path):
-        args, vals = self.table()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["argument", "value"])
-            for a, v in zip(args, vals):
-                writer.writerow([repr(float(a)), repr(float(v))])
 
 
 def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,

@@ -28,7 +28,7 @@ from jsonschema.exceptions import best_match
 
 from . import classifiers, mc, norming, symbols
 from .measures import LevyTriplet, measure_from_dict, profile_from_dict
-from .simulate import (PathGrid, SymmetricStableProcess, process_from_dict,
+from .simulate import (PathGrid, SymmetricStableProcess, _atomic_write, process_from_dict,
                        process_from_triplet, save_ensemble_jsonl, simulate_ensemble,
                        spec_hash)
 
@@ -468,13 +468,6 @@ def _run_analysis(ctx: _Context, spec: dict, tag: str) -> dict:
                                        for v in row) for row in rows)
                   + ("\n" if rows else ""))
     return result
-
-
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,

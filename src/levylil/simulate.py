@@ -8,8 +8,8 @@ exponentials, one of each per step).  Compound Poisson draws a
 count-dependent layout: a jump count, then that many jump times, then that
 many atom choices; it is still a fixed function of the path's own stream.
 Paths are therefore reproducible bit-exactly and order-independent, whether
-generated one at a time or inside an ensemble, in blocks of any size and on
-any number of threads.
+generated one at a time (``simulate_path``) or inside an ensemble, in blocks
+of any size and on any number of threads.
 
 Persistence follows from the same contract: an ensemble is saved as a
 one-line manifest of its spec, seed and path count plus the SHA-256 of its
@@ -44,6 +44,14 @@ def canonical_json(obj) -> str:
 
 def spec_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
+
+
+def _atomic_write(path, text):
+    """Write text to a temporary file beside path, then rename it over path."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 # --------------------------------------------------------------------------
@@ -99,11 +107,6 @@ class PathGrid:
     @classmethod
     def from_dict(cls, d):
         return cls(**d)
-
-
-def max_step_for_resolution(delta_x: float, alpha_hi: float) -> float:
-    """Step-size bound h <= delta_x^alpha_hi for frozen-coefficient stepping."""
-    return delta_x ** alpha_hi
 
 
 # --------------------------------------------------------------------------
@@ -316,67 +319,13 @@ def sample_symmetric_stable(alpha: float, rng: np.random.Generator, size=None):
 # --------------------------------------------------------------------------
 
 @dataclass
-class PathSample:
-    """One simulated path on its grid.
-
-    running_sup[k] = max_{j <= k} |positions[j] - x0| (nondecreasing).
-    """
-
-    x0: float
-    times: np.ndarray
-    positions: np.ndarray
-    running_sup: np.ndarray
-    seed_tag: tuple
-
-    def subsample(self, stride: int) -> "PathSample":
-        """Coarse view of the same underlying path (nested-grid comparison)."""
-        idx = np.arange(stride - 1, self.times.size, stride)
-        pos = self.positions[idx]
-        return PathSample(x0=self.x0, times=self.times[idx], positions=pos,
-                          running_sup=np.maximum.accumulate(np.abs(pos - self.x0)),
-                          seed_tag=self.seed_tag)
-
-
-def path_statistics(sample: PathSample, radii) -> dict:
-    """Per-radius first grid time with running_sup >= a (None if never)."""
-    out = {}
-    rs = sample.running_sup
-    for a in radii:
-        if a <= 0.0:
-            raise ValueError("radii must be positive")
-        idx = int(np.searchsorted(rs, a, side="left"))
-        out[float(a)] = float(sample.times[idx]) if idx < rs.size else None
-    return out
-
-
-def simulate_path(process: ProcessSpec, x0: float, grid: PathGrid,
-                  seed_tag: tuple) -> PathSample:
-    """One path, deterministic given seed_tag = (master seed, path index).
-
-    Runs the same kernels as ensemble generation (on a one-path block) so a
-    path is bit-identical however it is produced.
-    """
-    times = grid.times()
-    if times.size > _MAX_POINTS:
-        raise ValueError("step count overflow")
-    master_seed, path_index = int(seed_tag[0]), int(seed_tag[1])
-    pos, rs = np.empty((1, times.size)), np.empty((1, times.size))
-    _simulate_into(process, x0, times, np.arange(times.size), master_seed, path_index,
-                   pos, rs)
-    return PathSample(x0=x0, times=times, positions=pos[0], running_sup=rs[0],
-                      seed_tag=(master_seed, path_index))
-
-
-@dataclass
 class PathEnsemble:
     """Paths sharing one process spec and grid.
 
     With ``recorded=True`` the stored arrays are snapshots at a subset of the
     grid: stepping still happened on the full grid and ``running_sup`` is the
     full-grid supremum sampled at the recorded times (so it may exceed the
-    cummax of the recorded positions).  The one exception is a ``subsample``
-    view, which is flagged ``recorded`` too but whose ``running_sup`` is the
-    cummax of the coarse positions.
+    cummax of the recorded positions).
     """
 
     process: ProcessSpec
@@ -392,13 +341,6 @@ class PathEnsemble:
     @property
     def n_paths(self):
         return self.positions.shape[0]
-
-    def path(self, i: int) -> PathSample:
-        if self.recorded:
-            raise ValueError("recorded ensembles do not carry full paths")
-        return PathSample(x0=self.x0, times=self.times, positions=self.positions[i],
-                          running_sup=self.running_sup[i],
-                          seed_tag=(self.master_seed, int(self.path_indices[i])))
 
     def time_index(self, t: float, *, tol: float = 1e-9) -> int:
         """Column of the stored time t; ValueError unless t is a stored time."""
@@ -417,23 +359,34 @@ class PathEnsemble:
         d["spec_hash"] = spec_hash(d)
         return d
 
-    def subsample(self, stride: int) -> "PathEnsemble":
-        """Every ``stride``-th grid time, flagged ``recorded``.
+    def first_passage_times(self, a: float) -> np.ndarray:
+        """Per path, the first stored time with running_sup >= a (nan if none):
+        on a recorded ensemble, the first recorded time by which the full-grid
+        path has left the ball of radius a."""
+        if a <= 0.0:
+            raise ValueError("radius must be positive")
+        first = np.sum(self.running_sup < a, axis=1)   # running_sup is nondecreasing
+        return np.append(self.times, np.nan)[first]
 
-        Its ``running_sup`` is the cummax of the coarse positions, not the
-        full-grid supremum: that gap is what ``mc.resolution_drift`` measures,
-        and regeneration cannot reproduce it, so ``load_ensemble_jsonl``
-        rejects a saved view.
-        """
-        if self.recorded:
-            raise ValueError("cannot subsample a recorded ensemble")
-        idx = np.arange(stride - 1, self.times.size, stride)
-        pos = self.positions[:, idx]
-        return PathEnsemble(process=self.process, grid=self.grid, x0=self.x0,
-                            master_seed=self.master_seed, times=self.times[idx],
-                            positions=pos,
-                            running_sup=np.maximum.accumulate(np.abs(pos - self.x0), axis=1),
-                            path_indices=self.path_indices, recorded=True)
+
+def simulate_path(process: ProcessSpec, x0: float, grid: PathGrid,
+                  seed_tag: tuple) -> PathEnsemble:
+    """One path, deterministic given seed_tag = (master seed, path index), as
+    a one-row ensemble whose ``path_indices`` is [path index].
+
+    Runs the same kernels as ensemble generation (on a one-path block) so a
+    path is bit-identical however it is produced.
+    """
+    times = grid.times()
+    if times.size > _MAX_POINTS:
+        raise ValueError("step count overflow")
+    master_seed, path_index = int(seed_tag[0]), int(seed_tag[1])
+    pos, rs = np.empty((1, times.size)), np.empty((1, times.size))
+    _simulate_into(process, x0, times, np.arange(times.size), master_seed, path_index,
+                   pos, rs)
+    return PathEnsemble(process=process, grid=grid, x0=x0, master_seed=master_seed,
+                        times=times, positions=pos, running_sup=rs,
+                        path_indices=np.array([path_index]))
 
 
 def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
@@ -660,10 +613,7 @@ def save_ensemble_jsonl(ensemble: PathEnsemble, path, extra_metadata=None):
     meta.update(extra_metadata or {})
     meta.update(n_paths=ensemble.n_paths, times=ensemble.times.tolist(),
                 recorded=ensemble.recorded, sha256=_ensemble_sha256(ensemble))
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(canonical_json(meta) + "\n")
-    os.replace(tmp, path)
+    _atomic_write(path, canonical_json(meta) + "\n")
 
 
 def load_ensemble_jsonl(path) -> PathEnsemble:

@@ -280,6 +280,10 @@ def test_resolution_drift_diagnostic():
     rep = ll.resolution_drift(e, stat, stride=4)
     assert rep["coarse"] <= rep["full"]
     assert rep["relative_drift"] < 0.1
+    # a recorded ensemble has no grid columns to coarsen
+    part = ll.simulate_ensemble(STABLE, 0.0, grid, 3, 20, record_times=[0.5, 1.0])
+    with pytest.raises(ValueError):
+        ll.resolution_drift(part, stat)
 
 
 def test_maximal_inequality_degenerate_ensemble_passes():

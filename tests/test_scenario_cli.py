@@ -168,6 +168,13 @@ def test_full_pipeline_stages(tmp_path):
             head = (tmp_path / "out" / f).read_text().splitlines()[:2]
             assert head[0].startswith("# scenario_hash=")
             assert head[1] == "# seed=11"
+    # the block table of a verdict and the rows of a norming table
+    for name, header, n_rows in (("upper_function_test", "index,block", 12),
+                                 ("norming_table", "argument,value", 3)):
+        (f,) = [f for f in files if f.endswith(f"_{name}.csv")]
+        lines = (tmp_path / "out" / f).read_text().splitlines()
+        assert lines[2] == header
+        assert len(lines) == 3 + n_rows
 
 
 def test_stage_filtering(tmp_path):

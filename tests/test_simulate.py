@@ -111,27 +111,39 @@ def test_running_sup_invariant():
                  ll.StableLikeProcess(alpha=ll.TanhRampProfile(center=1.2, amplitude=0.3)),
                  ll.CompoundPoissonProcess(atoms=((1.0, 2.0), (-0.5, 1.0)))):
         p = ll.simulate_path(proc, 0.3, GRID_256, (1, 0))
-        want = np.maximum.accumulate(np.abs(p.positions - 0.3))
+        want = np.maximum.accumulate(np.abs(p.positions - 0.3), axis=1)
         assert np.array_equal(p.running_sup, want)
         assert np.all(np.diff(p.running_sup) >= 0)
 
 
 def test_subsample_dominated_by_fine_grid():
-    p = ll.simulate_path(STABLE_15, 0.0, ll.PathGrid(t_max=1.0, steps=1024), (5, 5))
-    coarse = p.subsample(4)
-    fine_at_coarse = p.running_sup[3::4]
-    assert np.all(coarse.running_sup <= fine_at_coarse + 1e-15)
-    assert np.array_equal(coarse.positions, p.positions[3::4])
+    # resolution_drift's coarse ensemble: the stride columns, with a running
+    # sup that never exceeds the fine grid's at the same times
+    ens = ll.simulate_ensemble(STABLE_15, 0.0, ll.PathGrid(t_max=1.0, steps=1024), 5, 20)
+    seen = []
+
+    def stat(e):
+        seen.append(e)
+        return float(np.median(e.running_sup[:, -1]))
+
+    rep = ll.resolution_drift(ens, stat, stride=4)
+    coarse = seen[1]
+    assert np.array_equal(coarse.times, ens.times[3::4])
+    assert np.array_equal(coarse.positions, ens.positions[:, 3::4])
+    assert np.array_equal(coarse.running_sup,
+                          np.maximum.accumulate(np.abs(coarse.positions), axis=1))
+    assert np.all(coarse.running_sup <= ens.running_sup[:, 3::4])
+    assert not coarse.recorded
+    assert rep["coarse"] <= rep["full"]
 
 
 def test_exit_times_monotone_in_radius():
     p = ll.simulate_path(STABLE_15, 0.0, GRID_256, (2, 2))
     radii = np.geomspace(1e-3, 2.0, 12)
-    taus = ll.path_statistics(p, radii)
     prev = 0.0
     for a in radii:
-        tau = taus[float(a)]
-        if tau is None:
+        tau = p.first_passage_times(a)[0]
+        if np.isnan(tau):
             continue
         assert tau >= prev
         prev = tau
@@ -139,52 +151,65 @@ def test_exit_times_monotone_in_radius():
 
 def test_exit_time_trivial_cases():
     p = ll.simulate_path(STABLE_15, 0.0, GRID_256, (2, 3))
-    big = p.running_sup[-1] * 2.0
-    assert ll.path_statistics(p, [big])[big] is None
+    big = p.running_sup[0, -1] * 2.0
+    assert np.isnan(p.first_passage_times(big)[0])
     tiny = 1e-300
-    assert ll.path_statistics(p, [tiny])[tiny] == p.times[0]
-    # refined grid exits no later than the coarse view of the same path
-    coarse = p.subsample(8)
+    assert p.first_passage_times(tiny)[0] == p.times[0]
+    # refined grid exits no later than every 8th column of the same path
     a = float(np.median(p.running_sup))
-    tau_fine = ll.path_statistics(p, [a])[a]
-    tau_coarse = ll.path_statistics(coarse, [a])[a]
-    if tau_coarse is not None:
-        assert tau_fine is not None and tau_fine <= tau_coarse
+    tau_fine = p.first_passage_times(a)[0]
+    coarse_hit = np.maximum.accumulate(np.abs(p.positions[0, 7::8])) >= a
+    if coarse_hit.any():
+        assert tau_fine <= p.times[7::8][np.argmax(coarse_hit)]
+
+
+def _first_passage_by_definition(ens, a):
+    out = np.full(ens.n_paths, np.nan)
+    for i in range(ens.n_paths):
+        for t, r in zip(ens.times, ens.running_sup[i]):
+            if r >= a:
+                out[i] = t
+                break
+    return out
+
+
+@pytest.mark.parametrize("record", [None, [0.125, 0.25, 0.5, 1.0]], ids=["full", "recorded"])
+def test_first_passage_times_match_definition(record):
+    ens = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 8, 40, record_times=record)
+    first = ens.running_sup[:, 0]
+    radii = (first.min(), first[3], float(np.median(ens.running_sup)),
+             2.0 * ens.running_sup.max())
+    for a in radii:
+        np.testing.assert_array_equal(ens.first_passage_times(a),
+                                      _first_passage_by_definition(ens, a))
+    assert np.all(ens.first_passage_times(first.min()) == ens.times[0])
+    assert ens.first_passage_times(first[3])[3] == ens.times[0]
+    assert np.all(np.isnan(ens.first_passage_times(radii[-1])))
+    for a in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            ens.first_passage_times(a)
+
+
+def test_recorded_first_passage_is_full_grid_exit():
+    # a recorded ensemble answers with the first recorded time at or after
+    # the full-grid exit, not the exit of its recorded positions
+    rec = [0.125, 0.25, 0.5, 1.0]
+    full = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 8, 40)
+    part = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 8, 40, record_times=rec)
+    a = float(np.median(full.running_sup[:, 20]))
+    tau = full.first_passage_times(a)
+    want = [next((t for t in rec if t >= s), np.nan) for s in tau]
+    np.testing.assert_array_equal(part.first_passage_times(a), want)
 
 
 # --------------------------------------------------------------------------
 # ensembles
 # --------------------------------------------------------------------------
 
-def test_ensemble_rows_match_individual_paths():
-    ens = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 7, 10, chunk_size=3)
-    for i in (0, 4, 9):
-        p = ll.simulate_path(STABLE_15, 0.0, GRID_256, (7, i))
-        assert np.array_equal(ens.positions[i], p.positions)
-        assert np.array_equal(ens.running_sup[i], p.running_sup)
-
-
 def test_ensemble_chunk_size_irrelevant():
     e1 = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 13, 20, chunk_size=4)
     e2 = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 13, 20, chunk_size=17)
     assert np.array_equal(e1.positions, e2.positions)
-
-
-def test_ensemble_stable_like_matches_paths():
-    proc = ll.StableLikeProcess(alpha=ll.SinusoidalProfile(center=1.4, amplitude=0.3))
-    ens = ll.simulate_ensemble(proc, 0.5, GRID_256, 3, 6, chunk_size=2)
-    for i in (0, 5):
-        p = ll.simulate_path(proc, 0.5, GRID_256, (3, i))
-        assert np.array_equal(ens.positions[i], p.positions)
-
-
-def test_ensemble_compound_poisson_matches_paths():
-    proc = ll.CompoundPoissonProcess(atoms=((1.0, 2.0), (-1.0, 2.0)), path_drift=0.1)
-    ens = ll.simulate_ensemble(proc, 0.0, GRID_256, 5, 6, chunk_size=4)
-    for i in (1, 3, 5):
-        p = ll.simulate_path(proc, 0.0, GRID_256, (5, i))
-        assert np.array_equal(ens.positions[i], p.positions)
-        assert np.array_equal(ens.running_sup[i], p.running_sup)
 
 
 GRID_GEOMETRIC = ll.PathGrid(t_max=1.0, steps=64, layout="geometric", levels=8,
@@ -196,6 +221,16 @@ KINDS = {
     "compound_poisson": ll.CompoundPoissonProcess(atoms=((1.0, 20.0), (-0.5, 10.0)),
                                                   path_drift=0.3),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_ensemble_rows_match_individual_paths(kind):
+    ens = ll.simulate_ensemble(KINDS[kind], 0.5, GRID_256, 7, 10, chunk_size=3)
+    for i in (0, 4, 9):
+        p = ll.simulate_path(KINDS[kind], 0.5, GRID_256, (7, i))
+        assert np.array_equal(p.path_indices, [i])
+        assert np.array_equal(ens.positions[i], p.positions[0])
+        assert np.array_equal(ens.running_sup[i], p.running_sup[0])
 
 
 @pytest.mark.parametrize("record", [None, [0.125, 0.5, 1.0]], ids=["full", "recorded"])
@@ -321,8 +356,6 @@ def test_record_times_subset():
     assert np.array_equal(part.positions, full.positions[:, idx])
     assert np.array_equal(part.running_sup, full.running_sup[:, idx])
     with pytest.raises(ValueError):
-        part.path(0)
-    with pytest.raises(ValueError):
         ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 9, 2, record_times=[0.123456789])
 
 
@@ -400,10 +433,6 @@ def test_integer_stable_alpha_hashes_like_float():
     assert np.array_equal(ens[0].positions, ens[1].positions)
 
 
-def test_max_step_for_resolution():
-    assert ll.max_step_for_resolution(0.01, 1.8) == pytest.approx(0.01 ** 1.8)
-
-
 # --------------------------------------------------------------------------
 # persistence
 # --------------------------------------------------------------------------
@@ -454,10 +483,12 @@ def _write_per_path_rows(ens, path):
     lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, seed=5)),
     lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, sha256="0" * 64)),
     _write_per_path_rows,
-    lambda ens, p: ll.save_ensemble_jsonl(ens.subsample(2), p),
+    # path 2 alone: the manifest carries no path index, so it regenerates path 0
+    lambda ens, p: ll.save_ensemble_jsonl(ll.simulate_path(STABLE_15, 0.0, ens.grid, (4, 2)),
+                                          p),
     lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, recorded=True,
                                                                    times=[0.13])),
-], ids=["seed_edited", "hash_edited", "old_format", "subsampled", "off_grid_time"])
+], ids=["seed_edited", "hash_edited", "old_format", "one_path", "off_grid_time"])
 def test_jsonl_load_rejects_mismatch(tmp_path, corrupt):
     ens = ll.simulate_ensemble(STABLE_15, 0.0, ll.PathGrid(t_max=0.5, steps=16), 4, 3)
     path = tmp_path / "paths.jsonl"
