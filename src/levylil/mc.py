@@ -338,6 +338,9 @@ def resolution_drift(ensemble: PathEnsemble, statistic, stride: int = 2) -> dict
     indicates the grid resolves the statistic."""
     if ensemble.recorded:
         raise ValueError("resolution_drift needs a full-grid ensemble")
+    if not 1 <= stride <= ensemble.times.size:
+        raise ValueError(f"stride must be in [1, {ensemble.times.size}], the number of "
+                         f"stored times; got {stride}")
     idx = np.arange(stride - 1, ensemble.times.size, stride)
     pos = ensemble.positions[:, idx]
     coarse_ens = replace(ensemble, times=ensemble.times[idx], positions=pos,

@@ -23,8 +23,6 @@ import os
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import classifiers, mc, norming, symbols
 from .measures import LevyTriplet, measure_from_dict, profile_from_dict
@@ -420,6 +418,7 @@ SCENARIO_SCHEMA = {
 def _refine_error(err):
     """Descend oneOf failures into the branch whose discriminator matched so
     the message names the offending field instead of the whole instance."""
+    from jsonschema.exceptions import best_match
     for _ in range(8):
         if not err.context:
             return err
@@ -440,6 +439,9 @@ def _refine_error(err):
 
 
 def validate_scenario(doc):
+    # imported here, its only use, so that importing the package skips it
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
     validator = Draft202012Validator(SCENARIO_SCHEMA)
     err = best_match(validator.iter_errors(doc))
     if err is not None:

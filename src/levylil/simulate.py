@@ -602,7 +602,7 @@ def _ensemble_sha256(ensemble: PathEnsemble) -> str:
     """SHA-256 of positions then running_sup, little-endian float64 C-order."""
     h = hashlib.sha256()
     for arr in (ensemble.positions, ensemble.running_sup):
-        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(arr, dtype="<f8"))
     return h.hexdigest()
 
 

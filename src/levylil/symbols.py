@@ -14,19 +14,20 @@ outer integrals through cos/sin-weighted Gauss quadrature).  Symmetric
 measures are evaluated through the real cosine form so the imaginary part is
 exactly zero.
 
-All operations are pure and deterministic given a QuadratureConfig; there is
-no shared mutable state, so concurrent invocation is safe.
+All operations are pure and deterministic given a QuadratureConfig; the only
+shared state is the thread-safe memo of ``stable_levy_constant``, so
+concurrent invocation is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureError, SectorViolationError
 from .measures import AtomicMeasure, LevyTriplet, MeasureSpec, PowerLawMeasure
@@ -47,11 +48,16 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 def stable_levy_constant(alpha: float) -> float:
-    """int_0^inf (1 - cos u) u^(-1-alpha) du for alpha in (0, 2).
+    """int_0^inf (1 - cos u) u^(-1-alpha) du for alpha in (0, 2), as a float.
 
     Equals Gamma(2-alpha) cos(pi alpha / 2) / (alpha (1-alpha)), extended
     continuously through alpha = 1 where the value is pi/2.
     """
+    return _stable_levy_constant(float(alpha))
+
+
+@functools.lru_cache(maxsize=4096)
+def _stable_levy_constant(alpha: float) -> float:
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must be in (0, 2)")
     # cos(pi a/2)/(1-a) = (pi/2) sinc((1-a)/2) removes the alpha=1 singularity
@@ -82,6 +88,8 @@ def _quad(f, a, b, config, budget, weight=None, wvar=None):
     kwargs = dict(epsabs=config.abs_tol, epsrel=config.rel_tol, limit=config.limit)
     if weight is not None:
         kwargs.update(weight=weight, wvar=wvar)
+    # imported here, its only use: most runs never integrate numerically
+    from scipy import integrate
     with warnings.catch_warnings():
         # tolerance shortfalls are handled through the explicit error budget
         warnings.simplefilter("ignore", integrate.IntegrationWarning)

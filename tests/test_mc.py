@@ -286,6 +286,17 @@ def test_resolution_drift_diagnostic():
         ll.resolution_drift(part, stat)
 
 
+@pytest.mark.parametrize("stride", [0, -1, 32])
+def test_resolution_drift_rejects_stride_outside_grid(stride):
+    e = ll.simulate_ensemble(STABLE, 0.0, ll.PathGrid(t_max=1.0, steps=16), 3, 10)
+    stat = lambda ens: float(np.median(ens.running_sup[:, -1]))
+    with pytest.raises(ValueError, match=rf"\[1, 16\].*got {stride}$"):
+        ll.resolution_drift(e, stat, stride=stride)
+    # the coarsest stride keeps one column, the last grid time
+    rep = ll.resolution_drift(e, stat, stride=16)
+    assert rep["coarse"] <= rep["full"]
+
+
 def test_maximal_inequality_degenerate_ensemble_passes():
     # vanishing jump activity: paths never move, both fitted constants finite
     proc = ll.CompoundPoissonProcess(atoms=((1.0, 1e-9), (-1.0, 1e-9)))

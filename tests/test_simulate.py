@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -462,6 +464,18 @@ def test_jsonl_roundtrip(tmp_path):
             assert np.array_equal(getattr(back, field), getattr(ens, field)), (i, field)
         assert back.recorded == ens.recorded
         assert back.metadata() == ens.metadata()
+
+
+def test_manifest_hash_is_sha256_of_c_order_bytes():
+    # hashed without a .tobytes() copy; the digest must not depend on layout
+    base = np.arange(128, dtype=float).reshape(8, 16) / 7.0
+    layouts = {"c_order": base, "fortran_order": np.asfortranarray(base),
+               "strided_view": np.arange(256, dtype=float).reshape(8, 32)[:, ::2]}
+    ens = ll.simulate_ensemble(STABLE_15, 0.0, ll.PathGrid(t_max=1.0, steps=16), 1, 8)
+    for name, arr in layouts.items():
+        assert arr.flags.c_contiguous == (name == "c_order")
+        got = simulate._ensemble_sha256(replace(ens, positions=arr, running_sup=arr))
+        assert got == hashlib.sha256(arr.tobytes() + arr.tobytes()).hexdigest(), name
 
 
 def _edit_manifest(path, **changes):

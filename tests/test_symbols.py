@@ -62,6 +62,19 @@ def test_stable_levy_constant_against_quadrature_oracle():
     assert ll.stable_levy_constant(1.0) == pytest.approx(math.pi / 2, rel=1e-14)
 
 
+def test_stable_levy_constant_cached_float_for_any_float_type():
+    # Gamma(2 - a) cos(pi a / 2) / (a (1 - a)) at a = 1.5; the second pair
+    # of calls is answered from the memo
+    want = math.gamma(0.5) * math.cos(0.75 * math.pi) / (1.5 * -0.5)
+    for a in (1.5, np.float64(1.5), 1.5, np.float64(1.5)):
+        got = ll.stable_levy_constant(a)
+        assert type(got) is float
+        assert got == pytest.approx(want, rel=1e-14)
+    for bad in (0.0, 2.0, np.float64(2.5), -1, float("nan")):
+        with pytest.raises(ValueError):
+            ll.stable_levy_constant(bad)
+
+
 def test_exponent_symmetric_imaginary_exact_zero():
     m = ll.PowerLawMeasure(alpha=ll.TanhRampProfile(center=1.2, amplitude=0.3))
     assert ll.eval_exponent(ll.LevyTriplet(measure=m), 0.5, 3.7).imag == 0.0
