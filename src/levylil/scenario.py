@@ -20,6 +20,7 @@ import datetime
 import json
 import math
 import os
+import sys
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -425,8 +426,10 @@ def _refine_error(err):
         by_branch = {}
         for sub in err.context:
             by_branch.setdefault(sub.schema_path[0], []).append(sub)
+        # a branch whose discriminator or whole-instance type fails is not the one meant
         viable = {i: errs for i, errs in by_branch.items()
-                  if not any(s.validator == "const" for s in errs)}
+                  if not any(s.validator == "const" or (s.validator == "type" and not s.path)
+                             for s in errs)}
         pool = [e for errs in (viable or by_branch).values() for e in errs]
         for kind in ("additionalProperties", "required"):
             picked = [e for e in pool if e.validator == kind]
@@ -440,10 +443,17 @@ def _refine_error(err):
 
 def validate_scenario(doc):
     # imported here, its only use, so that importing the package skips it
-    from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
-    validator = Draft202012Validator(SCENARIO_SCHEMA)
-    err = best_match(validator.iter_errors(doc))
+    from jsonschema import Draft202012Validator, validators
+    from jsonschema.exceptions import relevance
+    # JSON types as the code reads them: an integer is a Python int (not
+    # 20.0), a number is finite as a float (not NaN, Infinity or 1e400)
+    types = Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, x: isinstance(x, int) and not isinstance(x, bool),
+        "number": lambda _, x: (isinstance(x, (int, float)) and not isinstance(x, bool)
+                                and abs(x) <= sys.float_info.max)})
+    validator = validators.extend(Draft202012Validator, type_checker=types)(SCENARIO_SCHEMA)
+    # the top-level error: _refine_error, not best_match, descends its oneOf
+    err = max(validator.iter_errors(doc), key=relevance, default=None)
     if err is not None:
         err = _refine_error(err)
         raise SchemaError(f"schema violation at {err.json_path}: {err.message}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -380,7 +381,7 @@ def simulate_path(process: ProcessSpec, x0: float, grid: PathGrid,
     times = grid.times()
     if times.size > _MAX_POINTS:
         raise ValueError("step count overflow")
-    master_seed, path_index = int(seed_tag[0]), int(seed_tag[1])
+    master_seed, path_index = operator.index(seed_tag[0]), operator.index(seed_tag[1])
     pos, rs = np.empty((1, times.size)), np.empty((1, times.size))
     _simulate_into(process, x0, times, np.arange(times.size), master_seed, path_index,
                    pos, rs)
@@ -399,11 +400,16 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
 
     Paths are simulated in blocks of ``chunk_size`` paths (default: about
     1 MiB of float64 per block buffer for the stable and compound-Poisson
-    kernels, 2048 paths for the stable-like step loop).  The stable kernel
-    shares its blocks over one thread per CPU this process may run on; the
-    other two kernels run on one thread.  Neither the block size nor the
-    thread count changes any bit of the result.
+    kernels, 2048 paths for the stable-like step loop).  The stable-like
+    kernel reads each path's uniforms from word 0 of its stream and its
+    exponentials from word n, and holds the draws of one tile of
+    ``_STEP_TILE`` steps per block, so its memory does not grow with the
+    step count.  The stable kernel shares its blocks over one thread per CPU
+    this process may run on; the other two kernels run on one thread.
+    Neither the block size nor the thread count changes any bit of the
+    result.  A float ``master_seed``, even 1.0, raises TypeError.
     """
+    master_seed = operator.index(master_seed)
     times = grid.times()
     if times.size > _MAX_POINTS:
         raise ValueError("step count overflow")
@@ -420,7 +426,7 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
     running_sup = np.empty((n_paths, rec_idx.size))
     _simulate_into(process, x0, times, rec_idx, master_seed, 0, positions, running_sup,
                    chunk_size)
-    return PathEnsemble(process=process, grid=grid, x0=x0, master_seed=int(master_seed),
+    return PathEnsemble(process=process, grid=grid, x0=x0, master_seed=master_seed,
                         times=times[rec_idx], positions=positions, running_sup=running_sup,
                         path_indices=np.arange(n_paths),
                         recorded=rec_idx.size != times.size)
@@ -442,6 +448,7 @@ def _grid_index(times, t, tol=1e-9) -> int:
 
 _BLOCK_POINTS = 2 ** 17     # grid points per block buffer (1 MiB of float64)
 _STEP_LOOP_ROWS = 2048      # paths per stable-like block: the loop costs per step
+_STEP_TILE = 256            # steps per stable-like draw tile: 3 x 4 MiB at 2048 paths
 # threads for the stable kernel (sched_getaffinity is missing on macOS and Windows)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -476,7 +483,7 @@ def _simulate_into(process, x0, times, rec_idx, master_seed, first, positions,
     if not blocks:
         return
     workers = min(workers, len(blocks))
-    args = (process, x0, times, rec_idx, int(master_seed), first, positions, running_sup)
+    args = (process, x0, times, rec_idx, master_seed, first, positions, running_sup)
     if workers == 1:
         kernel(*args, blocks)
         return
@@ -573,25 +580,52 @@ def _compound_poisson_blocks(process, x0, times, rec_idx, master_seed, first, po
 def _stable_like_blocks(process, x0, times, rec_idx, master_seed, first, positions,
                         running_sup, blocks):
     """Frozen-coefficient Euler steps over a block of paths at once; only
-    recorded steps are stored."""
+    recorded steps are stored.
+
+    Each path keeps two generators on its stream for the whole block: one
+    reads its uniforms from word 0, the other its exponentials from word n
+    (Philox is counter-based, so ``advance`` skips there four words at a
+    time).  The grid is walked in tiles of ``_STEP_TILE`` steps: a tile's
+    draws are filled path by path, then copied step-major so that each step
+    reads contiguous rows.  The draws held never exceed three tile buffers,
+    whatever the step count.
+    """
     n = times.size
     dts = np.diff(times, prepend=0.0)
     slot = dict(zip(rec_idx.tolist(), range(rec_idx.size)))
     rows = max(stop - start for start, stop in blocks)
-    u_buf, w_buf = np.empty((rows, n)), np.empty((rows, n))
+    tile = min(_STEP_TILE, n)
+    fill, u_buf, w_buf = np.empty((rows, tile)), np.empty((tile, rows)), np.empty((tile, rows))
+    fixed_scale = process.scale.is_constant
     for start, stop in blocks:
-        u, w = u_buf[:stop - start], w_buf[:stop - start]
-        _draw_uniform_exponential(master_seed, first + start, u, w)
-        xcur = np.full(stop - start, float(x0))
-        dev = np.zeros(stop - start)
-        for k in range(n):
-            a = np.asarray(process.alpha(xcur), dtype=float)
+        m, paths = stop - start, range(first + start, first + stop)
+        u_gens = [_path_generator(master_seed, i) for i in paths]
+        w_gens = [_path_generator(master_seed, i) for i in paths]
+        for gen in w_gens:   # to word n: n // 4 blocks of four words, then n % 4 words
+            gen.bit_generator.advance(n // 4)
+            gen.bit_generator.random_raw(n % 4)
+        xcur = np.full(m, float(x0))
+        dev = np.zeros(m)
+        if fixed_scale:
             c = np.asarray(process.scale(xcur), dtype=float)
-            xcur = xcur + (c * dts[k]) ** (1.0 / a) * _cms(u[:, k], w[:, k], a)
-            dev = np.maximum(dev, np.abs(xcur - x0))
-            if k in slot:
-                positions[start:stop, slot[k]] = xcur
-                running_sup[start:stop, slot[k]] = dev
+        for k0 in range(0, n, tile):
+            kt = min(tile, n - k0)
+            f, u, w = fill[:m, :kt], u_buf[:kt, :m], w_buf[:kt, :m]
+            for gen, row in zip(u_gens, f):
+                gen.random(out=row)
+            u[...] = f.T
+            for gen, row in zip(w_gens, f):
+                gen.standard_exponential(out=row)
+            w[...] = f.T
+            for j, k in enumerate(range(k0, k0 + kt)):
+                a = np.asarray(process.alpha(xcur), dtype=float)
+                if not fixed_scale:
+                    c = np.asarray(process.scale(xcur), dtype=float)
+                xcur = xcur + (c * dts[k]) ** (1.0 / a) * _cms(u[j], w[j], a)
+                dev = np.maximum(dev, np.abs(xcur - x0))
+                if k in slot:
+                    positions[start:stop, slot[k]] = xcur
+                    running_sup[start:stop, slot[k]] = dev
 
 
 # --------------------------------------------------------------------------
@@ -620,7 +654,13 @@ def load_ensemble_jsonl(path) -> PathEnsemble:
     """Regenerate the ensemble a manifest describes.  ValueError naming the
     file unless the regenerated spec hash and array hash match the manifest."""
     with open(path) as fh:
-        meta = json.loads(fh.readline())
+        line = fh.readline()
+    try:
+        meta = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}: the first line is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: the first line is not a manifest object")
     stored = {k: meta.get(k) for k in ("spec_hash", "sha256")}
     ens = got = None
     if stored["sha256"] is not None:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 from pathlib import Path
 
@@ -233,6 +234,58 @@ def test_value_a_constructor_rejects_is_a_schema_error(tmp_path, capsys, change,
         path = write_scenario(tmp_path, doc)
     assert cli_main(["report", "--scenario", str(path), "--out", str(out), *argv]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _spitzer_scenario(outdir):
+    return {"seed": 3, "process": {"kind": "stable", "alpha": 1.5},
+            "grid": {"t_max": 1.0, "steps": 8}, "paths": 50, "output_dir": str(outdir),
+            "analyses": [{"name": "simulate"}, {"name": "spitzer", "t_list": [0.5]}]}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"grid": {"t_max": math.inf, "steps": 8}}, "$.grid.t_max"),
+    ({"x": math.nan}, "$.x"),
+    # inside a oneOf: the tanh_ramp branch is named, not the number branch
+    ({"process": {"kind": "stable_like", "alpha": 1.5,
+                  "scale": {"kind": "tanh_ramp", "center": 1.0, "amplitude": 0.2,
+                            "rate": math.nan}}}, "$.process.scale.rate"),
+], ids=["t_max_infinity", "x_nan", "profile_rate_nan"])
+def test_non_finite_number_in_scenario_file_is_a_schema_error(tmp_path, capsys, change, field):
+    # Python's json reads and writes NaN and Infinity; report.json must stay JSON
+    out = tmp_path / "out"
+    doc = _spitzer_scenario(out)
+    doc.update(change)
+    path = write_scenario(tmp_path, doc)
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    assert cli_main(["report", "--scenario", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_number_in_scenario_dict_is_a_schema_error(tmp_path):
+    doc = _spitzer_scenario(tmp_path / "out")
+    doc["x"] = -math.inf
+    with pytest.raises(ll.SchemaError, match=re.escape("$.x")):
+        run_scenario(doc)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"measure": {"variant": "power_law", "alpha": 1.5},
+      "analyses": [{"name": "upper_function_test", "epsilon": 0.5, "t_max": 0.1,
+                    "levels": 20.0}]}, "$.analyses[0].levels"),
+    ({"grid": {"t_max": 1.0, "steps": 8.0}}, "$.grid.steps"),
+    ({"seed": 5.0}, "$.seed"),
+], ids=["levels", "steps", "seed"])
+def test_integral_float_in_integer_field_is_a_schema_error(tmp_path, capsys, change, field):
+    out = tmp_path / "out"
+    doc = _spitzer_scenario(out)
+    doc.update(change)
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["report", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "is not of type 'integer'" in err
     assert not out.exists()
 
 

@@ -288,6 +288,38 @@ def test_stable_kernel_matches_cms_reference(alpha, grid, monkeypatch):
         assert np.array_equal(ens.running_sup[i], np.maximum.accumulate(np.abs(pos - 0.4)))
 
 
+@pytest.mark.parametrize("scale", [ll.SinusoidalProfile(center=1.0, amplitude=0.5, frequency=3.0),
+                                   ll.ConstantProfile(0.7)], ids=["sinusoidal", "constant"])
+@pytest.mark.parametrize("grid", [
+    ll.PathGrid(t_max=1.0, steps=64), GRID_GEOMETRIC, ll.PathGrid(t_max=0.5, steps=1),
+    ll.PathGrid(t_max=0.5, steps=2),
+    ll.PathGrid(t_max=1.0, steps=512, layout="geometric", levels=8, points_per_level=64),
+], ids=["uniform_64", "geometric_65", "one_step", "two_steps", "geometric_513"])
+def test_stable_like_kernel_matches_euler_reference(grid, scale):
+    # the blocked kernel against the Euler recursion stepped one path at a
+    # time on 1-element arrays, from the path's own stream: n uniforms, then
+    # n exponentials
+    proc = ll.StableLikeProcess(alpha=ll.SinusoidalProfile(center=1.4, amplitude=0.3),
+                                scale=scale)
+    times = grid.times()
+    dts = np.diff(times, prepend=0.0)
+    pos, rs = np.empty((9, times.size)), np.empty((9, times.size))
+    for i in range(9):
+        gen = _path_generator(8, i)
+        u, w = gen.random(times.size), gen.standard_exponential(times.size)
+        x, dev = np.array([0.4]), np.zeros(1)
+        for k in range(times.size):
+            a = np.asarray(proc.alpha(x), dtype=float)
+            c = np.asarray(proc.scale(x), dtype=float)
+            x = x + (c * dts[k]) ** (1.0 / a) * _cms(u[k:k + 1], w[k:k + 1], a)
+            dev = np.maximum(dev, np.abs(x - 0.4))
+            pos[i, k], rs[i, k] = x[0], dev[0]
+    for chunk in (1, 7, None):
+        ens = ll.simulate_ensemble(proc, 0.4, grid, 8, 9, chunk_size=chunk)
+        assert np.array_equal(ens.positions, pos), chunk
+        assert np.array_equal(ens.running_sup, rs), chunk
+
+
 def _compound_poisson_reference(proc, x0, times, seed, i):
     """Path i by its definition: the jumps at times at most t, summed at t."""
     gen = _path_generator(seed, i)
@@ -332,15 +364,17 @@ def test_compound_poisson_path_drift_applied():
                           np.maximum.accumulate(np.abs(drifting.positions - 0.5), axis=1))
 
 
-def test_recorded_stable_ensemble_memory_stays_in_blocks(monkeypatch):
+@pytest.mark.parametrize("kind", ["stable", "stable_like"])
+def test_recorded_stable_ensemble_memory_stays_in_blocks(kind, monkeypatch):
     # 2048 x 4096 paths at four recorded times: block buffers only (four per
-    # thread), not the 64 MiB (paths x steps) arrays an unblocked kernel
-    # would allocate
+    # thread for the stable kernel, three tiles of draws for the stable-like
+    # one), not the 64 MiB (paths x steps) arrays an unblocked kernel would
+    # allocate, nor the 128 MiB of draws of a whole stable-like block
     monkeypatch.setattr(simulate, "_WORKERS", 2)
     grid = ll.PathGrid(t_max=1.0, steps=4096)
     tracemalloc.start()
     try:
-        ens = ll.simulate_ensemble(STABLE_15, 0.0, grid, 2, 2048,
+        ens = ll.simulate_ensemble(KINDS[kind], 0.0, grid, 2, 2048,
                                    record_times=[0.125, 0.25, 0.5, 1.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -502,13 +536,31 @@ def _write_per_path_rows(ens, path):
                                           p),
     lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, recorded=True,
                                                                    times=[0.13])),
-], ids=["seed_edited", "hash_edited", "old_format", "one_path", "off_grid_time"])
+    lambda ens, p: p.write_text(""),
+    lambda ens, p: p.write_text("[1, 2]\n"),
+    # a seed of 4.9 must not regenerate (and so match) the seed-4 ensemble
+    lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, seed=4.9)),
+], ids=["seed_edited", "hash_edited", "old_format", "one_path", "off_grid_time",
+        "empty_file", "not_an_object", "fractional_seed"])
 def test_jsonl_load_rejects_mismatch(tmp_path, corrupt):
     ens = ll.simulate_ensemble(STABLE_15, 0.0, ll.PathGrid(t_max=0.5, steps=16), 4, 3)
     path = tmp_path / "paths.jsonl"
     corrupt(ens, path)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         ll.load_ensemble_jsonl(path)
+
+
+def test_seed_and_path_index_must_be_integers():
+    grid = ll.PathGrid(t_max=1.0, steps=16)
+    with pytest.raises(TypeError):
+        ll.simulate_ensemble(STABLE_15, 0.0, grid, 1.5, 3)
+    for tag in ((1.5, 0), (1, 0.5)):
+        with pytest.raises(TypeError):
+            ll.simulate_path(STABLE_15, 0.0, grid, tag)
+    ens = ll.simulate_ensemble(STABLE_15, 0.0, grid, np.int64(7), 3)
+    ref = ll.simulate_ensemble(STABLE_15, 0.0, grid, 7, 3)
+    assert type(ens.master_seed) is int and ens.metadata() == ref.metadata()
+    assert np.array_equal(ens.positions, ref.positions)
 
 
 def test_stable_like_matches_local_index_away_from_ramp():
