@@ -28,9 +28,8 @@ from .simulate import (CompoundPoissonProcess, PathEnsemble, PathGrid, StableLik
                        SymmetricStableProcess, load_ensemble_jsonl, process_from_dict,
                        process_from_triplet, sample_symmetric_stable, save_ensemble_jsonl,
                        simulate_ensemble, simulate_path)
-from .symbols import (QuadratureConfig, SectorEstimate, SymbolFamily,
-                      build_lower_envelope, build_symbol_family, check_integrability,
-                      eval_exponent, eval_pU, sector_estimate, stable_levy_constant,
-                      tail_mass)
+from .symbols import (SectorEstimate, SymbolFamily, build_lower_envelope,
+                      build_symbol_family, check_integrability, eval_exponent, eval_pU,
+                      sector_estimate, stable_levy_constant, tail_mass)
 
 __version__ = "0.1.0"

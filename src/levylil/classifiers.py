@@ -23,6 +23,7 @@ order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import ClassifierError, LevyOnlyError
 from .measures import MeasureSpec
 from .norming import ball_extremum, upper_norming_v
-from .symbols import DEFAULT_CONFIG, QuadratureConfig, tail_mass
+from .symbols import tail_mass
 
 DELTA_RATIO = 0.05      # geometric-decay margin below 1
 DELTA_GROWTH = 0.05     # growth margin above 1
@@ -69,23 +70,19 @@ class TestVerdict:
         return d
 
 
-_GL_CACHE = {}
-
-
-def _gauss_nodes(order):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+@functools.cache
+def _gauss_nodes():
+    return np.polynomial.legendre.leggauss(QUAD_ORDER)
 
 
 def classify_integral_at_zero(integrand: Callable[[float], float], t_max: float,
-                              levels: int, *, quad_order: int = QUAD_ORDER) -> TestVerdict:
+                              levels: int) -> TestVerdict:
     """Classify int_{0+} integrand(t) dt from dyadic block integrals."""
     if levels < 8:
         raise ValueError("levels must be >= 8")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    nodes, weights = _gauss_nodes(quad_order)
+    nodes, weights = _gauss_nodes()
     blocks = []
     for k in range(levels):
         b = t_max * 2.0 ** (-k)
@@ -148,13 +145,12 @@ def _verdict_from_blocks(blocks):
 
 
 def upper_function_test(measure: MeasureSpec, x: float, epsilon: float, n: int,
-                        t_max: float, levels: int, *, ell_one: bool = False,
-                        config: QuadratureConfig = DEFAULT_CONFIG) -> TestVerdict:
+                        t_max: float, levels: int, *, ell_one: bool = False) -> TestVerdict:
     """Convergence test for int_{0+} sup_{|y-x|<=v(x,t)} p^U(y, 1/v(x,t)) dt."""
 
     def integrand(t):
-        v = upper_norming_v(measure, x, t, epsilon, n, ell_one=ell_one, config=config)
-        return ball_extremum(measure, x, v, 1.0 / v, "sup", config=config)
+        v = upper_norming_v(measure, x, t, epsilon, n, ell_one=ell_one)
+        return ball_extremum(measure, x, v, 1.0 / v, "sup")
 
     verdict = classify_integral_at_zero(integrand, t_max, levels)
     verdict.extras["test"] = "upper_function"

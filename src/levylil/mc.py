@@ -10,7 +10,7 @@ order with compensated summation, so results are deterministic given
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ from .errors import LevyOnlyError
 from .measures import MeasureSpec
 from .norming import ball_extremum, u_of_R, u_inverse
 from .simulate import PathEnsemble
-from .symbols import DEFAULT_CONFIG, QuadratureConfig, SymbolFamily, tail_mass
+from .symbols import SymbolFamily, tail_mass
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def _compensated_mean(values: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 def maximal_inequality_check(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
-                             t_list, R_list, *,
-                             config: QuadratureConfig = DEFAULT_CONFIG) -> dict:
+                             t_list, R_list) -> dict:
     """Fit the constants in the two-sided exit-probability bounds.
 
     For each (t, R): c1 candidate = P(sup >= R) / (t sup-ball p^U) and
@@ -80,8 +79,8 @@ def maximal_inequality_check(ensemble: PathEnsemble, measure: MeasureSpec, x: fl
             for R in Rs:
                 p_ge = estimate_sup_probability(ensemble, t_snap, R, "ge")
                 p_lt = estimate_sup_probability(ensemble, t_snap, R, "lt")
-                sup_ball = ball_extremum(measure, x, R, 1.0 / R, "sup", config=config)
-                inf_ball = ball_extremum(measure, x, R, 1.0 / R, "inf", config=config)
+                sup_ball = ball_extremum(measure, x, R, 1.0 / R, "sup")
+                inf_ball = ball_extremum(measure, x, R, 1.0 / R, "inf")
                 r1 = p_ge.p_hat / (t_snap * sup_ball)
                 r2 = p_lt.p_hat * (t_snap * inf_ball)
                 rows.append({"t": t_snap, "R": R, "c1_candidate": r1, "c2_candidate": r2,
@@ -110,12 +109,11 @@ def _densify_list(values):
 # --------------------------------------------------------------------------
 
 def multi_interval_decay(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
-                         R: float, m_max: int, *, min_r2: float = 0.98,
-                         config: QuadratureConfig = DEFAULT_CONFIG) -> dict:
+                         R: float, m_max: int) -> dict:
     """q_m = P(sup_{s <= m u(x,R)} |X_s - x| <= R) for m = 1..m_max with a
-    log-linear fit; PASS when the fit is linear (R^2 >= min_r2) with negative
+    log-linear fit; PASS when the fit is linear (R^2 >= 0.98) with negative
     slope, the two-sided geometric envelope."""
-    u = u_of_R(measure, x, R, config=config)
+    u = u_of_R(measure, x, R)
     if m_max * u > ensemble.times[-1] * (1.0 + 1e-9):
         raise ValueError("grid does not cover m_max * u(x, R)")
     ms = np.arange(1, m_max + 1)
@@ -138,7 +136,7 @@ def multi_interval_decay(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
     ss_res = float(np.sum((np.log(q_fit) - fitted) ** 2))
     ss_tot = float(np.sum((np.log(q_fit) - np.mean(np.log(q_fit))) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    ok = r2 >= min_r2 and slope < 0.0 and bool(np.all(np.diff(q) <= 1e-12))
+    ok = r2 >= 0.98 and slope < 0.0 and bool(np.all(np.diff(q) <= 1e-12))
     return {"check": "multi_interval_decay", "pass": bool(ok), "u": u,
             "m": ms.tolist(), "q": q.tolist(), "times": snapped,
             "slope": float(slope), "r_squared": r2, "truncated": truncated,
@@ -209,12 +207,12 @@ def empirical_charfn(ensemble: PathEnsemble, xi: float, t: float) -> complex:
 
 
 def empirical_charfn_bound(ensemble: PathEnsemble, symbol: SymbolFamily,
-                           xi_list, t_list, *, epsilon: Optional[float] = None,
-                           max_violation_fraction: float = 0.01) -> dict:
+                           xi_list, t_list, *, epsilon: Optional[float] = None) -> dict:
     """Check |lambda_hat_t(x, xi)| <= exp(-delta t g(xi)) + 4/sqrt(N).
 
     delta = 1 - c0 - epsilon with c0 the sector estimate; epsilon defaults to
-    (1 - c0)/2.  When all violations sit at the largest probed t the report is
+    (1 - c0)/2.  PASS when at most 1% of the probed (t, xi) pairs violate the
+    bound.  When all violations sit at the largest probed t the report is
     flagged (unknown validity horizon t0(xi, eps)) instead of failed.
     """
     c0 = symbol.sector_value
@@ -241,7 +239,7 @@ def empirical_charfn_bound(ensemble: PathEnsemble, symbol: SymbolFamily,
                 violations.append((t, xi))
     frac = len(violations) / len(rows)
     clustered = bool(violations) and all(t >= t_max_probe * (1.0 - 1e-12) for t, _ in violations)
-    ok = frac <= max_violation_fraction
+    ok = frac <= 0.01
     flagged = (not ok) and clustered
     return {"check": "empirical_charfn_bound", "pass": bool(ok or flagged),
             "flagged_t0_horizon": bool(flagged), "violation_fraction": frac,
@@ -268,7 +266,6 @@ class ChungStatistic:
     dual_q25: Optional[float] = None
     dual_q75: Optional[float] = None
     dual_paths: int = 0
-    extras: dict = field(default_factory=dict)
 
     def summary(self):
         d = {"window": list(self.window), "probe_times": list(self.probe_times),
@@ -277,22 +274,23 @@ class ChungStatistic:
         if self.dual_median is not None:
             d.update({"dual_median": self.dual_median, "dual_q25": self.dual_q25,
                       "dual_q75": self.dual_q75, "dual_paths": self.dual_paths})
-        d.update(self.extras)
         return d
 
 
 def chung_statistic(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
                     t_lo: float, t_hi: float, *,
-                    rate_exponent: Optional[float] = None,
-                    config: QuadratureConfig = DEFAULT_CONFIG) -> ChungStatistic:
+                    rate_exponent: Optional[float] = None) -> ChungStatistic:
     """Ensemble Chung statistic over the dyadic probe window [t_lo, t_hi].
 
     The rate is u^{-1}(x, t / log|log t|); ``rate_exponent`` replaces it by
     (t / log|log t|)^rate_exponent (misspecification diagnostics).  The dual
     exit-time statistic is computed only for the correctly specified rate.
+    log|log t| is positive only for t < e^-1, so ``t_hi`` must lie below it.
     """
     if not (0.0 < t_lo <= t_hi):
         raise ValueError("need 0 < t_lo <= t_hi")
+    if t_hi >= math.exp(-1.0):
+        raise ValueError(f"t_hi={t_hi} outside (0, e^-1); log|log t| must be positive")
     if t_hi > ensemble.times[-1] * (1 + 1e-9) or t_hi < ensemble.times[0] * (1 - 1e-9):
         raise ValueError("window outside the stored grid")
     cols = set()
@@ -304,12 +302,14 @@ def chung_statistic(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
         raise ValueError("window outside the stored grid")
     idx = np.array(sorted(cols))
     probes = ensemble.times[idx].tolist()
+    if probes[-1] >= math.exp(-1.0):
+        raise ValueError(f"t_hi={t_hi} snaps to grid time {probes[-1]}, not below e^-1")
     rates = []
     for tp in probes:
         ll = math.log(abs(math.log(tp)))
         rho = tp / ll
         if rate_exponent is None:
-            rates.append(u_inverse(measure, x, rho, config=config))
+            rates.append(u_inverse(measure, x, rho))
         else:
             rates.append(rho ** rate_exponent)
     ratios = ensemble.running_sup[:, idx] / np.asarray(rates)
@@ -318,7 +318,7 @@ def chung_statistic(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
 
     dual = {}
     if rate_exponent is None:
-        dual_vals = _dual_exit_statistic(ensemble, measure, x, rates, config)
+        dual_vals = _dual_exit_statistic(ensemble, measure, x, rates)
         if dual_vals.size:
             dual = {"dual_median": float(np.percentile(dual_vals, 50)),
                     "dual_q25": float(np.percentile(dual_vals, 25)),
@@ -352,13 +352,13 @@ def resolution_drift(ensemble: PathEnsemble, statistic, stride: int = 2) -> dict
             "relative_drift": abs(full - coarse) / denom}
 
 
-def _dual_exit_statistic(ensemble, measure, x, radii, config):
+def _dual_exit_statistic(ensemble, measure, x, radii):
     """sup over the radius grid of tau(a) / (u(x,a) log|log u(x,a)|) per path."""
     usable = []
     for a in radii:
         if not 0.0 < a <= 1.0:
             continue
-        u = u_of_R(measure, x, a, config=config)
+        u = u_of_R(measure, x, a)
         if u < math.exp(-1.0):
             usable.append((a, u * math.log(abs(math.log(u)))))
     if not usable:

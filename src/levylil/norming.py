@@ -20,33 +20,36 @@ import numpy as np
 from .errors import (DegenerateMeasureError, InverseUndefinedError,
                      IteratedLogDomainError, RhoOutOfRangeError)
 from .measures import MeasureSpec, PowerLawMeasure
-from .symbols import DEFAULT_CONFIG, QuadratureConfig, eval_pU
+from .symbols import eval_pU
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def ball_extremum(measure: MeasureSpec, x: float, radius: float, xi: float,
-                  mode: str, *, n_grid: int = 257, y_tol: float = 1e-12,
-                  config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Extremum of y -> p^U(y, xi) over |x - y| <= radius.
+                  mode: str) -> float:
+    """Extremum of y -> p^U(y, xi) over |x - y| <= radius; ``mode`` is
+    'inf' or 'sup'.
 
-    Dense grid scan followed by golden-section refinement around the best
-    grid point.  State-independent measures short-circuit to a point value;
-    the others are power-law measures, whose p^U has a closed form.
+    A scan of 257 equispaced points followed by golden-section refinement
+    around the best one, down to a bracket of width 1e-12.  State-independent
+    measures short-circuit to a point value; the others are power-law
+    measures, whose p^U has a closed form.
     """
+    if mode not in ("inf", "sup"):
+        raise ValueError(f"mode must be 'inf' or 'sup', got {mode!r}")
     if measure.is_state_independent:
-        return float(eval_pU(measure, x, xi, config=config))
+        return float(eval_pU(measure, x, xi))
     sign = 1.0 if mode == "sup" else -1.0
 
     def pu(ys):
         return measure.pu_factor(ys) * abs(xi) ** measure.alpha(ys)
 
-    ys = np.linspace(x - radius, x + radius, n_grid)
+    ys = np.linspace(x - radius, x + radius, 257)
     vals = sign * pu(ys)
     i = int(np.argmax(vals))
     best = vals[i]
     lo = ys[max(i - 1, 0)]
-    hi = ys[min(i + 1, n_grid - 1)]
+    hi = ys[min(i + 1, 256)]
 
     def h(y):
         return sign * float(pu(np.array([y]))[0])
@@ -55,7 +58,7 @@ def ball_extremum(measure: MeasureSpec, x: float, radius: float, xi: float,
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)
     f1, f2 = h(c1), h(c2)
-    while b - a > y_tol:
+    while b - a > 1e-12:
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + _GOLDEN * (b - a)
@@ -69,44 +72,38 @@ def ball_extremum(measure: MeasureSpec, x: float, radius: float, xi: float,
 
 
 def pU_ball_extremum(measure: MeasureSpec, x: float, R: float,
-                     radius_multiple: int, mode: str, *,
-                     config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+                     radius_multiple: int, mode: str) -> float:
     """Extremum of y -> p^U(y, 1/R) over |x - y| <= radius_multiple * R."""
     if radius_multiple not in (2, 3, 6):
         raise ValueError("radius_multiple must be one of 2, 3, 6")
-    if mode not in ("inf", "sup"):
-        raise ValueError("mode must be 'inf' or 'sup'")
     if not 0.0 < R <= 1.0:
         raise ValueError("R must be in (0, 1]")
-    return ball_extremum(measure, x, radius_multiple * R, 1.0 / R, mode, config=config)
+    return ball_extremum(measure, x, radius_multiple * R, 1.0 / R, mode)
 
 
-def u_of_R(measure: MeasureSpec, x: float, R: float, *,
-           config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def u_of_R(measure: MeasureSpec, x: float, R: float) -> float:
     """u(x, R) = 1 / inf_{|x-y| <= 3R} p^U(y, 1/R) for R in (0, 1]."""
-    denom = pU_ball_extremum(measure, x, R, 3, "inf", config=config)
+    denom = pU_ball_extremum(measure, x, R, 3, "inf")
     if denom <= 0.0:
         raise DegenerateMeasureError(f"ball infimum of p^U vanished at x={x}, R={R}")
     return 1.0 / denom
 
 
-def u_inverse(measure: MeasureSpec, x: float, rho: float, *,
-              rel_width: float = 1e-10,
-              config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def u_inverse(measure: MeasureSpec, x: float, rho: float) -> float:
     """Generalized inverse inf{r : u(x, r) >= rho}.
 
     Ascending geometric scan (ratio 2 from r = 1e-12) finds the first
     crossing from below, honoring non-monotone u; bisection then shrinks the
-    bracket to the requested relative width.
+    bracket to a relative width of 1e-10.
     """
     if rho <= 0.0:
         raise RhoOutOfRangeError("rho must be positive")
-    u_top = u_of_R(measure, x, 1.0, config=config)
+    u_top = u_of_R(measure, x, 1.0)
     if rho > u_top:
         raise RhoOutOfRangeError(f"rho={rho:.3e} above u(x, 1) = {u_top:.3e}")
 
     def u(r):
-        return u_of_R(measure, x, r, config=config)
+        return u_of_R(measure, x, r)
 
     r = 1e-12
     while u(r) >= rho:
@@ -121,7 +118,7 @@ def u_inverse(measure: MeasureSpec, x: float, rho: float, *,
             # rho <= u(x, 1) was checked; numerical corner
             raise RhoOutOfRangeError("no crossing found below r = 1")
         hi = min(2.0 * hi, 1.0)
-    while hi - lo > rel_width * hi:
+    while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if u(mid) >= rho:
             hi = mid
@@ -130,13 +127,12 @@ def u_inverse(measure: MeasureSpec, x: float, rho: float, *,
     return hi
 
 
-def chung_rate(measure: MeasureSpec, x: float, t: float, *,
-               config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def chung_rate(measure: MeasureSpec, x: float, t: float) -> float:
     """u^{-1}(x, t / log|log t|) for t in (0, e^{-1})."""
     if not 0.0 < t < math.exp(-1.0):
         raise ValueError(f"t={t} outside (0, e^-1); log|log t| must be positive")
     ll = math.log(abs(math.log(t)))
-    return u_inverse(measure, x, t / ll, config=config)
+    return u_inverse(measure, x, t / ll)
 
 
 def iterated_log_factor(t: float, epsilon: float, n: int) -> float:
@@ -163,8 +159,7 @@ def iterated_log_factor(t: float, epsilon: float, n: int) -> float:
 
 
 def upper_norming_v(measure: MeasureSpec, x: float, t: float, epsilon: float,
-                    n: int, *, ell_one: bool = False, method: str = "auto",
-                    config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+                    n: int, *, ell_one: bool = False, method: str = "auto") -> float:
     """Iterated-log upper norming function v(x, t) = 1 / chi(x, 1/(t ell)).
 
     chi(x, .) is the inverse of xi -> p^U(x, xi) on [1, inf).  For power-law
@@ -172,6 +167,8 @@ def upper_norming_v(measure: MeasureSpec, x: float, t: float, epsilon: float,
     unless ``method='numeric'`` forces the bisection route.  ``ell_one``
     replaces ell_{eps,n} by 1 (the epsilon-skip diagnostic mode).
     """
+    if method not in ("auto", "closed", "numeric"):
+        raise ValueError(f"unknown method {method!r}; expected 'auto', 'closed' or 'numeric'")
     ell = 1.0 if ell_one else iterated_log_factor(t, epsilon, n)
     target = 1.0 / (t * ell)
     if isinstance(measure, PowerLawMeasure) and method in ("auto", "closed"):
@@ -179,28 +176,28 @@ def upper_norming_v(measure: MeasureSpec, x: float, t: float, epsilon: float,
         return (measure.pu_factor(x) * t * ell) ** (1.0 / a)
     if method == "closed":
         raise ValueError("closed form only available for power-law measures")
-    return 1.0 / _chi_inverse(measure, x, target, config=config)
+    return 1.0 / _chi_inverse(measure, x, target)
 
 
-def _chi_inverse(measure, x, target, *, config, probe_points: int = 33):
+def _chi_inverse(measure, x, target):
     """Invert xi -> p^U(x, xi) at ``target`` on [1, inf) by bisection."""
     lo = 1.0
-    p_lo = eval_pU(measure, x, lo, config=config)
+    p_lo = eval_pU(measure, x, lo)
     if target < p_lo:
         raise InverseUndefinedError(
             f"target {target:.3e} below p^U(x, 1) = {p_lo:.3e}; chi restricted to xi >= 1")
     hi = 2.0
-    while eval_pU(measure, x, hi, config=config) < target:
+    while eval_pU(measure, x, hi) < target:
         hi *= 2.0
         if hi > 2.0 ** 200:
             raise InverseUndefinedError("p^U does not reach the target level")
-    probes = np.geomspace(lo, hi, probe_points)
-    vals = np.array([eval_pU(measure, x, float(p), config=config) for p in probes])
+    probes = np.geomspace(lo, hi, 33)
+    vals = np.array([eval_pU(measure, x, float(p)) for p in probes])
     if np.any(np.diff(vals) <= 0.0):
         raise InverseUndefinedError("inverse undefined: p^U not strictly increasing past xi = 1")
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if eval_pU(measure, x, mid, config=config) >= target:
+        if eval_pU(measure, x, mid) >= target:
             hi = mid
         else:
             lo = mid
@@ -219,13 +216,12 @@ class KappaEstimate:
     kappa: float
 
 
-def kappa_estimate(measure: MeasureSpec, x: float, R_grid, *,
-                   config: QuadratureConfig = DEFAULT_CONFIG) -> KappaEstimate:
+def kappa_estimate(measure: MeasureSpec, x: float, R_grid) -> KappaEstimate:
     """Per-radius ratio sup_{2R} p^U(., 1/R) / inf_{3R} p^U(., 1/R), sup over grid."""
     values = []
     for R in R_grid:
-        num = pU_ball_extremum(measure, x, R, 2, "sup", config=config)
-        den = pU_ball_extremum(measure, x, R, 3, "inf", config=config)
+        num = pU_ball_extremum(measure, x, R, 2, "sup")
+        den = pU_ball_extremum(measure, x, R, 3, "inf")
         if den <= 0.0:
             raise DegenerateMeasureError(f"ball infimum vanished at R={R}")
         values.append(num / den)
@@ -233,11 +229,11 @@ def kappa_estimate(measure: MeasureSpec, x: float, R_grid, *,
                          kappa_values=tuple(values), kappa=max(values))
 
 
-def kappa_reference_bound(measure: PowerLawMeasure, x: float, *, n_samples: int = 513) -> float:
-    """64^(max |alpha'| over B(x, 1)) for power-law measures."""
+def kappa_reference_bound(measure: PowerLawMeasure, x: float) -> float:
+    """64^(max |alpha'| over B(x, 1), sampled at 513 points) for power-law measures."""
     if not isinstance(measure, PowerLawMeasure):
         raise TypeError("reference bound applies to power-law measures")
-    ys = np.linspace(x - 1.0, x + 1.0, n_samples)
+    ys = np.linspace(x - 1.0, x + 1.0, 513)
     max_deriv = float(np.max(np.abs(measure.alpha.derivative(ys))))
     return 64.0 ** max_deriv
 
@@ -259,7 +255,6 @@ class NormingFunction:
     form: str                      # "closed_form" | "numeric"
     arg_grid: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
-    params: Optional[dict] = None
     fn: Optional[Callable] = None
 
     def __post_init__(self):
@@ -282,8 +277,7 @@ class NormingFunction:
 
 
 def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
-                           *, epsilon: float = 0.5, n: int = 1,
-                           config: QuadratureConfig = DEFAULT_CONFIG) -> NormingFunction:
+                           *, epsilon: float = 0.5, n: int = 1) -> NormingFunction:
     """Tabulate one of the named norming functions on ``arg_grid``.
 
     Constant-index power-law measures get closed forms; everything else is
@@ -310,14 +304,13 @@ def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
         }
         if kind in closures:
             fn = closures[kind]
-            return NormingFunction(kind=kind, x=x, domain=domain, form="closed_form",
-                                   params={"alpha": a, "pu_factor": f}, fn=fn,
+            return NormingFunction(kind=kind, x=x, domain=domain, form="closed_form", fn=fn,
                                    arg_grid=arg_grid, values=np.asarray(fn(arg_grid)))
     samplers = {
-        "u": lambda r: u_of_R(measure, x, float(r), config=config),
-        "u_inverse": lambda rho: u_inverse(measure, x, float(rho), config=config),
-        "chung_rate": lambda t: chung_rate(measure, x, float(t), config=config),
-        "upper_v": lambda t: upper_norming_v(measure, x, float(t), epsilon, n, config=config),
+        "u": lambda r: u_of_R(measure, x, float(r)),
+        "u_inverse": lambda rho: u_inverse(measure, x, float(rho)),
+        "chung_rate": lambda t: chung_rate(measure, x, float(t)),
+        "upper_v": lambda t: upper_norming_v(measure, x, float(t), epsilon, n),
     }
     if kind not in samplers:
         raise ValueError(f"cannot tabulate kind {kind!r} from a measure")

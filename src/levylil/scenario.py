@@ -430,6 +430,13 @@ def _refine_error(err):
         viable = {i: errs for i, errs in by_branch.items()
                   if not any(s.validator == "const" or (s.validator == "type" and not s.path)
                              for s in errs)}
+        consts = [s for errs in by_branch.values() for s in errs if s.validator == "const"]
+        if not viable and consts and len({tuple(s.path) for s in consts}) == 1:
+            # every branch rejects the same discriminator: its value is unknown
+            err = consts[0]
+            err.message = (f"unknown value {err.instance!r}; expected one of "
+                           f"{[s.validator_value for s in consts]}")
+            return err
         pool = [e for errs in (viable or by_branch).values() for e in errs]
         for kind in ("additionalProperties", "required"):
             picked = [e for e in pool if e.validator == kind]

@@ -14,9 +14,12 @@ outer integrals through cos/sin-weighted Gauss quadrature).  Symmetric
 measures are evaluated through the real cosine form so the imaginary part is
 exactly zero.
 
-All operations are pure and deterministic given a QuadratureConfig; the only
-shared state is the thread-safe memo of ``stable_levy_constant``, so
-concurrent invocation is safe.
+Every quadrature runs at absolute tolerance 1e-10, relative tolerance 1e-8
+and at most 200 subintervals per panel, and fails with ``QuadratureError``
+when the accumulated error estimate exceeds 100 times that tolerance.  All
+operations are pure and deterministic; the only shared state is the
+thread-safe memo of ``stable_levy_constant``, so concurrent invocation is
+safe.
 """
 
 from __future__ import annotations
@@ -30,21 +33,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import QuadratureError, SectorViolationError
-from .measures import AtomicMeasure, LevyTriplet, MeasureSpec, PowerLawMeasure
+from .measures import (AtomicMeasure, ConstantProfile, LevyTriplet, MeasureSpec,
+                       PowerLawMeasure)
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    limit: int = 200
-    error_margin: float = 100.0   # accept up to margin * tolerance of accumulated estimate
-
-    def budget(self, value):
-        return max(self.abs_tol, self.rel_tol * abs(value)) * self.error_margin
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+_LIMIT = 200
+_ERROR_MARGIN = 100.0   # accept up to margin * tolerance of accumulated estimate
+_METHODS = ("auto", "closed", "quadrature")
 
 
 def stable_levy_constant(alpha: float) -> float:
@@ -73,8 +69,8 @@ class _ErrorBudget:
     def add(self, err):
         self.total += abs(err)
 
-    def check(self, value, config, what):
-        if self.total > config.budget(value):
+    def check(self, value, what):
+        if self.total > max(_ABS_TOL, _REL_TOL * abs(value)) * _ERROR_MARGIN:
             raise QuadratureError(
                 f"quadrature failure in {what}: achieved error estimate {self.total:.3e} "
                 f"exceeds budget for value {value:.6e}",
@@ -82,10 +78,10 @@ class _ErrorBudget:
             )
 
 
-def _quad(f, a, b, config, budget, weight=None, wvar=None):
+def _quad(f, a, b, budget, weight=None, wvar=None):
     if b <= a:
         return 0.0
-    kwargs = dict(epsabs=config.abs_tol, epsrel=config.rel_tol, limit=config.limit)
+    kwargs = dict(epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_LIMIT)
     if weight is not None:
         kwargs.update(weight=weight, wvar=wvar)
     # imported here, its only use: most runs never integrate numerically
@@ -98,25 +94,25 @@ def _quad(f, a, b, config, budget, weight=None, wvar=None):
     return val
 
 
-def _quad_octaves(f, a, b, config, budget, weight, wvar):
+def _quad_octaves(f, a, b, budget, weight, wvar):
     """Weighted quadrature panelized in octaves (stable for wide ranges of a
     slowly decaying amplitude under an oscillatory weight)."""
     total = 0.0
     lo = a
     while lo < b:
         hi = min(2.0 * lo, b)
-        total += _quad(f, lo, hi, config, budget, weight=weight, wvar=wvar)
+        total += _quad(f, lo, hi, budget, weight=weight, wvar=wvar)
         lo = hi
     return total
 
 
-def _quad_log_panels(f, s_min, s_max, config, budget, width=4.0):
-    """Plain quadrature over log-spaced panels of bounded width."""
+def _quad_log_panels(f, s_min, s_max, budget):
+    """Plain quadrature over log-spaced panels of width at most 4."""
     total = 0.0
     lo = s_min
     while lo < s_max:
-        hi = min(lo + width, s_max)
-        total += _quad(f, lo, hi, config, budget)
+        hi = min(lo + 4.0, s_max)
+        total += _quad(f, lo, hi, budget)
         lo = hi
     return total
 
@@ -193,9 +189,10 @@ def tail_mass(measure: MeasureSpec, x: float, r: float) -> float:
                      for w, dens in measure.sides()))
 
 
-def eval_pU(measure: MeasureSpec, x: float, xi: float, *,
-            method: str = "auto", config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def eval_pU(measure: MeasureSpec, x: float, xi: float, *, method: str = "auto") -> float:
     """int min(|xi y|^2, 1) nu(x, dy); even in xi, zero at xi = 0."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
     if xi == 0.0:
         return 0.0
     axi = abs(xi)
@@ -205,7 +202,7 @@ def eval_pU(measure: MeasureSpec, x: float, xi: float, *,
     if isinstance(measure, PowerLawMeasure):
         if method in ("auto", "closed"):
             return float(measure.pu_factor(x) * axi ** measure.alpha_at(x))
-        return float(_pu_power_law_quadrature(measure, x, axi, config))
+        return float(_pu_power_law_quadrature(measure, x, axi))
     if method == "closed":
         raise ValueError("no closed form for tabulated measures")
     k = 1.0 / axi
@@ -221,7 +218,7 @@ def check_integrability(measure: MeasureSpec, x: float = 0.0) -> float:
     return eval_pU(measure, x, 1.0)
 
 
-def _pu_power_law_quadrature(measure, x, axi, config):
+def _pu_power_law_quadrature(measure, x, axi):
     a = measure.alpha_at(x)
     c = measure.coeff_at(x)
     k = 1.0 / axi
@@ -230,14 +227,14 @@ def _pu_power_law_quadrature(measure, x, axi, config):
     s_top = math.log(k)
     s_min = s_top - 40.0 / (2.0 - a)
     inner = _quad_log_panels(lambda s: axi ** 2 * math.exp((2.0 - a) * s),
-                             s_min, s_top, config, budget)
+                             s_min, s_top, budget)
     budget.add(axi ** 2 * math.exp((2.0 - a) * s_min) / (2.0 - a))
     # outer flat part up to the truncation radius, analytic tail beyond
     rt = max(measure.truncation_radius, 2.0 * k)
-    outer = _quad_log_panels(lambda s: math.exp(-a * s), s_top, math.log(rt), config, budget)
+    outer = _quad_log_panels(lambda s: math.exp(-a * s), s_top, math.log(rt), budget)
     tail = rt ** (-a) / a
     value = 2.0 * c * (inner + outer + tail)
-    budget.check(value, config, "p^U quadrature")
+    budget.check(value, "p^U quadrature")
     return value
 
 
@@ -246,8 +243,10 @@ def _pu_power_law_quadrature(measure, x, axi, config):
 # --------------------------------------------------------------------------
 
 def eval_exponent(triplet: LevyTriplet, x: float, xi: float, *,
-                  method: str = "auto", config: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+                  method: str = "auto") -> complex:
     """p(x, xi) = i l(x) xi + int (1 - e^{i xi y} + i xi y 1_{|y|<=1}) nu(x, dy)."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
     if xi == 0.0:
         return complex(0.0, 0.0)
     measure = triplet.measure
@@ -259,12 +258,12 @@ def eval_exponent(triplet: LevyTriplet, x: float, xi: float, *,
             a = measure.alpha_at(x)
             re = measure.coeff_at(x) * 2.0 * stable_levy_constant(a) * abs(xi) ** a
         else:
-            re = _exponent_power_law_quadrature(measure, x, xi, config)
+            re = _exponent_power_law_quadrature(measure, x, xi)
         im = 0.0
     else:
-        re, im = _exponent_tabulated(measure, xi, config)
+        re, im = _exponent_tabulated(measure, xi)
     if re < 0.0:
-        if re < -config.abs_tol:
+        if re < -_ABS_TOL:
             raise QuadratureError(f"negative real part {re:.3e} from quadrature")
         re = 0.0
     value = complex(re, im + drift_im)
@@ -285,7 +284,7 @@ def _exponent_atomic(measure, xi):
     return re, im
 
 
-def _exponent_power_law_quadrature(measure, x, xi, config):
+def _exponent_power_law_quadrature(measure, x, xi):
     """Re p for a symmetric power-law density through log-panel quadrature."""
     a = measure.alpha_at(x)
     c = measure.coeff_at(x)
@@ -303,22 +302,21 @@ def _exponent_power_law_quadrature(measure, x, xi, config):
             return 0.5 * axi * axi * math.exp((2.0 - a) * s) * (1.0 - theta * theta / 12.0)
         return 2.0 * math.sin(0.5 * theta) ** 2 * math.exp(-a * s)
 
-    inner = _quad_log_panels(inner_integrand, s_min, s_top, config, budget)
+    inner = _quad_log_panels(inner_integrand, s_min, s_top, budget)
     budget.add(axi ** 2 * math.exp((2.0 - a) * s_min) / (2.0 * (2.0 - a)))
     # exact mass of (k, inf) minus the oscillatory cosine integral
     mass = k ** (-a) / a
-    osc_tol = max(config.abs_tol, config.rel_tol * mass) / 10.0
+    osc_tol = max(_ABS_TOL, _REL_TOL * mass) / 10.0
     r_cap = (2.0 / (axi * osc_tol)) ** (1.0 / (1.0 + a))
     r_eff = min(max(measure.truncation_radius, 2.0 * k), max(r_cap, 2.0 * k))
-    osc = _quad_octaves(lambda y: y ** (-1.0 - a), k, r_eff, config, budget,
-                        weight="cos", wvar=axi)
+    osc = _quad_octaves(lambda y: y ** (-1.0 - a), k, r_eff, budget, weight="cos", wvar=axi)
     budget.add(2.0 * r_eff ** (-1.0 - a) / axi)
     value = 2.0 * c * (inner + mass - osc)
-    budget.check(value, config, "exponent quadrature")
+    budget.check(value, "exponent quadrature")
     return value
 
 
-def _exponent_tabulated(measure, xi, config):
+def _exponent_tabulated(measure, xi):
     axi = abs(xi)
     k = 1.0 / axi
     budget = _ErrorBudget()
@@ -329,39 +327,37 @@ def _exponent_tabulated(measure, xi, config):
     signs = (1.0,) if measure.is_symmetric else (1.0, -1.0)
     for (w, dens), sign in zip(sides, signs):
         f = _tab_density_fn(grid, dens)
-        re += w * _tab_oscillatory(grid, dens, f, axi, k, config, budget, kind="one_minus_cos")
+        re += w * _tab_oscillatory(grid, dens, f, axi, k, budget, kind="one_minus_cos")
         if not measure.is_symmetric:
-            sin_int = _tab_oscillatory(grid, dens, f, axi, k, config, budget, kind="sin")
+            sin_int = _tab_oscillatory(grid, dens, f, axi, k, budget, kind="sin")
             moment = _tab_moment(grid, dens, 1, hi=1.0)
             im += sign * (xi * moment - math.copysign(1.0, xi) * sin_int)
     value = complex(re, im)
-    budget.check(abs(value), config, "tabulated exponent quadrature")
+    budget.check(abs(value), "tabulated exponent quadrature")
     return re, im
 
 
-def _tab_oscillatory(grid, dens, f, axi, k, config, budget, kind):
+def _tab_oscillatory(grid, dens, f, axi, k, budget, kind):
     """int over the tabulated support of (1 - cos(axi y)) f or sin(axi y) f."""
     total = 0.0
     for y1, y2, A, b in _panels(grid, dens):
         if kind == "sin":
-            total += _osc_panel(f, y1, y2, axi, "sin", config, budget)
+            total += _osc_panel(f, y1, y2, axi, "sin", budget)
             continue
         # below the kink k by plain quadrature, above it as mass minus the cos integral
         split = min(max(k, y1), y2)
-        total += _quad(lambda y: 2.0 * math.sin(0.5 * axi * y) ** 2 * f(y), y1, split,
-                       config, budget)
-        total += _power_moment(A, b, 0, split, y2) - _osc_panel(f, split, y2, axi, "cos",
-                                                                config, budget)
+        total += _quad(lambda y: 2.0 * math.sin(0.5 * axi * y) ** 2 * f(y), y1, split, budget)
+        total += _power_moment(A, b, 0, split, y2) - _osc_panel(f, split, y2, axi, "cos", budget)
     return total
 
 
-def _osc_panel(f, lo, hi, axi, weight, config, budget):
+def _osc_panel(f, lo, hi, axi, weight, budget):
     if hi <= lo:
         return 0.0
     if axi * (hi - lo) <= 6.0:
         wf = math.cos if weight == "cos" else math.sin
-        return _quad(lambda y: wf(axi * y) * f(y), lo, hi, config, budget)
-    return _quad_octaves(f, lo, hi, config, budget, weight=weight, wvar=axi)
+        return _quad(lambda y: wf(axi * y) * f(y), lo, hi, budget)
+    return _quad_octaves(f, lo, hi, budget, weight=weight, wvar=axi)
 
 
 # --------------------------------------------------------------------------
@@ -381,14 +377,12 @@ class SectorEstimate:
         return "unbounded-on-grid" if self.unbounded else None
 
 
-def sector_estimate(triplet: LevyTriplet, x_window, xi_grid, *,
-                    refinements: int = 4, growth_tol: float = 0.10,
-                    config: QuadratureConfig = DEFAULT_CONFIG) -> SectorEstimate:
+def sector_estimate(triplet: LevyTriplet, x_window, xi_grid) -> SectorEstimate:
     """Grid estimate of the sector constant sup |Im p(x,xi)| / Re p(x,xi).
 
-    The grid is doubled in density up to ``refinements`` times within its
-    fixed extent; the estimate is declared unbounded-on-grid when the running
-    sup still grows by more than ``growth_tol`` at the last doubling.
+    The grid is doubled in density 4 times within its fixed extent; the
+    estimate is declared unbounded-on-grid when the running sup still grows
+    by more than 10% at the last doubling.
     """
     xi = np.asarray(sorted(xi_grid), dtype=float)
     if xi.size == 0:
@@ -400,11 +394,11 @@ def sector_estimate(triplet: LevyTriplet, x_window, xi_grid, *,
     xs = np.linspace(x_lo, x_hi, 9) if state_dep else np.array([0.5 * (x_lo + x_hi)])
 
     history = []
-    for level in range(refinements + 1):
+    for level in range(5):
         sup = 0.0
         for xv in xs:
             for xiv in xi:
-                p = eval_exponent(triplet, float(xv), float(xiv), config=config)
+                p = eval_exponent(triplet, float(xv), float(xiv))
                 re, im = p.real, p.imag
                 if re <= 0.0 or abs(im) > 1e15 * re:
                     # Re p vanishes (to machine precision) at this point
@@ -415,12 +409,12 @@ def sector_estimate(triplet: LevyTriplet, x_window, xi_grid, *,
                     continue
                 sup = max(sup, abs(im) / re)
         history.append(sup)
-        if level < refinements:
+        if level < 4:
             xi = _densify(xi)
             if state_dep:
                 xs = _densify(xs)
 
-    if history[-1] > (1.0 + growth_tol) * history[-2] + 1e-15:
+    if history[-1] > 1.10 * history[-2] + 1e-15:
         return SectorEstimate(value=None, unbounded=True, history=tuple(history))
     return SectorEstimate(value=history[-1], unbounded=False, history=tuple(history))
 
@@ -466,18 +460,16 @@ class AnalyticEnvelope:
         return self.fn(np.abs(np.asarray(xi, dtype=float)))
 
 
-def build_lower_envelope(triplet: LevyTriplet, x_window, xi_hi: float, *,
-                         n_xi: int = 65, n_x: int = 257,
-                         config: QuadratureConfig = DEFAULT_CONFIG) -> LowerEnvelope:
-    """g(xi) = running max over xi of inf_{x in window} Re p(x, xi), xi >= 1."""
-    xi_grid = np.geomspace(1.0, xi_hi, n_xi)
-    xs = np.linspace(x_window[0], x_window[1], n_x)
+def build_lower_envelope(triplet: LevyTriplet, x_window, xi_hi: float) -> LowerEnvelope:
+    """g(xi) = running max over xi of inf_{x in window} Re p(x, xi), xi >= 1,
+    on 65 geometric xi points and 257 x points."""
+    xi_grid = np.geomspace(1.0, xi_hi, 65)
+    xs = np.linspace(x_window[0], x_window[1], 257)
     if triplet.measure.is_state_independent:
         xs = xs[:1]
     raw = np.empty_like(xi_grid)
     for j, xiv in enumerate(xi_grid):
-        raw[j] = min(eval_exponent(triplet, float(xv), float(xiv), config=config).real
-                     for xv in xs)
+        raw[j] = min(eval_exponent(triplet, float(xv), float(xiv)).real for xv in xs)
     return LowerEnvelope(xi_grid, np.maximum.accumulate(raw))
 
 
@@ -498,22 +490,20 @@ class SymbolFamily:
     def g(self, xi):
         return self.envelope(xi)
 
-    def validate_on(self, x_grid, xi_grid, slack=1e-9,
-                    config: QuadratureConfig = DEFAULT_CONFIG):
-        """Check g <= Re p <= C_p (1 + xi^2) on the given grids."""
+    def validate_on(self, x_grid, xi_grid):
+        """Check g <= Re p <= C_p (1 + xi^2) on the given grids, to within 1e-9."""
         for xv in x_grid:
             for xiv in xi_grid:
-                re = eval_exponent(self.triplet, float(xv), float(xiv), config=config).real
+                re = eval_exponent(self.triplet, float(xv), float(xiv)).real
                 g = float(self.envelope(xiv))
-                if g > re + slack:
+                if g > re + 1e-9:
                     raise AssertionError(f"envelope exceeds Re p at x={xv}, xi={xiv}")
-                if re > self.coefficient_bound * (1.0 + xiv ** 2) + slack:
+                if re > self.coefficient_bound * (1.0 + xiv ** 2) + 1e-9:
                     raise AssertionError(f"Re p above C_p(1+xi^2) at x={xv}, xi={xiv}")
 
     @classmethod
     def from_stable(cls, alpha: float, scale: float = 1.0):
         """Family for psi(xi) = scale |xi|^alpha with exact analytic envelope."""
-        from .measures import ConstantProfile
         coeff = scale / (2.0 * stable_levy_constant(alpha))
         measure = PowerLawMeasure(alpha=ConstantProfile(alpha), coefficient=ConstantProfile(coeff))
         triplet = LevyTriplet(measure=measure)
@@ -523,17 +513,15 @@ class SymbolFamily:
                    coefficient_bound=scale)
 
 
-def build_symbol_family(triplet: LevyTriplet, x_window, xi_grid, *,
-                        xi_hi: Optional[float] = None,
-                        config: QuadratureConfig = DEFAULT_CONFIG) -> SymbolFamily:
-    sector = sector_estimate(triplet, x_window, xi_grid, config=config)
-    xi_hi = xi_hi or float(np.max(np.abs(np.asarray(xi_grid))))
-    envelope = build_lower_envelope(triplet, x_window, max(xi_hi, 1.0), config=config)
+def build_symbol_family(triplet: LevyTriplet, x_window, xi_grid) -> SymbolFamily:
+    sector = sector_estimate(triplet, x_window, xi_grid)
+    xi_hi = float(np.max(np.abs(np.asarray(xi_grid))))
+    envelope = build_lower_envelope(triplet, x_window, max(xi_hi, 1.0))
     xs = np.linspace(x_window[0], x_window[1], 33)
     cp = 0.0
     for xv in xs:
         for xiv in np.geomspace(1.0, max(xi_hi, 1.0), 17):
-            re = eval_exponent(triplet, float(xv), float(xiv), config=config).real
+            re = eval_exponent(triplet, float(xv), float(xiv)).real
             cp = max(cp, re / (1.0 + xiv ** 2))
     return SymbolFamily(triplet=triplet, x_window=tuple(x_window), sector=sector,
                         envelope=envelope, coefficient_bound=cp)

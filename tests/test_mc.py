@@ -235,6 +235,16 @@ def test_chung_statistic_window_validation(ens_chung):
         ll.chung_statistic(ens_chung, M_NORM, 0.0, 0.0, 1e-3)
 
 
+@pytest.mark.parametrize("steps, t_lo, t_hi", [(64, 0.4, 0.5), (64, 0.4, 1.0), (8, 0.1, 0.36)],
+                         ids=["window_above", "window_to_t_max", "probe_snaps_above"])
+@pytest.mark.parametrize("rate_exponent", [None, 0.5])
+def test_chung_statistic_rejects_window_reaching_inverse_e(steps, t_lo, t_hi, rate_exponent):
+    # log|log t| <= 0 from t = e^-1 on: the rate is undefined there
+    ens = ll.simulate_ensemble(STABLE, 0.0, ll.PathGrid(t_max=1.0, steps=steps), 3, 16)
+    with pytest.raises(ValueError, match="t_hi"):
+        ll.chung_statistic(ens, M_NORM, 0.0, t_lo, t_hi, rate_exponent=rate_exponent)
+
+
 def test_estimates_deterministic_under_regeneration():
     grid = ll.PathGrid(t_max=1.0, steps=128)
     e1 = ll.simulate_ensemble(STABLE, 0.0, grid, 31, 2000)

@@ -203,6 +203,20 @@ def test_upper_norming_v_numeric_matches_closed():
         assert n == pytest.approx(c, rel=1e-8)
 
 
+@pytest.mark.parametrize("call, bad", [
+    (lambda: ll.ball_extremum(M_SIN, 0.0, 0.1, 10.0, "max"), "max"),
+    (lambda: ll.ball_extremum(ll.PowerLawMeasure(alpha=1.5), 0.0, 0.1, 10.0, "max"), "max"),
+    (lambda: ll.eval_pU(M_SIN, 0.0, 2.0, method="Quadrature"), "Quadrature"),
+    (lambda: ll.eval_exponent(ll.LevyTriplet(measure=M_SIN), 0.0, 2.0, method="Quadrature"),
+     "Quadrature"),
+    (lambda: ll.upper_norming_v(M_SIN, 0.0, 1e-3, 0.5, 1, method="Closed"), "Closed"),
+], ids=["ball_mode", "ball_mode_state_independent", "pU_method", "exponent_method",
+        "upper_v_method"])
+def test_unknown_mode_or_method_is_rejected(call, bad):
+    with pytest.raises(ValueError, match=f"'{bad}'"):
+        call()
+
+
 def test_upper_norming_v_inverse_undefined_for_atomic():
     # p^U of an atomic measure saturates at the total mass: no inverse
     at = ll.AtomicMeasure(atoms=((1.0, 1.0), (-1.0, 1.0)))

@@ -71,8 +71,33 @@ def test_seed_is_mandatory(tmp_path):
 def test_unknown_analysis_rejected(tmp_path):
     doc = minimal_scenario(tmp_path / "out")
     doc["analyses"] = [{"name": "frobnicate"}]
-    with pytest.raises(ll.SchemaError):
+    with pytest.raises(ll.SchemaError,
+                       match=re.escape("at $.analyses[0].name: unknown value 'frobnicate'")):
         run_scenario(doc)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"measure": {"variant": "stable", "alpha": 1.5}}, "$.measure.variant: unknown value 'stable'"),
+    ({"process": {"kind": "brownian"}}, "$.process.kind: unknown value 'brownian'"),
+], ids=["measure_variant", "process_kind"])
+def test_unknown_variant_or_kind_is_named_with_its_value(tmp_path, change, message):
+    doc = minimal_scenario(tmp_path / "out")
+    doc.update(change)
+    with pytest.raises(ll.SchemaError, match=re.escape(message)):
+        run_scenario(doc)
+
+
+def test_chung_window_reaching_inverse_e_exits_1(tmp_path, capsys):
+    doc = minimal_scenario(tmp_path / "out")
+    doc.update({"grid": {"t_max": 1.0, "steps": 64}, "paths": 16,
+                "analyses": [{"name": "simulate"},
+                             {"name": "chung_statistic", "t_lo": 0.4, "t_hi": 0.5,
+                              "rate_exponent": 0.5}]})
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["report", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "t_hi" in err
+    assert "Traceback" not in err
 
 
 def test_canonical_output_byte_identical(tmp_path):

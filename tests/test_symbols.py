@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import levylil as ll
-from levylil.symbols import DEFAULT_CONFIG
+from levylil import symbols
 
 
 SYM_ATOMS = ll.AtomicMeasure(atoms=((1.0, 1.0), (-1.0, 1.0)))
@@ -305,7 +305,7 @@ def test_sector_violation_error():
 def test_lower_envelope_monotone_and_below_re_p():
     m = ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(1.5, 0.3))
     t = ll.LevyTriplet(measure=m)
-    env = ll.build_lower_envelope(t, (-1.0, 1.0), xi_hi=50.0, n_xi=33, n_x=65)
+    env = ll.build_lower_envelope(t, (-1.0, 1.0), xi_hi=50.0)
     xi = np.geomspace(1.0, 50.0, 40)
     vals = env(xi)
     assert np.all(np.diff(vals) >= -1e-12)
@@ -330,10 +330,12 @@ def test_symbol_family_from_stable():
     assert p.real == pytest.approx(2.0 ** 1.5, rel=1e-10)
 
 
-def test_quadrature_failure_reports_achieved_error():
+def test_quadrature_failure_reports_achieved_error(monkeypatch):
     # an unreasonable tolerance cannot be met; the error must carry an estimate
-    cfg = ll.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-16, error_margin=1e-3)
+    monkeypatch.setattr(symbols, "_ABS_TOL", 1e-300)
+    monkeypatch.setattr(symbols, "_REL_TOL", 1e-16)
+    monkeypatch.setattr(symbols, "_ERROR_MARGIN", 1e-3)
     m = ll.PowerLawMeasure(alpha=1.5)
     with pytest.raises(ll.QuadratureError) as ei:
-        ll.eval_pU(m, 0.0, 3.0, method="quadrature", config=cfg)
+        ll.eval_pU(m, 0.0, 3.0, method="quadrature")
     assert ei.value.achieved_error is not None
