@@ -5,15 +5,16 @@ generalized inverse u^{-1}(x, rho) = inf{r : u(x, r) >= rho} evaluated at
 t / log|log t| gives the small-time rate.  The iterated-logarithm upper
 function v(x, t) inverts xi -> p^U(x, xi) at 1/(t ell_{eps,n}(t)).
 
-Everything here is a pure function; tabulated NormingFunction evaluators are
-immutable after construction and safe to share across threads.
+Everything here is a pure function of its arguments.  ``NormingFunction`` is
+the table that ``build_norming_function`` samples on a given argument grid
+(closed forms for constant-index power laws, numerics otherwise), read back
+by log-log interpolation; the ``norming_table`` analysis writes it as CSV.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,53 +23,35 @@ from .errors import (DegenerateMeasureError, InverseUndefinedError,
 from .measures import MeasureSpec, PowerLawMeasure
 from .symbols import eval_pU
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def ball_extremum(measure: MeasureSpec, x: float, radius: float, xi: float,
                   mode: str) -> float:
     """Extremum of y -> p^U(y, xi) over |x - y| <= radius; ``mode`` is
     'inf' or 'sup'.
 
-    A scan of 257 equispaced points followed by golden-section refinement
-    around the best one, down to a bracket of width 1e-12.  State-independent
-    measures short-circuit to a point value; the others are power-law
-    measures, whose p^U has a closed form.
+    Scans 257 equispaced points of a bracket, starting from the whole ball,
+    keeps the best value seen and narrows the bracket to the two grid cells
+    around the best point; stops once the bracket is at most 1e-12 wide or
+    no longer shrinks (at large |x| the doubles are coarser than 1e-12).
+    State-independent measures short-circuit to a point value; the others
+    are power-law measures, whose p^U has a closed form.
     """
     if mode not in ("inf", "sup"):
         raise ValueError(f"mode must be 'inf' or 'sup', got {mode!r}")
     if measure.is_state_independent:
         return float(eval_pU(measure, x, xi))
     sign = 1.0 if mode == "sup" else -1.0
-
-    def pu(ys):
-        return measure.pu_factor(ys) * abs(xi) ** measure.alpha(ys)
-
-    ys = np.linspace(x - radius, x + radius, 257)
-    vals = sign * pu(ys)
-    i = int(np.argmax(vals))
-    best = vals[i]
-    lo = ys[max(i - 1, 0)]
-    hi = ys[min(i + 1, 256)]
-
-    def h(y):
-        return sign * float(pu(np.array([y]))[0])
-
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = h(c1), h(c2)
-    while b - a > 1e-12:
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = h(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = h(c1)
-    best = max(best, f1, f2)
-    return sign * best
+    lo, hi = x - radius, x + radius
+    best = -math.inf
+    while True:
+        ys = np.linspace(lo, hi, 257)
+        vals = sign * (measure.pu_factor(ys) * abs(xi) ** measure.alpha(ys))
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        width = hi - lo
+        lo, hi = ys[max(i - 1, 0)], ys[min(i + 1, 256)]
+        if hi - lo <= 1e-12 or hi - lo >= width:
+            return sign * best
 
 
 def pU_ball_extremum(measure: MeasureSpec, x: float, R: float,
@@ -242,38 +225,26 @@ def kappa_reference_bound(measure: PowerLawMeasure, x: float) -> float:
 # named norming-function objects (tables + CSV export)
 # --------------------------------------------------------------------------
 
-_KINDS = ("u", "u_inverse", "chung_rate", "upper_v")
-
-
 @dataclass
 class NormingFunction:
-    """A named scalar norming function with closed-form or tabulated form."""
+    """A named norming function tabulated on ``arg_grid``; ``form`` says
+    whether the values come from a closed form or from numerics."""
 
     kind: str
     x: float
-    domain: tuple
     form: str                      # "closed_form" | "numeric"
-    arg_grid: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-    fn: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown norming kind {self.kind!r}")
+    arg_grid: np.ndarray
+    values: np.ndarray
 
     def __call__(self, arg):
+        """Log-log interpolation of the table inside its argument range."""
         arg = np.asarray(arg, dtype=float)
-        if np.any(arg < self.domain[0]) or np.any(arg > self.domain[1]):
+        if np.any(arg < self.arg_grid[0]) or np.any(arg > self.arg_grid[-1]):
             raise ValueError("argument outside norming-function domain")
-        if self.form == "closed_form":
-            return self.fn(arg)
         return np.exp(np.interp(np.log(arg), np.log(self.arg_grid), np.log(self.values)))
 
     def table(self):
-        if self.arg_grid is not None:
-            return np.asarray(self.arg_grid), np.asarray(self.values)
-        grid = np.geomspace(self.domain[0], self.domain[1], 129)
-        return grid, self.fn(grid)
+        return self.arg_grid, self.values
 
 
 def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
@@ -284,7 +255,6 @@ def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
     sampled and interpolated log-log.
     """
     arg_grid = np.asarray(sorted(arg_grid), dtype=float)
-    domain = (float(arg_grid[0]), float(arg_grid[-1]))
     if kind == "u" and (arg_grid[0] <= 0.0 or arg_grid[-1] > 1.0):
         raise ValueError("u is defined for R in (0, 1]")
     if kind == "chung_rate" and arg_grid[-1] >= math.exp(-1.0):
@@ -303,9 +273,8 @@ def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
                                                     for tv in np.atleast_1d(t)])) ** (1.0 / a),
         }
         if kind in closures:
-            fn = closures[kind]
-            return NormingFunction(kind=kind, x=x, domain=domain, form="closed_form", fn=fn,
-                                   arg_grid=arg_grid, values=np.asarray(fn(arg_grid)))
+            return NormingFunction(kind=kind, x=x, form="closed_form", arg_grid=arg_grid,
+                                   values=np.asarray(closures[kind](arg_grid)))
     samplers = {
         "u": lambda r: u_of_R(measure, x, float(r)),
         "u_inverse": lambda rho: u_inverse(measure, x, float(rho)),
@@ -317,5 +286,4 @@ def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
     vals = np.array([samplers[kind](a) for a in arg_grid])
     if np.any(vals <= 0.0):
         raise DegenerateMeasureError(f"{kind} must be positive on its domain")
-    return NormingFunction(kind=kind, x=x, domain=domain, form="numeric",
-                           arg_grid=arg_grid, values=vals)
+    return NormingFunction(kind=kind, x=x, form="numeric", arg_grid=arg_grid, values=vals)

@@ -132,17 +132,10 @@ class SymmetricStableProcess:
         return True
 
     @property
-    def is_symmetric(self):
-        return True
-
-    @property
     def levy_measure(self) -> PowerLawMeasure:
         c = self.scale / (2.0 * stable_levy_constant(self.alpha))
         return PowerLawMeasure(alpha=ConstantProfile(self.alpha),
                                coefficient=ConstantProfile(c))
-
-    def exponent(self, xi):
-        return self.scale * np.abs(xi) ** self.alpha
 
     def to_dict(self):
         return {"kind": "stable", "alpha": self.alpha, "scale": self.scale}
@@ -158,10 +151,8 @@ class _StableCoefficient:
 
     def __call__(self, x):
         a = np.asarray(self.alpha(x), dtype=float)
-        s = np.asarray(self.scale(x), dtype=float)
-        consts = np.array([stable_levy_constant(float(av)) for av in np.atleast_1d(a).ravel()])
-        out = np.atleast_1d(s) / (2.0 * consts.reshape(np.atleast_1d(a).shape))
-        return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+        out = np.asarray(self.scale(x), dtype=float) / (2.0 * stable_levy_constant(a))
+        return float(out) if a.ndim == 0 else out
 
     def bounds(self):
         a_lo, a_hi = self.alpha.bounds()
@@ -198,10 +189,6 @@ class StableLikeProcess:
         return self.alpha.is_constant and self.scale.is_constant
 
     @property
-    def is_symmetric(self):
-        return True
-
-    @property
     def levy_measure(self) -> PowerLawMeasure:
         return PowerLawMeasure(alpha=self.alpha,
                                coefficient=_StableCoefficient(self.alpha, self.scale))
@@ -225,10 +212,6 @@ class CompoundPoissonProcess:
     @property
     def is_state_independent(self):
         return True
-
-    @property
-    def is_symmetric(self):
-        return self.levy_measure.is_symmetric and self.path_drift == 0.0
 
     @property
     def levy_measure(self) -> AtomicMeasure:

@@ -43,21 +43,26 @@ _ERROR_MARGIN = 100.0   # accept up to margin * tolerance of accumulated estimat
 _METHODS = ("auto", "closed", "quadrature")
 
 
-def stable_levy_constant(alpha: float) -> float:
-    """int_0^inf (1 - cos u) u^(-1-alpha) du for alpha in (0, 2), as a float.
+def stable_levy_constant(alpha):
+    """int_0^inf (1 - cos u) u^(-1-alpha) du for alpha in (0, 2): a float for
+    a scalar alpha, an array for an array.
 
     Equals Gamma(2-alpha) cos(pi alpha / 2) / (alpha (1-alpha)), extended
     continuously through alpha = 1 where the value is pi/2.
     """
-    return _stable_levy_constant(float(alpha))
+    if np.ndim(alpha) == 0:
+        return _stable_levy_constant(float(alpha))
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((0.0 < a) & (a < 2.0)):
+        raise ValueError("alpha must be in (0, 2)")
+    gamma = np.array([math.gamma(2.0 - v) for v in a.ravel().tolist()]).reshape(a.shape)
+    # cos(pi a/2)/(1-a) = (pi/2) sinc((1-a)/2) removes the alpha=1 singularity
+    return gamma * (math.pi / 2.0) * np.sinc((1.0 - a) / 2.0) / a
 
 
 @functools.lru_cache(maxsize=4096)
 def _stable_levy_constant(alpha: float) -> float:
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must be in (0, 2)")
-    # cos(pi a/2)/(1-a) = (pi/2) sinc((1-a)/2) removes the alpha=1 singularity
-    return math.gamma(2.0 - alpha) * (math.pi / 2.0) * float(np.sinc((1.0 - alpha) / 2.0)) / alpha
+    return float(stable_levy_constant(np.array([alpha]))[0])
 
 
 class _ErrorBudget:
@@ -198,7 +203,7 @@ def eval_pU(measure: MeasureSpec, x: float, xi: float, *, method: str = "auto") 
     axi = abs(xi)
     if isinstance(measure, AtomicMeasure):
         locs, masses = measure.locations(), measure.masses()
-        return float(np.sum(masses * np.minimum((axi * locs) ** 2, 1.0)))
+        return float(np.sum(masses * np.minimum(axi * np.abs(locs), 1.0) ** 2))
     if isinstance(measure, PowerLawMeasure):
         if method in ("auto", "closed"):
             return float(measure.pu_factor(x) * axi ** measure.alpha_at(x))
@@ -208,7 +213,10 @@ def eval_pU(measure: MeasureSpec, x: float, xi: float, *, method: str = "auto") 
     k = 1.0 / axi
     total = 0.0
     for w, dens in measure.sides():
-        total += w * (axi ** 2 * _tab_moment(measure.grid, dens, 2, hi=k)
+        # the quadratic moment is zero exactly when k lies below the grid,
+        # where axi ** 2 may overflow
+        quad = _tab_moment(measure.grid, dens, 2, hi=k)
+        total += w * ((axi ** 2 * quad if quad else 0.0)
                       + _tab_moment(measure.grid, dens, 0, lo=k))
     return float(total)
 
@@ -450,16 +458,6 @@ class LowerEnvelope:
         return np.exp(np.interp(np.log(xi), np.log(self.xi_grid), np.log(self.values)))
 
 
-class AnalyticEnvelope:
-    """Envelope given in closed form (used for exactly known symbols)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, xi):
-        return self.fn(np.abs(np.asarray(xi, dtype=float)))
-
-
 def build_lower_envelope(triplet: LevyTriplet, x_window, xi_hi: float) -> LowerEnvelope:
     """g(xi) = running max over xi of inf_{x in window} Re p(x, xi), xi >= 1,
     on 65 geometric xi points and 257 x points."""
@@ -480,7 +478,7 @@ class SymbolFamily:
     triplet: LevyTriplet
     x_window: tuple
     sector: SectorEstimate
-    envelope: object            # LowerEnvelope | AnalyticEnvelope
+    envelope: Callable          # LowerEnvelope or a closed-form g
     coefficient_bound: float
 
     @property
@@ -509,7 +507,7 @@ class SymbolFamily:
         triplet = LevyTriplet(measure=measure)
         sector = SectorEstimate(value=0.0, unbounded=False, history=(0.0,))
         return cls(triplet=triplet, x_window=(0.0, 0.0), sector=sector,
-                   envelope=AnalyticEnvelope(lambda xi: scale * xi ** alpha),
+                   envelope=lambda xi: scale * np.abs(np.asarray(xi, dtype=float)) ** alpha,
                    coefficient_bound=scale)
 
 

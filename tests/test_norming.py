@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,11 @@ M_SIN = ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(center=1.5, amplitude=0.3)
 # alpha with a strict local minimum at x = 0: 1.5 - 0.3 cos(y)
 M_LOCAL_MIN = ll.PowerLawMeasure(
     alpha=ll.SinusoidalProfile(center=1.5, amplitude=0.3, phase=-math.pi / 2))
+# coefficient clip(1 + 2y, 0.5, 2) with kinks at y = -0.25 and y = 0.5
+M_KINK = ll.PowerLawMeasure(
+    alpha=ll.SinusoidalProfile(center=1.5, amplitude=0.3),
+    coefficient=ll.AffineClampedProfile(intercept=1.0, slope=2.0, lo=0.5, hi=2.0))
+M_KINK_POINTS = (-0.25, 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -284,16 +292,61 @@ def test_norming_function_rejects_unknown_kind():
         ll.build_norming_function(M_CONST_15, 0.0, "bogus", [0.1, 0.2])
 
 
+def _dense_scan(measure, x, radius, xi, kinks=()):
+    """Extremes of p^U(., xi) on 100001 ball points plus the kinks inside."""
+    ys = np.linspace(x - radius, x + radius, 100_001)
+    ys = np.union1d(ys, [k for k in kinks if abs(k - x) <= radius])
+    vals = measure.pu_factor(ys) * abs(xi) ** measure.alpha(ys)
+    return float(np.min(vals)), float(np.max(vals))
+
+
 def test_ball_extremum_against_dense_scan_oracle():
-    # brute-force oracle: 100001-point scan of p^U(., 1/R) over the ball
+    # brute-force oracle: 100001-point scan of p^U(., 1/R) over the ball, with
+    # the coefficient kinks added, since an extremum may sit on one
     rng = np.random.default_rng(123)
-    for _ in range(5):
-        x = float(rng.uniform(-2, 2))
-        R = float(10 ** rng.uniform(-2, 0))
-        ys = np.linspace(x - 3 * R, x + 3 * R, 100_001)
-        alphas = M_SIN.alpha(ys)
-        vals = (1.0 / R) ** alphas
-        lo = ll.pU_ball_extremum(M_SIN, x, R, 3, "inf")
-        hi = ll.pU_ball_extremum(M_SIN, x, R, 3, "sup")
-        assert lo == pytest.approx(float(np.min(vals)), rel=1e-9)
-        assert hi == pytest.approx(float(np.max(vals)), rel=1e-9)
+    for m, kinks in ((M_SIN, ()), (M_TANH, ()), (M_KINK, M_KINK_POINTS)):
+        cases = [(float(rng.uniform(-2, 2)), float(10 ** rng.uniform(-2, 0)))
+                 for _ in range(5)]
+        for x, R in cases + [(-0.2, 0.05), (0.45, 0.1)]:
+            want_lo, want_hi = _dense_scan(m, x, 3 * R, 1.0 / R, kinks)
+            lo = ll.pU_ball_extremum(m, x, R, 3, "inf")
+            hi = ll.pU_ball_extremum(m, x, R, 3, "sup")
+            assert lo == pytest.approx(want_lo, rel=1e-9)
+            assert hi == pytest.approx(want_hi, rel=1e-9)
+
+
+BALL_FAR_OUT = """
+import levylil as ll
+m = ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(center=1.5, amplitude=0.3))
+for x in (8200.0, -9000.0):
+    for mode in ("inf", "sup"):
+        print(repr(ll.ball_extremum(m, x, 1.5, 2.0, mode)))
+"""
+
+
+def test_ball_extremum_ends_where_doubles_are_coarser_than_its_width():
+    # beyond |x| = 8192 neighbouring doubles are 1.8e-12 apart, wider than the
+    # 1e-12 stopping width; run in a fresh interpreter so a hang is a timeout
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ll.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", BALL_FAR_OUT], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    got = [float(v) for v in run.stdout.split()]
+    want = []
+    for x in (8200.0, -9000.0):
+        lo, hi = _dense_scan(M_SIN, x, 1.5, 2.0)
+        want += [lo, hi]
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_ball_extremum_returns_python_float():
+    # a monotone index puts the extremum on the ball's edge, a scanned point
+    state_independent = (M_CONST_15, ll.AtomicMeasure(atoms=((0.5, 1.0), (-0.5, 1.0))),
+                         ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(1.0, 0.1, 0.02)))
+    for measure in (M_SIN, M_TANH, M_KINK) + state_independent:
+        for mode in ("inf", "sup"):
+            for x in (0.0, 1.7, np.float64(-0.3)):
+                assert type(ll.ball_extremum(measure, x, 0.4, 5.0, mode)) is float
+                assert type(ll.pU_ball_extremum(measure, x, 0.1, 3, mode)) is float

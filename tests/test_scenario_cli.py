@@ -100,6 +100,21 @@ def test_chung_window_reaching_inverse_e_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_u_inverse_below_a_tabulated_range_exits_1(tmp_path, capsys):
+    # u_inverse scans xi = 1/r up to 1e300, past the tabulated grid
+    grid = np.geomspace(1e-3, 1e2, 60)
+    doc = minimal_scenario(tmp_path / "out")
+    doc.update({"measure": {"variant": "tabulated", "grid": grid.tolist(),
+                            "density": (0.7 * grid ** -2.2).tolist()},
+                "analyses": [{"name": "norming_table", "kind": "u_inverse",
+                              "arguments": [1e-4, 1e-3]}]})
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["norming", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line] == [
+        "error: rho below the resolvable range of u"]
+
+
 def test_canonical_output_byte_identical(tmp_path):
     doc = {
         "seed": 7,

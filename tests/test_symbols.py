@@ -75,6 +75,20 @@ def test_stable_levy_constant_cached_float_for_any_float_type():
             ll.stable_levy_constant(bad)
 
 
+def test_stable_levy_constant_on_arrays_matches_scalar_loop():
+    # reference: the same arithmetic one float at a time
+    def scalar(a):
+        return math.gamma(2.0 - a) * (math.pi / 2.0) * float(np.sinc((1.0 - a) / 2.0)) / a
+
+    a = np.array([[0.3, 1.0, 1.7], [np.nextafter(1.0, 2.0), 0.01, 1.99]])
+    got = ll.stable_levy_constant(a)
+    assert got.shape == a.shape
+    assert got.tolist() == [[scalar(v) for v in row] for row in a.tolist()]
+    assert [ll.stable_levy_constant(v) for v in a.ravel().tolist()] == got.ravel().tolist()
+    with pytest.raises(ValueError):
+        ll.stable_levy_constant(np.array([1.0, 2.0]))
+
+
 def test_exponent_symmetric_imaginary_exact_zero():
     m = ll.PowerLawMeasure(alpha=ll.TanhRampProfile(center=1.2, amplitude=0.3))
     assert ll.eval_exponent(ll.LevyTriplet(measure=m), 0.5, 3.7).imag == 0.0
@@ -186,6 +200,25 @@ def test_pu_tabulated_matches_power_law():
     tab = ll.TabulatedMeasure(grid=tuple(grid), density=tuple(c * grid ** (-1 - a)))
     for xi in (0.5, 1.0, 8.0):
         assert ll.eval_pU(tab, 0.0, xi) == pytest.approx(xi ** a, rel=1e-5)
+
+
+def test_pu_tabulated_past_the_grid_does_not_overflow():
+    # at xi = 1e300, 1/xi lies below the grid: no quadratic part, p^U is the
+    # total mass, and u_inverse's downward scan ends in RhoOutOfRangeError
+    grid = np.geomspace(1e-3, 1e2, 60)
+    tab = ll.TabulatedMeasure(grid=tuple(grid), density=tuple(0.7 * grid ** -2.2))
+    assert ll.eval_pU(tab, 0.0, 1e300) == pytest.approx(ll.tail_mass(tab, 0.0, 1e-300),
+                                                        rel=1e-14)
+    with pytest.raises(ll.RhoOutOfRangeError, match="resolvable"):
+        ll.u_inverse(tab, 0.0, 1e-4)
+
+
+def test_pu_atomic_at_huge_xi_saturates_without_warning():
+    # squaring xi * loc overflows past xi ~ 1e154; warnings are errors here
+    atoms = ll.AtomicMeasure(atoms=((0.5, 1.0), (-0.5, 1.0)))
+    assert ll.eval_pU(atoms, 0.0, 1e300) == 2.0
+    with pytest.raises(ll.RhoOutOfRangeError):
+        ll.u_inverse(atoms, 0.0, 1e-3)
 
 
 def test_tail_mass_closed_forms():
