@@ -244,9 +244,6 @@ class PowerLawMeasure:
         out = self.coefficient(x) * 4.0 / (a * (2.0 - a))
         return float(out) if np.ndim(out) == 0 else out
 
-    def alpha_range(self):
-        return self.alpha.bounds()
-
     def to_dict(self):
         coeff = NORMALIZED if self.coefficient == NORMALIZED else self.coefficient.to_dict()
         return {"variant": "power_law", "alpha": self.alpha.to_dict(),
@@ -388,10 +385,6 @@ class LevyTriplet:
 
     def drift_at(self, x):
         return float(self.drift(x))
-
-    @property
-    def is_symmetric_driftless(self):
-        return self.measure.is_symmetric and self.drift.is_constant and self.drift_at(0.0) == 0.0
 
     def to_dict(self):
         return {"drift": self.drift.to_dict(), "measure": self.measure.to_dict()}

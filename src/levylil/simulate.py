@@ -3,7 +3,11 @@ processes, with running suprema and first exit times.
 
 Randomness contract: every path owns a counter-based Philox stream derived
 statelessly from (master seed, path index) via SeedSequence spawn keys.  The
-stable and stable-like kinds draw a fixed layout (all uniforms, then all
+stable and compound-Poisson kernels compute the keys of a block of paths with
+one vectorized copy of SeedSequence's hash and re-key a single generator per
+kernel call from path to path; the stable-like kernel builds each path's
+generators through SeedSequence.  Either way a path reads the same stream.
+The stable and stable-like kinds draw a fixed layout (all uniforms, then all
 exponentials, one of each per step).  Compound Poisson draws a
 count-dependent layout: a jump count, then that many jump times, then that
 many atom choices; it is still a fixed function of the path's own stream.
@@ -276,6 +280,78 @@ def _path_generator(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's SeedSequence hash constants (uint32 words, pool of four)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const, mult=_MULT_A):
+    """SeedSequence's hashmix of uint32 words (ints or uint32 arrays) under the
+    hash constant ``const``; returns the mixed words and the next constant."""
+    value = value ^ const
+    const = const * mult & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _M32) - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _hash_consts(const, mult):
+    """The constants of four successive hashmix calls from ``const``, as a
+    (4, 1) uint32 column, so that one call does all four."""
+    out = []
+    for _ in range(4):
+        out.append(const)
+        const = const * mult & _M32
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _philox_keys(master_seed: int, first: int, n: int) -> np.ndarray:
+    """Philox keys of paths first, ..., first + n - 1 as an (n, 2) uint64 array:
+    row r is ``SeedSequence(master_seed, spawn_key=(first + r,))
+    .generate_state(2, np.uint64)``, the key ``_path_generator`` would use.
+
+    For a seed in [0, 2^128) and indices in [0, 2^32) the entropy is the
+    seed's words, zero-padded to four, then the index.  The pool mixing of
+    the seed words does not depend on the path, so it runs once on ints; the
+    index word is then mixed into the four pool words, and the pool hashed
+    into the four output words, for all paths at once.  Any other seed or
+    index goes through SeedSequence, which raises ValueError on a negative
+    one."""
+    if not (0 <= master_seed < 2 ** 128 and 0 <= first and first + n <= 2 ** 32):
+        return np.array([np.random.SeedSequence(master_seed, spawn_key=(i,))
+                         .generate_state(2, np.uint64) for i in range(first, first + n)],
+                        dtype=np.uint64).reshape(n, 2)
+    pool, const = [], _INIT_A
+    for j in range(4):
+        word, const = _hashmix(master_seed >> 32 * j & _M32, const)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    index = np.arange(first, first + n, dtype=np.uint32)
+    word, _ = _hashmix(index, _hash_consts(const, _MULT_A))
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], word)
+    state, _ = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B), _MULT_B)
+    state = state.astype(np.uint64)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _rekey(gen: np.random.Generator, key) -> None:
+    """Move ``gen`` to word 0 of the Philox stream with this key: zero counter,
+    empty buffer, no cached 32-bit half, as a freshly built generator has."""
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": (0, 0, 0, 0), "key": key},
+                               "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+
+
 def _cms(u, w, alpha):
     """Chambers-Mallows-Stuck transform for symmetric stable variates.
 
@@ -444,6 +520,10 @@ def _simulate_into(process, x0, times, rec_idx, master_seed, first, positions,
     split of the rows into blocks, and of the blocks over threads, gives the
     same bits.
 
+    Each kernel call runs on one thread and owns its generators: the stable
+    and compound-Poisson kernels one ``Generator`` re-keyed to every path
+    (see ``_philox_keys``), the stable-like kernel two per path of a block.
+
     Only the stable kernel spends its time in ufuncs and fills that release
     the GIL; the other two run per-path or per-step Python that holds it,
     and measured slower on two threads than on one.
@@ -477,13 +557,12 @@ def _simulate_into(process, x0, times, rec_idx, master_seed, first, positions,
             future.result()
 
 
-def _draw_uniform_exponential(master_seed, first, u, w):
-    """Row r of u and w: the uniforms, then the exponentials, of path first + r.
-
-    The generators are built first, so that the fills, which release the GIL,
-    run back to back; two threads interleaving them path by path contend."""
-    gens = [_path_generator(master_seed, first + row) for row in range(u.shape[0])]
-    for gen, u_row, w_row in zip(gens, u, w):
+def _draw_uniform_exponential(gen, master_seed, first, u, w):
+    """Row r of u and w: the uniforms, then the exponentials, of path first + r,
+    drawn by re-keying ``gen`` to each path's stream in turn; the keys of
+    all rows come from one vectorized hash."""
+    for key, u_row, w_row in zip(_philox_keys(master_seed, first, u.shape[0]).tolist(), u, w):
+        _rekey(gen, key)
         gen.random(out=u_row)
         gen.standard_exponential(out=w_row)
 
@@ -503,9 +582,10 @@ def _stable_blocks(process, x0, times, rec_idx, master_seed, first, positions,
     step = (process.scale * np.diff(times, prepend=0.0)) ** (1.0 / a)
     rows = max(stop - start for start, stop in blocks)
     bufs = [np.empty((rows, times.size)) for _ in range(4)]
+    gen = np.random.Generator(np.random.Philox(0))   # re-keyed to every path
     for start, stop in blocks:
         theta, w, s, c = (buf[:stop - start] for buf in bufs)
-        _draw_uniform_exponential(master_seed, first + start, theta, w)
+        _draw_uniform_exponential(gen, master_seed, first + start, theta, w)
         theta -= 0.5
         theta *= np.pi
         np.maximum(w, 1e-300, out=w)
@@ -540,11 +620,12 @@ def _compound_poisson_blocks(process, x0, times, rec_idx, master_seed, first, po
     cdf /= cdf[-1]
     base = x0 + process.path_drift * times
     lam = process.rate * t_max
+    gen = np.random.Generator(np.random.Philox(0))   # re-keyed to every path
     for start, stop in blocks:
         m = stop - start
         counts, at, pick = np.empty(m, dtype=int), [], []
-        for row in range(m):
-            gen = _path_generator(master_seed, first + start + row)
+        for row, key in enumerate(_philox_keys(master_seed, first + start, m).tolist()):
+            _rekey(gen, key)
             counts[row] = k = gen.poisson(lam)
             at.append(gen.random(k))
             pick.append(gen.random(k))

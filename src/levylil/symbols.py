@@ -203,7 +203,8 @@ def eval_pU(measure: MeasureSpec, x: float, xi: float, *, method: str = "auto") 
     axi = abs(xi)
     if isinstance(measure, AtomicMeasure):
         locs, masses = measure.locations(), measure.masses()
-        return float(np.sum(masses * np.minimum(axi * np.abs(locs), 1.0) ** 2))
+        with np.errstate(over="ignore"):   # xi |loc| past 1.8e308 is inf, clipped to 1
+            return float(np.sum(masses * np.minimum(axi * np.abs(locs), 1.0) ** 2))
     if isinstance(measure, PowerLawMeasure):
         if method in ("auto", "closed"):
             return float(measure.pu_factor(x) * axi ** measure.alpha_at(x))

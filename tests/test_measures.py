@@ -104,7 +104,6 @@ def test_triplet_rejects_gaussian_part():
         ll.LevyTriplet(measure=m, gaussian=0.5)
     t = ll.LevyTriplet(measure=m)
     assert t.gaussian == 0.0
-    assert t.is_symmetric_driftless
 
 
 def test_measure_dict_roundtrip():

@@ -117,7 +117,7 @@ def test_u_inverse_sandwich():
 def test_u_inverse_power_law_sandwich_constants():
     # c0 rho^{1/alpha0} <= u^{-1}(x, rho) <= c1 rho^{1/alpha1}; constants fitted
     # on half the grid must keep working on the other half
-    a0, a1 = M_SIN.alpha_range()
+    a0, a1 = M_SIN.alpha.bounds()
     rhos = np.geomspace(1e-8, 1e-3, 12)
     vals = np.array([ll.u_inverse(M_SIN, 0.0, float(r)) for r in rhos])
     c0 = np.min(vals / rhos ** (1 / a0))

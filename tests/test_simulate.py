@@ -5,6 +5,7 @@ import re
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from scipy import stats
 
 import levylil as ll
 from levylil import simulate
+from levylil.scenario import run_scenario
 from levylil.simulate import _cms, _path_generator
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 STABLE_15 = ll.SymmetricStableProcess(alpha=1.5)
@@ -467,6 +471,115 @@ def test_integer_stable_alpha_hashes_like_float():
            for a, s in ((1, 2), (1.0, 2.0))]
     assert ens[0].metadata()["spec_hash"] == ens[1].metadata()["spec_hash"]
     assert np.array_equal(ens[0].positions, ens[1].positions)
+
+
+# --------------------------------------------------------------------------
+# path streams: Philox keys from a vectorized SeedSequence hash, one re-keyed
+# generator per kernel call, and bits pinned to the per-path generators
+# --------------------------------------------------------------------------
+
+def _seed_sequence_keys(seed, indices):
+    return np.array([np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+                     for i in indices], dtype=np.uint64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 1, 2 ** 128 - 1, 2 ** 128],
+                         ids=["0", "7", "2^64+1", "2^128-1", "2^128_fallback"])
+def test_philox_keys_match_seed_sequence(seed):
+    # a numpy change to SeedSequence's hash must fail here, not move every stream
+    rng = np.random.default_rng(seed % 2 ** 32)
+    for i in [0, 2 ** 32 - 1] + rng.integers(0, 2 ** 32, 100).tolist():
+        assert np.array_equal(simulate._philox_keys(seed, i, 1),
+                              _seed_sequence_keys(seed, [i])), i
+    for first, n in ((0, 300), (2 ** 32 - 5, 10)):   # the second block crosses 2^32
+        assert np.array_equal(simulate._philox_keys(seed, first, n),
+                              _seed_sequence_keys(seed, range(first, first + n))), first
+    # and the key is the one Philox takes from the path's SeedSequence
+    key = _path_generator(seed, 9).bit_generator.state["state"]["key"]
+    assert np.array_equal(simulate._philox_keys(seed, 9, 1)[0], key)
+
+
+def test_rekey_discards_buffered_words():
+    # after an odd number of 64-bit words and a buffered 32-bit half, a re-keyed
+    # generator must draw exactly what a fresh one on the new key draws
+    gen = _path_generator(3, 0)
+    gen.random(5)
+    gen.integers(0, 10, dtype=np.uint32)
+    assert gen.bit_generator.state["has_uint32"] == 1
+    simulate._rekey(gen, simulate._philox_keys(3, 1, 1).tolist()[0])
+    ref = _path_generator(3, 1)
+    assert np.array_equal(gen.random(7), ref.random(7))
+    assert np.array_equal(gen.integers(0, 10, 3, dtype=np.uint32),
+                          ref.integers(0, 10, 3, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_negative_seed_or_path_index_raises(kind):
+    grid = ll.PathGrid(t_max=1.0, steps=16)
+    with pytest.raises(ValueError):
+        ll.simulate_ensemble(KINDS[kind], 0.0, grid, -1, 3)
+    with pytest.raises(ValueError):
+        ll.simulate_path(KINDS[kind], 0.0, grid, (5, -1))
+    for seed, first in ((-1, 0), (5, -1)):
+        with pytest.raises(ValueError):
+            simulate._philox_keys(seed, first, 3)
+
+
+CP_LOW_RATE = ll.CompoundPoissonProcess(atoms=((0.7, 1.5), (-0.2, 0.5)))
+# _ensemble_sha256 of ensembles made with one SeedSequence-built generator per path
+PINNED_STREAMS = {
+    "stable_geometric": ((STABLE_15, 0.2, GRID_GEOMETRIC, 41, 23, None),
+                         "ce8cd34f3ae805d355d577ac86d4df100ebbfce835d9e874460d29b671f4bc48"),
+    "stable_one_step": ((ll.SymmetricStableProcess(alpha=0.8, scale=2.0), 0.0,
+                         ll.PathGrid(t_max=0.5, steps=1), 7, 9, None),
+                        "d0d4c1e2ee9b4aa2aaa496abd5187b9ad5c51634cf6aa0e1854216b19630be54"),
+    "stable_recorded": ((STABLE_15, 0.0, ll.PathGrid(t_max=1.0, steps=64), 2 ** 64 + 1, 12,
+                         [0.125, 0.5, 1.0]),
+                        "585a34a411f4aecd08f4c9ce840e1d959052ff28123a58765a33c79014133d21"),
+    "stable_seed_2^128": ((STABLE_15, 0.0, ll.PathGrid(t_max=1.0, steps=64), 2 ** 128, 5, None),
+                          "083ad4827cce5b9e41ef22802d84f53f3a93e4b62e6d0ab918259f87a77f155b"),
+    "compound_poisson": ((KINDS["compound_poisson"], 0.2, ll.PathGrid(t_max=1.0, steps=64),
+                          41, 23, None),
+                         "62cbe625a9404203b222d18ed2bbb276493049530ad46ab5c4618bf8fb6904b0"),
+    "compound_poisson_low_rate": (
+        (CP_LOW_RATE, 0.0, GRID_GEOMETRIC, 3, 40, None),
+        "88ff3449940ea198c72c4a5e6d871d0b6a04145d276415e44773e7b9dfead4dd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_stream_bits_pinned(name, monkeypatch):
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    (proc, x0, grid, seed, n, record), digest = PINNED_STREAMS[name]
+    ens = ll.simulate_ensemble(proc, x0, grid, seed, n, record_times=record, chunk_size=4)
+    assert simulate._ensemble_sha256(ens) == digest
+
+
+def test_low_rate_compound_poisson_paths_leave_odd_words():
+    # Poisson(2) by multiplication draws k + 1 words, then 2k more: a path with
+    # even k leaves part of a Philox block, which the next path must not read
+    lam = CP_LOW_RATE.rate * GRID_GEOMETRIC.t_max
+    odd = []
+    for i in range(39):
+        gen = _path_generator(3, i)
+        k = gen.poisson(lam)
+        gen.random(2 * k)
+        odd.append(gen.bit_generator.state["buffer_pos"] % 2 == 1)
+    assert 0 < sum(odd) < len(odd)
+
+
+def test_single_path_across_2_32_pinned():
+    p = ll.simulate_path(STABLE_15, 0.0, ll.PathGrid(t_max=1.0, steps=64), (5, 2 ** 32 + 3))
+    assert (simulate._ensemble_sha256(p)
+            == "72c09f85094c17caf9f9e11df36aa08d62fa4fe36d5dc9a427b4ae415ae8a4a9")
+
+
+def test_example_manifest_hash_pinned(tmp_path):
+    run_scenario(ROOT / "docs" / "example_scenario.json", stages=("simulate",),
+                 out=str(tmp_path))
+    (manifest,) = tmp_path.glob("*_simulate_paths.jsonl")
+    assert (json.loads(manifest.read_text())["sha256"]
+            == "1c91995d4c2c92d63f667b122e38d9737a6bc72ceb9ce6a56c5b3c84501e03c9")
 
 
 # --------------------------------------------------------------------------

@@ -221,6 +221,14 @@ def test_pu_atomic_at_huge_xi_saturates_without_warning():
         ll.u_inverse(atoms, 0.0, 1e-3)
 
 
+def test_pu_atomic_with_far_atoms_overflows_without_warning():
+    # xi * |loc| itself passes 1.8e308 here; the product is inf and clips to 1
+    atoms = ll.AtomicMeasure(atoms=((1e10, 1.0), (-1e10, 1.0)))
+    assert ll.eval_pU(atoms, 0.0, 1e300) == 2.0
+    with pytest.raises(ll.RhoOutOfRangeError):
+        ll.u_inverse(atoms, 0.0, 1e-25)
+
+
 def test_tail_mass_closed_forms():
     m = ll.PowerLawMeasure(alpha=1.0, coefficient=0.25)
     assert ll.tail_mass(m, 0.0, 2.0) == pytest.approx(0.25)
