@@ -18,7 +18,7 @@ import numpy as np
 from .errors import LevyOnlyError
 from .measures import MeasureSpec
 from .norming import ball_extremum, u_of_R, u_inverse
-from .simulate import PathEnsemble
+from .simulate import PathEnsemble, PathGrid
 from .symbols import SymbolFamily, tail_mass
 
 
@@ -333,18 +333,27 @@ def resolution_drift(ensemble: PathEnsemble, statistic, stride: int = 2) -> dict
     """Grid-discretization diagnostic: evaluate a scalar ensemble statistic at
     full resolution and on every ``stride``-th grid time, report the relative
     drift.  The coarse ensemble's running sup is the cummax of its own
-    positions, as the coarser grid would measure it.  Running suprema
-    measured on a grid underestimate the true supremum; a small drift
+    positions, as the coarser grid would measure it, and its grid is that
+    coarser grid, ``PathGrid(t_max, steps // stride)``; so the fine grid must
+    be uniform and ``stride`` a power of two (ValueError otherwise).  Running
+    suprema measured on a grid underestimate the true supremum; a small drift
     indicates the grid resolves the statistic."""
     if ensemble.recorded:
         raise ValueError("resolution_drift needs a full-grid ensemble")
     if not 1 <= stride <= ensemble.times.size:
         raise ValueError(f"stride must be in [1, {ensemble.times.size}], the number of "
                          f"stored times; got {stride}")
+    grid = ensemble.grid
+    if grid.layout != "uniform" or stride & (stride - 1):
+        raise ValueError(f"stride {stride} gives no coarse grid: it must be a power of two "
+                         f"on a uniform grid (this grid is {grid.layout})")
     idx = np.arange(stride - 1, ensemble.times.size, stride)
     pos = ensemble.positions[:, idx]
-    coarse_ens = replace(ensemble, times=ensemble.times[idx], positions=pos,
-                         running_sup=np.maximum.accumulate(np.abs(pos - ensemble.x0), axis=1))
+    rs = np.subtract(pos, ensemble.x0)
+    np.abs(rs, out=rs)
+    np.maximum.accumulate(rs, axis=1, out=rs)
+    coarse_ens = replace(ensemble, grid=PathGrid(grid.t_max, grid.steps // stride),
+                         times=ensemble.times[idx], positions=pos, running_sup=rs)
     full = float(statistic(ensemble))
     coarse = float(statistic(coarse_ens))
     denom = max(abs(full), 1e-300)

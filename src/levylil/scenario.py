@@ -27,9 +27,9 @@ import numpy as np
 
 from . import classifiers, mc, norming, symbols
 from .measures import LevyTriplet, measure_from_dict, profile_from_dict
-from .simulate import (PathGrid, SymmetricStableProcess, _atomic_write, process_from_dict,
-                       process_from_triplet, save_ensemble_jsonl, simulate_ensemble,
-                       spec_hash)
+from .simulate import (_BLOCK_POINTS, PathGrid, SymmetricStableProcess, _atomic_write,
+                       process_from_dict, process_from_triplet, save_ensemble_jsonl,
+                       simulate_ensemble, spec_hash)
 
 
 class SchemaError(ValueError):
@@ -295,6 +295,36 @@ def _symbol_liminf_test(ctx, spec, ens, tag):
     return "index,level", list(enumerate(verdict.block_values)), verdict.to_dict()
 
 
+def _per_time_summary(ens):
+    """Per stored time, the mean of ``positions - x0`` and the median of
+    ``running_sup`` over the paths, bit-identical to
+    ``np.mean(positions - x0, axis=0)`` and ``np.median(running_sup, axis=0)``.
+
+    The columns are walked in tiles of about ``_BLOCK_POINTS`` points, so no
+    temporary grows with the ensemble.  A tile's median is one partition of
+    its transposed copy at n // 2: the middle element for odd n, else its
+    mean with the largest element below it, which are the values and the
+    arithmetic of ``np.median``.  A tile holding a NaN goes to ``np.median``.
+    A tile never has one column unless the ensemble has one: numpy sums a
+    single column pairwise, and several columns row by row.
+    """
+    pos, rs = ens.positions, ens.running_sup
+    n, cols = pos.shape
+    h = n // 2
+    mean, median = np.empty(cols), np.empty(cols)
+    width = max(2, _BLOCK_POINTS // n)
+    bounds = [0, *range(width, cols - 1, width), cols]
+    for c0, c1 in zip(bounds, bounds[1:]):
+        mean[c0:c1] = np.mean(pos[:, c0:c1] - ens.x0, axis=0)
+        b = np.ascontiguousarray(rs[:, c0:c1].T)
+        if np.isnan(b).any():
+            median[c0:c1] = np.median(rs[:, c0:c1], axis=0)
+            continue
+        b.partition(h, axis=1)
+        median[c0:c1] = b[:, h] if n % 2 else (b[:, :h].max(axis=1) + b[:, h]) / 2
+    return mean, median
+
+
 @_analysis("simulate", "simulate", {"record_times": _NUM_LIST,
                                     "save": {"enum": ["jsonl"]},
                                     "ensemble_id": {"type": "string"}})
@@ -307,12 +337,11 @@ def _simulate(ctx, spec, ens, tag):
     if spec.get("save") == "jsonl":
         save_ensemble_jsonl(ens, os.path.join(ctx.outdir, f"{tag}_paths.jsonl"),
                             {"scenario_hash": ctx.scen_hash})
-    rows = list(zip(ens.times.tolist(),
-                    np.mean(ens.positions - ens.x0, axis=0).tolist(),
-                    np.median(ens.running_sup, axis=0).tolist()))
+    mean, median = _per_time_summary(ens)
+    rows = list(zip(ens.times.tolist(), mean.tolist(), median.tolist()))
     return ("t,mean_displacement,median_running_sup", rows,
             {"paths": ens.n_paths, "grid_points": int(ens.times.size),
-             "final_median_running_sup": float(np.median(ens.running_sup[:, -1])),
+             "final_median_running_sup": float(median[-1]),
              "spec_hash": ens.metadata()["spec_hash"]})
 
 

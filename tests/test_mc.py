@@ -307,6 +307,38 @@ def test_resolution_drift_rejects_stride_outside_grid(stride):
     assert rep["coarse"] <= rep["full"]
 
 
+@pytest.mark.parametrize("stride", [1, 2, 4, 16])
+def test_resolution_drift_coarse_ensemble_names_its_own_grid(stride):
+    e = ll.simulate_ensemble(STABLE, 0.3, ll.PathGrid(t_max=0.7, steps=16), 3, 10)
+    seen = []
+
+    def stat(ens):
+        seen.append(ens)
+        return float(np.median(ens.running_sup[:, -1]))
+
+    ll.resolution_drift(e, stat, stride=stride)
+    coarse = seen[1]
+    assert coarse.grid == ll.PathGrid(t_max=0.7, steps=16 // stride)
+    assert np.array_equal(coarse.times, coarse.grid.times())
+    assert np.array_equal(coarse.times, e.times[stride - 1::stride])
+    assert coarse.metadata()["grid"]["steps"] == coarse.times.size
+    assert (coarse.metadata()["spec_hash"] == e.metadata()["spec_hash"]) == (stride == 1)
+    assert np.array_equal(coarse.running_sup,
+                          np.maximum.accumulate(np.abs(coarse.positions - 0.3), axis=1))
+
+
+def test_resolution_drift_rejects_stride_without_coarse_grid():
+    stat = lambda ens: float(np.median(ens.running_sup[:, -1]))
+    e = ll.simulate_ensemble(STABLE, 0.0, ll.PathGrid(t_max=1.0, steps=16), 3, 10)
+    for stride in (3, 6):
+        with pytest.raises(ValueError, match=rf"^stride {stride} gives no coarse grid"):
+            ll.resolution_drift(e, stat, stride=stride)
+    geo = ll.PathGrid(t_max=1.0, steps=16, layout="geometric", levels=4, points_per_level=4)
+    e = ll.simulate_ensemble(STABLE, 0.0, geo, 3, 10)
+    with pytest.raises(ValueError, match=r"^stride 2 gives no coarse grid.*geometric"):
+        ll.resolution_drift(e, stat, stride=2)
+
+
 def test_maximal_inequality_degenerate_ensemble_passes():
     # vanishing jump activity: paths never move, both fitted constants finite
     proc = ll.CompoundPoissonProcess(atoms=((1.0, 1e-9), (-1.0, 1e-9)))

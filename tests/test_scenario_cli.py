@@ -2,14 +2,17 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import levylil as ll
 from levylil.cli import main as cli_main
+from levylil import scenario, simulate
 from levylil.scenario import run_scenario
 
 
@@ -339,6 +342,65 @@ def test_saved_manifest_size_does_not_grow_with_paths(tmp_path):
         run_scenario(doc, canonical=True)
         sizes[n] = (tmp_path / f"out{n}" / "00_simulate_paths.jsonl").stat().st_size
     assert sizes[200] - sizes[10] == len("200") - len("10")
+
+
+def _summary_oracle(pos, rs, x0):
+    return np.mean(pos - x0, axis=0), np.median(rs, axis=0)
+
+
+# (paths, stored times, x0, block points): odd and even path counts, one
+# path, and column counts whose last tile would hold a single column (numpy
+# sums one column pairwise, several row by row)
+@pytest.mark.parametrize("n, cols, x0, block", [
+    (1, 5, 0.0, None), (7, 28, 0.3, 64), (8, 28, -1.25, 64), (9, 19, 0.3, 18),
+    (2000, 131, 0.0, None), (2001, 131, 0.7, None), (3, 1, 0.3, None)])
+def test_per_time_summary_bits_match_full_array_oracle(n, cols, x0, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(scenario, "_BLOCK_POINTS", block)
+    rng = np.random.default_rng(n * 1000 + cols)
+    pos = x0 + np.cumsum(rng.standard_normal((n, cols)) * 10.0 ** rng.uniform(-3, 3, cols),
+                         axis=1)
+    rs = np.maximum.accumulate(np.abs(pos - x0), axis=1)
+    for r in (rs, np.round(rs, 1)):   # and with ties
+        mean, median = scenario._per_time_summary(SimpleNamespace(positions=pos,
+                                                                  running_sup=r, x0=x0))
+        want_mean, want_median = _summary_oracle(pos, r, x0)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(median, want_median)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_per_time_summary_nan_column_matches_oracle(n, monkeypatch):
+    monkeypatch.setattr(scenario, "_BLOCK_POINTS", 2 * n)
+    rng = np.random.default_rng(n)
+    pos = rng.standard_normal((n, 9))
+    rs = np.maximum.accumulate(np.abs(pos - 0.3), axis=1)
+    pos[2, 4] = rs[n - 1, 4] = np.nan   # sorts above the middle: only the NaN check shows it
+    mean, median = scenario._per_time_summary(SimpleNamespace(positions=pos,
+                                                              running_sup=rs, x0=0.3))
+    want_mean, want_median = _summary_oracle(pos, rs, 0.3)
+    assert np.array_equal(mean, want_mean, equal_nan=True)
+    assert np.array_equal(median, want_median, equal_nan=True)
+    assert np.isnan(median[4]) and not np.isnan(np.delete(median, 4)).any()
+
+
+def test_simulate_analysis_memory_stays_at_the_ensemble(tmp_path, monkeypatch):
+    # one kernel thread: the kernel's block buffers do not depend on the host
+    monkeypatch.setattr(simulate, "_WORKERS", 1)
+    n, steps = 2000, 1024
+    doc = {"seed": 3, "process": {"kind": "stable", "alpha": 1.5},
+           "grid": {"t_max": 1.0, "steps": steps}, "paths": n,
+           "output_dir": str(tmp_path / "out"), "analyses": [{"name": "simulate"}]}
+    # a small run first, so that lazy imports and caches are not counted
+    run_scenario(dict(doc, paths=2, output_dir=str(tmp_path / "warm")), canonical=True)
+    tracemalloc.start()
+    try:
+        run_scenario(doc, canonical=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ensemble_bytes = 2 * n * steps * 8   # positions and running_sup
+    assert peak < ensemble_bytes + 8 * 2 ** 20, (peak, ensemble_bytes)
 
 
 def test_cli_verify_runs_simulation(tmp_path):
