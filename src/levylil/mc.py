@@ -333,10 +333,12 @@ def resolution_drift(ensemble: PathEnsemble, statistic, stride: int = 2) -> dict
     """Grid-discretization diagnostic: evaluate a scalar ensemble statistic at
     full resolution and on every ``stride``-th grid time, report the relative
     drift.  The coarse ensemble's running sup is the cummax of its own
-    positions, as the coarser grid would measure it, and its grid is that
-    coarser grid, ``PathGrid(t_max, steps // stride)``; so the fine grid must
-    be uniform and ``stride`` a power of two (ValueError otherwise).  Running
-    suprema measured on a grid underestimate the true supremum; a small drift
+    positions, as the coarser grid would measure it.  On a uniform grid with
+    a power-of-two ``stride`` its grid is that coarser grid,
+    ``PathGrid(t_max, steps // stride)``; no ``PathGrid`` has the times of any
+    other stride or layout, so then it keeps the fine grid and its
+    ``metadata()`` names the grid its times were taken from.  Running suprema
+    measured on a grid underestimate the true supremum; a small drift
     indicates the grid resolves the statistic."""
     if ensemble.recorded:
         raise ValueError("resolution_drift needs a full-grid ensemble")
@@ -344,16 +346,15 @@ def resolution_drift(ensemble: PathEnsemble, statistic, stride: int = 2) -> dict
         raise ValueError(f"stride must be in [1, {ensemble.times.size}], the number of "
                          f"stored times; got {stride}")
     grid = ensemble.grid
-    if grid.layout != "uniform" or stride & (stride - 1):
-        raise ValueError(f"stride {stride} gives no coarse grid: it must be a power of two "
-                         f"on a uniform grid (this grid is {grid.layout})")
+    if grid.layout == "uniform" and not stride & (stride - 1):
+        grid = PathGrid(grid.t_max, grid.steps // stride)
     idx = np.arange(stride - 1, ensemble.times.size, stride)
     pos = ensemble.positions[:, idx]
     rs = np.subtract(pos, ensemble.x0)
     np.abs(rs, out=rs)
     np.maximum.accumulate(rs, axis=1, out=rs)
-    coarse_ens = replace(ensemble, grid=PathGrid(grid.t_max, grid.steps // stride),
-                         times=ensemble.times[idx], positions=pos, running_sup=rs)
+    coarse_ens = replace(ensemble, grid=grid, times=ensemble.times[idx], positions=pos,
+                         running_sup=rs)
     full = float(statistic(ensemble))
     coarse = float(statistic(coarse_ens))
     denom = max(abs(full), 1e-300)

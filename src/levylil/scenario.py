@@ -301,27 +301,18 @@ def _per_time_summary(ens):
     ``np.mean(positions - x0, axis=0)`` and ``np.median(running_sup, axis=0)``.
 
     The columns are walked in tiles of about ``_BLOCK_POINTS`` points, so no
-    temporary grows with the ensemble.  A tile's median is one partition of
-    its transposed copy at n // 2: the middle element for odd n, else its
-    mean with the largest element below it, which are the values and the
-    arithmetic of ``np.median``.  A tile holding a NaN goes to ``np.median``.
-    A tile never has one column unless the ensemble has one: numpy sums a
-    single column pairwise, and several columns row by row.
+    temporary grows with the ensemble.  A tile never has one column unless
+    the ensemble has one: numpy sums a single column pairwise, and several
+    columns row by row.
     """
     pos, rs = ens.positions, ens.running_sup
     n, cols = pos.shape
-    h = n // 2
     mean, median = np.empty(cols), np.empty(cols)
     width = max(2, _BLOCK_POINTS // n)
     bounds = [0, *range(width, cols - 1, width), cols]
     for c0, c1 in zip(bounds, bounds[1:]):
         mean[c0:c1] = np.mean(pos[:, c0:c1] - ens.x0, axis=0)
-        b = np.ascontiguousarray(rs[:, c0:c1].T)
-        if np.isnan(b).any():
-            median[c0:c1] = np.median(rs[:, c0:c1], axis=0)
-            continue
-        b.partition(h, axis=1)
-        median[c0:c1] = b[:, h] if n % 2 else (b[:, :h].max(axis=1) + b[:, h]) / 2
+        median[c0:c1] = np.median(rs[:, c0:c1], axis=0)
     return mean, median
 
 

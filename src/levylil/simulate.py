@@ -568,12 +568,8 @@ def _draw_uniform_exponential(gen, master_seed, first, u, w):
 
 
 def _store(positions, running_sup, rec_idx, start, stop, pos, rs):
-    if rec_idx.size == pos.shape[1]:   # every column: copy by slice, not by gather
-        positions[start:stop] = pos
-        running_sup[start:stop] = rs
-    else:
-        positions[start:stop] = pos[:, rec_idx]
-        running_sup[start:stop] = rs[:, rec_idx]
+    positions[start:stop] = pos[:, rec_idx]
+    running_sup[start:stop] = rs[:, rec_idx]
 
 
 def _stable_blocks(process, x0, times, rec_idx, master_seed, first, positions,

@@ -327,16 +327,26 @@ def test_resolution_drift_coarse_ensemble_names_its_own_grid(stride):
                           np.maximum.accumulate(np.abs(coarse.positions - 0.3), axis=1))
 
 
-def test_resolution_drift_rejects_stride_without_coarse_grid():
-    stat = lambda ens: float(np.median(ens.running_sup[:, -1]))
-    e = ll.simulate_ensemble(STABLE, 0.0, ll.PathGrid(t_max=1.0, steps=16), 3, 10)
-    for stride in (3, 6):
-        with pytest.raises(ValueError, match=rf"^stride {stride} gives no coarse grid"):
-            ll.resolution_drift(e, stat, stride=stride)
-    geo = ll.PathGrid(t_max=1.0, steps=16, layout="geometric", levels=4, points_per_level=4)
-    e = ll.simulate_ensemble(STABLE, 0.0, geo, 3, 10)
-    with pytest.raises(ValueError, match=r"^stride 2 gives no coarse grid.*geometric"):
-        ll.resolution_drift(e, stat, stride=2)
+@pytest.mark.parametrize("layout, stride", [("uniform", 3), ("uniform", 6),
+                                            ("geometric", 2)])
+def test_resolution_drift_keeps_fine_grid_without_coarse_grid(layout, stride):
+    # no PathGrid has these coarse times: the coarse ensemble keeps the fine grid
+    grid = (ll.PathGrid(t_max=1.0, steps=16) if layout == "uniform" else
+            ll.PathGrid(t_max=1.0, steps=16, layout="geometric", levels=4, points_per_level=4))
+    e = ll.simulate_ensemble(STABLE, 0.3, grid, 3, 10)
+    seen = []
+
+    def stat(ens):
+        seen.append(ens)
+        return float(np.median(ens.running_sup[:, -1]))
+
+    rep = ll.resolution_drift(e, stat, stride=stride)
+    coarse = seen[1]
+    assert coarse.grid == grid
+    assert np.array_equal(coarse.times, e.times[stride - 1::stride])
+    assert np.array_equal(coarse.running_sup,
+                          np.maximum.accumulate(np.abs(coarse.positions - 0.3), axis=1))
+    assert rep["coarse"] <= rep["full"]
 
 
 def test_maximal_inequality_degenerate_ensemble_passes():

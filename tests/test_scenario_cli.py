@@ -375,7 +375,7 @@ def test_per_time_summary_nan_column_matches_oracle(n, monkeypatch):
     rng = np.random.default_rng(n)
     pos = rng.standard_normal((n, 9))
     rs = np.maximum.accumulate(np.abs(pos - 0.3), axis=1)
-    pos[2, 4] = rs[n - 1, 4] = np.nan   # sorts above the middle: only the NaN check shows it
+    pos[2, 4] = rs[n - 1, 4] = np.nan   # sorts above the middle, past a plain partition
     mean, median = scenario._per_time_summary(SimpleNamespace(positions=pos,
                                                               running_sup=rs, x0=0.3))
     want_mean, want_median = _summary_oracle(pos, rs, 0.3)
