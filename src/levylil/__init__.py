@@ -26,8 +26,7 @@ from .norming import (KappaEstimate, NormingFunction, build_norming_function,
 from .scenario import SCENARIO_SCHEMA, SchemaError, run_scenario, write_schema
 from .simulate import (CompoundPoissonProcess, PathEnsemble, PathGrid, StableLikeProcess,
                        SymmetricStableProcess, load_ensemble_jsonl, process_from_dict,
-                       process_from_triplet, sample_symmetric_stable, save_ensemble_jsonl,
-                       simulate_ensemble, simulate_path)
+                       process_from_triplet, save_ensemble_jsonl, simulate_ensemble)
 from .symbols import (SectorEstimate, SymbolFamily, build_lower_envelope,
                       build_symbol_family, check_integrability, eval_exponent, eval_pU,
                       sector_estimate, stable_levy_constant, tail_mass)

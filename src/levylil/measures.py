@@ -40,9 +40,6 @@ class ConstantProfile:
     def bounds(self):
         return (self.value, self.value)
 
-    def derivative_bound(self):
-        return 0.0
-
     @property
     def is_constant(self):
         return True
@@ -76,9 +73,6 @@ class AffineClampedProfile:
     def bounds(self):
         return (self.lo, self.hi)
 
-    def derivative_bound(self):
-        return abs(self.slope)
-
     @property
     def is_constant(self):
         return self.slope == 0.0 or self.lo == self.hi
@@ -108,9 +102,6 @@ class SinusoidalProfile:
     def bounds(self):
         a = abs(self.amplitude)
         return (self.center - a, self.center + a)
-
-    def derivative_bound(self):
-        return abs(self.amplitude * self.frequency)
 
     @property
     def is_constant(self):
@@ -142,9 +133,6 @@ class TanhRampProfile:
     def bounds(self):
         a = abs(self.amplitude)
         return (self.center - a, self.center + a)
-
-    def derivative_bound(self):
-        return abs(self.amplitude * self.rate)
 
     @property
     def is_constant(self):
@@ -255,7 +243,6 @@ class AtomicMeasure:
     """Finitely many atoms: nu = sum_j mass_j * delta_{loc_j}, loc_j != 0."""
 
     atoms: tuple      # ((location, mass), ...)
-    truncation_radius: float = 1e8
 
     def __post_init__(self):
         atoms = tuple((float(loc), float(mass)) for loc, mass in self.atoms)
@@ -305,7 +292,6 @@ class TabulatedMeasure:
     grid: tuple
     density: tuple
     density_neg: tuple = None
-    truncation_radius: float = 1e8
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)

@@ -7,8 +7,9 @@ of analyses.  Analyses execute in the fixed dependency order
 
 (verification analyses read the ensembles produced by the simulate stage and
 nothing else; no analysis reads another's output files).  Each run writes one
-JSON report plus one CSV per analysis, every file embedding the scenario hash
-and the master seed.  Runs are idempotent: identical scenario and seed give
+JSON report plus one CSV per successful analysis, every file embedding the
+scenario hash and the master seed; a failed analysis is recorded in the
+report and does not stop the others.  Runs are idempotent: identical scenario and seed give
 byte-identical outputs under --canonical-output (timestamps omitted).
 
 Exit codes (CLI): 0 success, 1 numeric failure, 2 schema/usage error.
@@ -26,6 +27,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import classifiers, mc, norming, symbols
+from .errors import LevyLilError
 from .measures import LevyTriplet, measure_from_dict, profile_from_dict
 from .simulate import (_BLOCK_POINTS, PathGrid, SymmetricStableProcess, _atomic_write,
                        process_from_dict, process_from_triplet, save_ensemble_jsonl,
@@ -189,6 +191,8 @@ class _Context:
                 raise SchemaError("verification analyses need a 'grid' and a simulate analysis")
             self.ensembles[eid] = simulate_ensemble(self.need_process(), self.x, self.grid,
                                                     self.seed, self.paths)
+        if self.ensembles[eid] is None:
+            raise LevyLilError(f"ensemble {eid!r} was not built: its simulate analysis failed")
         return self.ensembles[eid]
 
 
@@ -322,9 +326,11 @@ def _per_time_summary(ens):
 def _simulate(ctx, spec, ens, tag):
     if ctx.grid is None:
         raise SchemaError("simulate needs a 'grid'")
+    eid = spec.get("ensemble_id", "main")
+    ctx.ensembles[eid] = None   # if the simulation fails, verify analyses must not build another
     ens = simulate_ensemble(ctx.need_process(), ctx.x, ctx.grid, ctx.seed, ctx.paths,
                             record_times=spec.get("record_times"))
-    ctx.ensembles[spec.get("ensemble_id", "main")] = ens
+    ctx.ensembles[eid] = ens
     if spec.get("save") == "jsonl":
         save_ensemble_jsonl(ens, os.path.join(ctx.outdir, f"{tag}_paths.jsonl"),
                             {"scenario_hash": ctx.scen_hash})
@@ -512,7 +518,14 @@ def _run_analysis(ctx: _Context, spec: dict, tag: str) -> dict:
 def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
                  paths: Optional[int] = None, steps: Optional[int] = None,
                  out: Optional[str] = None, canonical: bool = False) -> dict:
-    """Execute a scenario (path or dict); returns the report dict."""
+    """Execute a scenario (path or dict); returns the report dict.
+
+    A numeric failure of one analysis (``LevyLilError``, ``ValueError`` or
+    ``MemoryError``, but not ``SchemaError``) is recorded as its result,
+    ``{"status": "failed", "analysis", "arguments", "error"}``, and writes no
+    CSV; the later analyses still run and ``report.json`` is written.  Then
+    a ``LevyLilError`` names every failed analysis.
+    """
     if isinstance(scenario, (str, os.PathLike)):
         doc = load_scenario(scenario)
     else:
@@ -538,12 +551,22 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
     staged = sorted((STAGES.index(_ANALYSES[spec["name"]].stage), i)
                     for i, spec in enumerate(doc["analyses"]))
 
-    results = {}
+    results, failed = {}, []
     for stage, i in staged:
         if stage in wanted:
             spec = doc["analyses"][i]
             tag = f"{i:02d}_{spec.get('label', spec['name'])}"
-            results[tag] = _run_analysis(ctx, spec, tag)
+            try:
+                results[tag] = _run_analysis(ctx, spec, tag)
+            except SchemaError:
+                raise
+            except (LevyLilError, ValueError, MemoryError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                failed.append(f"{tag}: {error}")
+                results[tag] = {"status": "failed", "analysis": spec["name"],
+                                "arguments": {k: v for k, v in spec.items()
+                                              if k not in ("name", "label")},
+                                "error": error}
 
     report = {"scenario_hash": ctx.scen_hash, "seed": ctx.seed, "scenario": doc,
               "results": results}
@@ -551,6 +574,9 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
         report["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _atomic_write(os.path.join(ctx.outdir, "report.json"),
                   json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if failed:
+        raise LevyLilError(f"{len(failed)} of {len(results)} analyses failed, see "
+                           f"report.json: " + "; ".join(failed))
     return report
 
 

@@ -1,19 +1,16 @@
 """Path simulation for symmetric stable, compound Poisson and stable-like
 processes, with running suprema and first exit times.
 
-Randomness contract: every path owns a counter-based Philox stream derived
-statelessly from (master seed, path index) via SeedSequence spawn keys.  The
-stable and compound-Poisson kernels compute the keys of a block of paths with
-one vectorized copy of SeedSequence's hash and re-key a single generator per
-kernel call from path to path; the stable-like kernel builds each path's
-generators through SeedSequence.  Either way a path reads the same stream.
+Randomness contract: every path owns a counter-based Philox stream keyed by
+(master seed, path index) through numpy's SeedSequence spawn keys.
+``_philox_keys`` computes the keys of a block of paths with one vectorized
+copy of SeedSequence's hash; every kernel takes its keys from it.
 The stable and stable-like kinds draw a fixed layout (all uniforms, then all
 exponentials, one of each per step).  Compound Poisson draws a
 count-dependent layout: a jump count, then that many jump times, then that
 many atom choices; it is still a fixed function of the path's own stream.
-Paths are therefore reproducible bit-exactly and order-independent, whether
-generated one at a time (``simulate_path``) or inside an ensemble, in blocks
-of any size and on any number of threads.
+Paths are therefore reproducible bit-exactly and order-independent, in
+blocks of any size and on any number of threads.
 
 Persistence follows from the same contract: an ensemble is saved as a
 one-line manifest of its spec, seed and path count plus the SHA-256 of its
@@ -275,11 +272,6 @@ def process_from_triplet(triplet: LevyTriplet) -> ProcessSpec:
 # sampling
 # --------------------------------------------------------------------------
 
-def _path_generator(master_seed: int, path_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(path_index,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 # numpy's SeedSequence hash constants (uint32 words, pool of four)
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -313,7 +305,8 @@ def _hash_consts(const, mult):
 def _philox_keys(master_seed: int, first: int, n: int) -> np.ndarray:
     """Philox keys of paths first, ..., first + n - 1 as an (n, 2) uint64 array:
     row r is ``SeedSequence(master_seed, spawn_key=(first + r,))
-    .generate_state(2, np.uint64)``, the key ``_path_generator`` would use.
+    .generate_state(2, np.uint64)``, the key ``Philox(SeedSequence(...))``
+    would take.  This is the only derivation of a path's stream.
 
     For a seed in [0, 2^128) and indices in [0, 2^32) the entropy is the
     seed's words, zero-padded to four, then the index.  The pool mixing of
@@ -352,26 +345,32 @@ def _rekey(gen: np.random.Generator, key) -> None:
                                "has_uint32": 0, "uinteger": 0}
 
 
-def _cms(u, w, alpha):
-    """Chambers-Mallows-Stuck transform for symmetric stable variates.
+def _cms(u, w, alpha, out):
+    """Chambers-Mallows-Stuck transform for symmetric stable variates, in place:
+    with theta = pi (u - 1/2),
 
-    u uniform on [0,1), w standard exponential; alpha may be an array
-    (matched elementwise) for state-dependent stepping.
+        S = sin(alpha theta) / cos(theta)^(1/alpha)
+            * (cos((1 - alpha) theta) / w)^((1 - alpha) / alpha).
+
+    u uniform on [0,1), w standard exponential; alpha a scalar or an array
+    matched elementwise (state-dependent stepping).  Overwrites u and w and
+    writes S into ``out``, which it returns.  ``**=`` keeps numpy's sqrt and
+    square fast paths for a scalar exponent of 0.5 or 2.
     """
-    theta = np.pi * (u - 0.5)
-    w = np.maximum(w, 1e-300)
-    t1 = np.sin(alpha * theta) / np.cos(theta) ** (1.0 / alpha)
-    t2 = (np.cos((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha)
-    return t1 * t2
-
-
-def sample_symmetric_stable(alpha: float, rng: np.random.Generator, size=None):
-    """Standardized symmetric alpha-stable variates: E e^{i xi S} = e^{-|xi|^alpha}."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must be in (0, 2)")
-    u = rng.random(size)
-    w = rng.standard_exponential(size)
-    return _cms(u, w, alpha)
+    u -= 0.5
+    u *= np.pi
+    np.maximum(w, 1e-300, out=w)
+    np.multiply(u, 1.0 - alpha, out=out)
+    np.cos(out, out=out)
+    out /= w
+    out **= (1.0 - alpha) / alpha
+    np.multiply(u, alpha, out=w)
+    np.sin(w, out=w)
+    np.cos(u, out=u)
+    u **= 1.0 / alpha
+    w /= u
+    out *= w
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -395,7 +394,6 @@ class PathEnsemble:
     times: np.ndarray
     positions: np.ndarray
     running_sup: np.ndarray
-    path_indices: np.ndarray
     recorded: bool = False
 
     @property
@@ -429,30 +427,12 @@ class PathEnsemble:
         return np.append(self.times, np.nan)[first]
 
 
-def simulate_path(process: ProcessSpec, x0: float, grid: PathGrid,
-                  seed_tag: tuple) -> PathEnsemble:
-    """One path, deterministic given seed_tag = (master seed, path index), as
-    a one-row ensemble whose ``path_indices`` is [path index].
-
-    Runs the same kernels as ensemble generation (on a one-path block) so a
-    path is bit-identical however it is produced.
-    """
-    times = grid.times()
-    if times.size > _MAX_POINTS:
-        raise ValueError("step count overflow")
-    master_seed, path_index = operator.index(seed_tag[0]), operator.index(seed_tag[1])
-    pos, rs = np.empty((1, times.size)), np.empty((1, times.size))
-    _simulate_into(process, x0, times, np.arange(times.size), master_seed, path_index,
-                   pos, rs)
-    return PathEnsemble(process=process, grid=grid, x0=x0, master_seed=master_seed,
-                        times=times, positions=pos, running_sup=rs,
-                        path_indices=np.array([path_index]))
-
-
 def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
                       master_seed: int, n_paths: int, *, record_times=None,
                       chunk_size: Optional[int] = None) -> PathEnsemble:
-    """Generate n_paths independent paths (paths keyed by index).
+    """Generate n_paths independent paths; row i is path i of ``master_seed``.
+    This is the only constructor, so every ensemble is what its manifest
+    regenerates (``save_ensemble_jsonl``).
 
     ``record_times`` restricts storage to a subset of grid times while the
     stepping and the running supremum still use the full grid.
@@ -483,11 +463,10 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
             raise ValueError("record_times must be strictly increasing grid times")
     positions = np.empty((n_paths, rec_idx.size))
     running_sup = np.empty((n_paths, rec_idx.size))
-    _simulate_into(process, x0, times, rec_idx, master_seed, 0, positions, running_sup,
+    _simulate_into(process, x0, times, rec_idx, master_seed, positions, running_sup,
                    chunk_size)
     return PathEnsemble(process=process, grid=grid, x0=x0, master_seed=master_seed,
                         times=times[rec_idx], positions=positions, running_sup=running_sup,
-                        path_indices=np.arange(n_paths),
                         recorded=rec_idx.size != times.size)
 
 
@@ -502,7 +481,7 @@ def _grid_index(times, t, tol=1e-9) -> int:
 
 # --------------------------------------------------------------------------
 # block kernels: each fills rows [start, stop) of the output arrays with the
-# paths first + start, ..., first + stop - 1 at the grid columns rec_idx
+# paths start, ..., stop - 1 at the grid columns rec_idx
 # --------------------------------------------------------------------------
 
 _BLOCK_POINTS = 2 ** 17     # grid points per block buffer (1 MiB of float64)
@@ -513,16 +492,17 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _simulate_into(process, x0, times, rec_idx, master_seed, first, positions,
-                   running_sup, chunk_size=None):
-    """Fill ``positions`` and ``running_sup`` (row r is path first + r) at the
-    grid columns ``rec_idx``.  Each path reads only its own stream, so any
-    split of the rows into blocks, and of the blocks over threads, gives the
-    same bits.
+def _simulate_into(process, x0, times, rec_idx, master_seed, positions, running_sup,
+                   chunk_size=None):
+    """Fill ``positions`` and ``running_sup`` (row i is path i) at the grid
+    columns ``rec_idx``.  Each path reads only its own stream, so any split
+    of the rows into blocks, and of the blocks over threads, gives the same
+    bits.
 
-    Each kernel call runs on one thread and owns its generators: the stable
-    and compound-Poisson kernels one ``Generator`` re-keyed to every path
-    (see ``_philox_keys``), the stable-like kernel two per path of a block.
+    Each kernel call runs on one thread and takes the Philox keys of its
+    blocks from ``_philox_keys``: the stable and compound-Poisson kernels
+    re-key one ``Generator`` from path to path, the stable-like kernel builds
+    two per path of a block, one at each end of its draws.
 
     Only the stable kernel spends its time in ufuncs and fills that release
     the GIL; the other two run per-path or per-step Python that holds it,
@@ -546,7 +526,7 @@ def _simulate_into(process, x0, times, rec_idx, master_seed, first, positions,
     if not blocks:
         return
     workers = min(workers, len(blocks))
-    args = (process, x0, times, rec_idx, master_seed, first, positions, running_sup)
+    args = (process, x0, times, rec_idx, master_seed, positions, running_sup)
     if workers == 1:
         kernel(*args, blocks)
         return
@@ -557,11 +537,10 @@ def _simulate_into(process, x0, times, rec_idx, master_seed, first, positions,
             future.result()
 
 
-def _draw_uniform_exponential(gen, master_seed, first, u, w):
-    """Row r of u and w: the uniforms, then the exponentials, of path first + r,
-    drawn by re-keying ``gen`` to each path's stream in turn; the keys of
-    all rows come from one vectorized hash."""
-    for key, u_row, w_row in zip(_philox_keys(master_seed, first, u.shape[0]).tolist(), u, w):
+def _draw_uniform_exponential(gen, master_seed, start, u, w):
+    """Row r of u and w: the uniforms, then the exponentials, of path start + r,
+    drawn by re-keying ``gen`` to each path's stream in turn."""
+    for key, u_row, w_row in zip(_philox_keys(master_seed, start, u.shape[0]).tolist(), u, w):
         _rekey(gen, key)
         gen.random(out=u_row)
         gen.standard_exponential(out=w_row)
@@ -572,43 +551,29 @@ def _store(positions, running_sup, rec_idx, start, stop, pos, rs):
     running_sup[start:stop] = rs[:, rec_idx]
 
 
-def _stable_blocks(process, x0, times, rec_idx, master_seed, first, positions,
-                   running_sup, blocks):
-    """Stable increments, cumsum and running sup in place on four block
-    buffers.  The ufunc sequence, ``**`` included (numpy has sqrt and square
-    fast paths for it), is that of ``_cms`` and the scaling, so the bits are
-    those of the unblocked transform."""
+def _stable_blocks(process, x0, times, rec_idx, master_seed, positions, running_sup,
+                   blocks):
+    """Stable increments (``_cms``), cumsum and running sup in place on three
+    block buffers."""
     a = process.alpha
     step = (process.scale * np.diff(times, prepend=0.0)) ** (1.0 / a)
     rows = max(stop - start for start, stop in blocks)
-    bufs = [np.empty((rows, times.size)) for _ in range(4)]
+    bufs = [np.empty((rows, times.size)) for _ in range(3)]
     gen = np.random.Generator(np.random.Philox(0))   # re-keyed to every path
     for start, stop in blocks:
-        theta, w, s, c = (buf[:stop - start] for buf in bufs)
-        _draw_uniform_exponential(gen, master_seed, first + start, theta, w)
-        theta -= 0.5
-        theta *= np.pi
-        np.maximum(w, 1e-300, out=w)
-        np.multiply(theta, a, out=s)
-        np.sin(s, out=s)
-        np.cos(theta, out=c)
-        c **= 1.0 / a
-        s /= c
-        np.multiply(theta, 1.0 - a, out=c)
-        np.cos(c, out=c)
-        c /= w
-        c **= (1.0 - a) / a
-        s *= c
+        u, w, s = (buf[:stop - start] for buf in bufs)
+        _draw_uniform_exponential(gen, master_seed, start, u, w)
+        _cms(u, w, a, s)
         s *= step
         np.cumsum(s, axis=1, out=s)
         s += x0
-        np.subtract(s, x0, out=c)
-        np.abs(c, out=c)
-        np.maximum.accumulate(c, axis=1, out=c)
-        _store(positions, running_sup, rec_idx, start, stop, s, c)
+        np.subtract(s, x0, out=u)
+        np.abs(u, out=u)
+        np.maximum.accumulate(u, axis=1, out=u)
+        _store(positions, running_sup, rec_idx, start, stop, s, u)
 
 
-def _compound_poisson_blocks(process, x0, times, rec_idx, master_seed, first, positions,
+def _compound_poisson_blocks(process, x0, times, rec_idx, master_seed, positions,
                              running_sup, blocks):
     """Exact compound Poisson.  Each path draws a Poisson(rate t_max) jump
     count k, then k jump times uniform on (0, t_max], each added at the first
@@ -624,7 +589,7 @@ def _compound_poisson_blocks(process, x0, times, rec_idx, master_seed, first, po
     for start, stop in blocks:
         m = stop - start
         counts, at, pick = np.empty(m, dtype=int), [], []
-        for row, key in enumerate(_philox_keys(master_seed, first + start, m).tolist()):
+        for row, key in enumerate(_philox_keys(master_seed, start, m).tolist()):
             _rekey(gen, key)
             counts[row] = k = gen.poisson(lam)
             at.append(gen.random(k))
@@ -641,17 +606,18 @@ def _compound_poisson_blocks(process, x0, times, rec_idx, master_seed, first, po
         _store(positions, running_sup, rec_idx, start, stop, pos, rs)
 
 
-def _stable_like_blocks(process, x0, times, rec_idx, master_seed, first, positions,
-                        running_sup, blocks):
+def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, running_sup,
+                        blocks):
     """Frozen-coefficient Euler steps over a block of paths at once; only
     recorded steps are stored.
 
     Each path keeps two generators on its stream for the whole block: one
     reads its uniforms from word 0, the other its exponentials from word n
-    (Philox is counter-based, so ``advance`` skips there four words at a
-    time).  The grid is walked in tiles of ``_STEP_TILE`` steps: a tile's
-    draws are filled path by path, then copied step-major so that each step
-    reads contiguous rows.  The draws held never exceed three tile buffers,
+    (Philox is counter-based: a generator built at counter n // 4 starts
+    past n // 4 blocks of four words, and n % 4 raw words finish the skip).
+    The grid is walked in tiles of ``_STEP_TILE`` steps: a tile's draws are
+    filled path by path, then copied step-major so that each step reads
+    contiguous rows.  The draws held never exceed three tile buffers,
     whatever the step count.
     """
     n = times.size
@@ -660,13 +626,14 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, first, positio
     rows = max(stop - start for start, stop in blocks)
     tile = min(_STEP_TILE, n)
     fill, u_buf, w_buf = np.empty((rows, tile)), np.empty((tile, rows)), np.empty((tile, rows))
+    variates = np.empty(rows)
     fixed_scale = process.scale.is_constant
     for start, stop in blocks:
-        m, paths = stop - start, range(first + start, first + stop)
-        u_gens = [_path_generator(master_seed, i) for i in paths]
-        w_gens = [_path_generator(master_seed, i) for i in paths]
-        for gen in w_gens:   # to word n: n // 4 blocks of four words, then n % 4 words
-            gen.bit_generator.advance(n // 4)
+        m = stop - start
+        keys = _philox_keys(master_seed, start, m)
+        u_gens = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
+        w_gens = [np.random.Generator(np.random.Philox(key=k, counter=n // 4)) for k in keys]
+        for gen in w_gens:
             gen.bit_generator.random_raw(n % 4)
         xcur = np.full(m, float(x0))
         dev = np.zeros(m)
@@ -685,7 +652,7 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, first, positio
                 a = np.asarray(process.alpha(xcur), dtype=float)
                 if not fixed_scale:
                     c = np.asarray(process.scale(xcur), dtype=float)
-                xcur = xcur + (c * dts[k]) ** (1.0 / a) * _cms(u[j], w[j], a)
+                xcur = xcur + (c * dts[k]) ** (1.0 / a) * _cms(u[j], w[j], a, variates[:m])
                 dev = np.maximum(dev, np.abs(xcur - x0))
                 if k in slot:
                     positions[start:stop, slot[k]] = xcur

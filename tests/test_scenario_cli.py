@@ -115,7 +115,56 @@ def test_u_inverse_below_a_tabulated_range_exits_1(tmp_path, capsys):
     assert cli_main(["norming", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line] == [
-        "error: rho below the resolvable range of u"]
+        "error: 1 of 1 analyses failed, see report.json: 00_norming_table: "
+        "RhoOutOfRangeError: rho below the resolvable range of u"]
+
+
+def test_failed_analysis_is_recorded_and_the_rest_still_run(tmp_path, capsys):
+    # multi_interval_decay needs 3 u(0, 1) = 1.9 > t_max = 1 and fails; the
+    # analysis after it still runs, report.json records the failure, exit 1
+    doc = json.loads((Path(__file__).resolve().parent.parent / "docs"
+                      / "example_scenario.json").read_text())
+    out = tmp_path / "out"
+    doc.update(paths=500, output_dir=str(out), analyses=[
+        {"name": "pu_grid", "x_values": [0.0], "xi_values": [1.0, 2.0]},
+        {"name": "simulate"},
+        {"name": "multi_interval_decay", "R": 1.0, "m_max": 3},
+        {"name": "sup_probability", "t": 0.5, "R": 1.0}])
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["report", "--scenario", str(path), "--canonical-output"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: 1 of 4 analyses failed, see report.json: 02_multi_interval_decay: "
+                   "ValueError: grid does not cover m_max * u(x, R)\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "00_pu_grid.csv", "01_simulate.csv", "03_sup_probability.csv", "report.json"]
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["02_multi_interval_decay"] == {
+        "status": "failed", "analysis": "multi_interval_decay",
+        "arguments": {"R": 1.0, "m_max": 3},
+        "error": "ValueError: grid does not cover m_max * u(x, R)"}
+    # the other entries are those of a run without the failing analysis
+    del doc["analyses"][2]
+    doc["output_dir"] = str(tmp_path / "ok")
+    ok = run_scenario(doc, canonical=True)["results"]
+    assert [results[t] for t in ("00_pu_grid", "01_simulate", "03_sup_probability")] == [
+        ok[t] for t in ("00_pu_grid", "01_simulate", "02_sup_probability")]
+    # a verify analysis whose ensemble failed to build fails too, and is not
+    # run on an ensemble built some other way
+    doc.update(output_dir=str(tmp_path / "rec"), analyses=[
+        {"name": "simulate", "record_times": [0.123456789, 1.0]},
+        {"name": "sup_probability", "t": 0.5, "R": 1.0}])
+    with pytest.raises(ll.LevyLilError, match="2 of 2 analyses failed"):
+        run_scenario(doc)
+    results = json.loads((tmp_path / "rec" / "report.json").read_text())["results"]
+    assert results["01_sup_probability"]["error"] == (
+        "LevyLilError: ensemble 'main' was not built: its simulate analysis failed")
+    # a schema error inside an analysis still aborts the run with exit 2
+    doc.update(output_dir=str(tmp_path / "schema"), analyses=[
+        {"name": "multi_interval_decay", "R": 1.0, "m_max": 3}, {"name": "simulate"}])
+    del doc["grid"]
+    assert cli_main(["report", "--scenario", str(write_scenario(tmp_path, doc, "s.json"))]) == 2
+    assert "simulate needs a 'grid'" in capsys.readouterr().err
+    assert not (tmp_path / "schema" / "report.json").exists()
 
 
 def test_canonical_output_byte_identical(tmp_path):

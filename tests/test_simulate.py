@@ -14,7 +14,9 @@ from scipy import stats
 import levylil as ll
 from levylil import simulate
 from levylil.scenario import run_scenario
-from levylil.simulate import _cms, _path_generator
+from levylil.simulate import _cms
+
+from tests_support import path_generator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,45 +60,67 @@ def test_grid_validation():
 
 
 # --------------------------------------------------------------------------
-# stable sampler
+# stable sampler: the in-place CMS transform on one path's draws
 # --------------------------------------------------------------------------
 
+def _cms_reference(u, w, alpha):
+    """The textbook Chambers-Mallows-Stuck formula, allocating every term."""
+    theta = np.pi * (u - 0.5)
+    w = np.maximum(w, 1e-300)
+    t1 = np.sin(alpha * theta) / np.cos(theta) ** (1.0 / alpha)
+    t2 = (np.cos((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha)
+    return t1 * t2
+
+
+def _stable_sample(alpha, gen, n):
+    return _cms(gen.random(n), gen.standard_exponential(n), alpha, np.empty(n))
+
+
 def test_stable_sampler_median_symmetric():
-    rng = _path_generator(42, 0)
-    s = ll.sample_symmetric_stable(1.0, rng, 100_000)
+    s = _stable_sample(1.0, path_generator(42, 0), 100_000)
     assert abs(np.median(s)) < 0.02
 
 
 def test_stable_sampler_cauchy_ks():
     # alpha = 1 is standard Cauchy: distribution function 1/2 + arctan(x)/pi
-    rng = _path_generator(42, 1)
-    s = ll.sample_symmetric_stable(1.0, rng, 100_000)
+    s = _stable_sample(1.0, path_generator(42, 1), 100_000)
     ks = stats.kstest(s, lambda x: 0.5 + np.arctan(x) / np.pi)
     assert ks.statistic < 0.01
 
 
 def test_stable_sampler_ecf():
     # E e^{i xi S} = e^{-|xi|^alpha}
-    rng = _path_generator(42, 2)
     n = 100_000
-    s = ll.sample_symmetric_stable(1.5, rng, n)
+    s = _stable_sample(1.5, path_generator(42, 2), n)
     ecf = np.mean(np.exp(1j * s))
     assert abs(ecf - math.exp(-1.0)) < 4.0 / math.sqrt(n)
 
 
 def test_stable_sampler_alpha_validation():
-    rng = _path_generator(0, 0)
-    with pytest.raises(ValueError):
-        ll.sample_symmetric_stable(2.0, rng)
-    with pytest.raises(ValueError):
-        ll.sample_symmetric_stable(0.0, rng)
+    for alpha in (2.0, 0.0, -0.5, 2.5):
+        with pytest.raises(ValueError, match="alpha"):
+            ll.SymmetricStableProcess(alpha=alpha)
 
 
 def test_stable_sampler_alpha_two_limit_is_gaussian_variance_two():
     # continuity check near the Gaussian edge: Var -> 2 as alpha -> 2
-    rng = _path_generator(9, 0)
-    s = ll.sample_symmetric_stable(1.999, rng, 200_000)
+    s = _stable_sample(1.999, path_generator(9, 0), 200_000)
     assert np.var(np.clip(s, -50, 50)) == pytest.approx(2.0, rel=0.05)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 1.0, 1.5, 1.99])
+def test_cms_in_place_matches_textbook_formula(alpha):
+    # scalar alpha (the stable kernel) and an alpha per element (the
+    # stable-like step); u and w are overwritten, the variates land in out
+    gen = path_generator(5, 1)
+    u, w = gen.random(1000), gen.standard_exponential(1000)
+    w[:3] = 0.0    # the 1e-300 floor
+    want = _cms_reference(u, w, alpha)
+    out = np.empty(1000)
+    assert _cms(u.copy(), w.copy(), alpha, out) is out
+    assert np.array_equal(out, want)
+    alphas = np.linspace(alpha, 1.0, 1000)
+    assert np.array_equal(_cms(u.copy(), w.copy(), alphas, out), _cms_reference(u, w, alphas))
 
 
 # --------------------------------------------------------------------------
@@ -104,19 +128,18 @@ def test_stable_sampler_alpha_two_limit_is_gaussian_variance_two():
 # --------------------------------------------------------------------------
 
 def test_path_determinism_bit_identical():
-    p1 = ll.simulate_path(STABLE_15, 0.0, GRID_256, (7, 3))
-    p2 = ll.simulate_path(STABLE_15, 0.0, GRID_256, (7, 3))
+    p1 = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 7, 5)
+    p2 = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 7, 5)
     assert np.array_equal(p1.positions, p2.positions)
     assert np.array_equal(p1.running_sup, p2.running_sup)
-    p3 = ll.simulate_path(STABLE_15, 0.0, GRID_256, (7, 4))
-    assert not np.array_equal(p1.positions, p3.positions)
+    assert not np.array_equal(p1.positions[3], p1.positions[4])
 
 
 def test_running_sup_invariant():
     for proc in (STABLE_15,
                  ll.StableLikeProcess(alpha=ll.TanhRampProfile(center=1.2, amplitude=0.3)),
                  ll.CompoundPoissonProcess(atoms=((1.0, 2.0), (-0.5, 1.0)))):
-        p = ll.simulate_path(proc, 0.3, GRID_256, (1, 0))
+        p = ll.simulate_ensemble(proc, 0.3, GRID_256, 1, 1)
         want = np.maximum.accumulate(np.abs(p.positions - 0.3), axis=1)
         assert np.array_equal(p.running_sup, want)
         assert np.all(np.diff(p.running_sup) >= 0)
@@ -144,11 +167,11 @@ def test_subsample_dominated_by_fine_grid():
 
 
 def test_exit_times_monotone_in_radius():
-    p = ll.simulate_path(STABLE_15, 0.0, GRID_256, (2, 2))
+    p = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 2, 3)
     radii = np.geomspace(1e-3, 2.0, 12)
     prev = 0.0
     for a in radii:
-        tau = p.first_passage_times(a)[0]
+        tau = p.first_passage_times(a)[2]
         if np.isnan(tau):
             continue
         assert tau >= prev
@@ -156,15 +179,15 @@ def test_exit_times_monotone_in_radius():
 
 
 def test_exit_time_trivial_cases():
-    p = ll.simulate_path(STABLE_15, 0.0, GRID_256, (2, 3))
-    big = p.running_sup[0, -1] * 2.0
-    assert np.isnan(p.first_passage_times(big)[0])
+    p = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 2, 4)
+    big = p.running_sup[3, -1] * 2.0
+    assert np.isnan(p.first_passage_times(big)[3])
     tiny = 1e-300
-    assert p.first_passage_times(tiny)[0] == p.times[0]
+    assert p.first_passage_times(tiny)[3] == p.times[0]
     # refined grid exits no later than every 8th column of the same path
-    a = float(np.median(p.running_sup))
-    tau_fine = p.first_passage_times(a)[0]
-    coarse_hit = np.maximum.accumulate(np.abs(p.positions[0, 7::8])) >= a
+    a = float(np.median(p.running_sup[3]))
+    tau_fine = p.first_passage_times(a)[3]
+    coarse_hit = np.maximum.accumulate(np.abs(p.positions[3, 7::8])) >= a
     if coarse_hit.any():
         assert tau_fine <= p.times[7::8][np.argmax(coarse_hit)]
 
@@ -231,12 +254,13 @@ KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_ensemble_rows_match_individual_paths(kind):
+    # path i simulated alone, as the last row of an (i + 1)-path ensemble in
+    # one-path blocks, is row i of a larger ensemble in blocks of three
     ens = ll.simulate_ensemble(KINDS[kind], 0.5, GRID_256, 7, 10, chunk_size=3)
     for i in (0, 4, 9):
-        p = ll.simulate_path(KINDS[kind], 0.5, GRID_256, (7, i))
-        assert np.array_equal(p.path_indices, [i])
-        assert np.array_equal(ens.positions[i], p.positions[0])
-        assert np.array_equal(ens.running_sup[i], p.running_sup[0])
+        p = ll.simulate_ensemble(KINDS[kind], 0.5, GRID_256, 7, i + 1, chunk_size=1)
+        assert np.array_equal(ens.positions[i], p.positions[i])
+        assert np.array_equal(ens.running_sup[i], p.running_sup[i])
 
 
 @pytest.mark.parametrize("record", [None, [0.125, 0.5, 1.0]], ids=["full", "recorded"])
@@ -277,7 +301,8 @@ def test_stable_threads_stress_and_empty_ensemble(monkeypatch):
 @pytest.mark.parametrize("grid", [GRID_256, GRID_GEOMETRIC], ids=["uniform", "geometric"])
 @pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 1.0, 1.5, 1.99])
 def test_stable_kernel_matches_cms_reference(alpha, grid, monkeypatch):
-    # the blocked in-place kernel against _cms applied path by path; alpha in
+    # the blocked in-place kernel against the textbook CMS formula applied path
+    # by path; alpha in
     # {0.5, 2/3, 1} hits numpy's sqrt, square and identity fast paths of **
     monkeypatch.setattr(simulate, "_WORKERS", 2)
     proc = ll.SymmetricStableProcess(alpha=alpha, scale=1.3)
@@ -285,9 +310,9 @@ def test_stable_kernel_matches_cms_reference(alpha, grid, monkeypatch):
     times = grid.times()
     step = (proc.scale * np.diff(times, prepend=0.0)) ** (1.0 / alpha)
     for i in range(ens.n_paths):
-        gen = _path_generator(8, i)
+        gen = path_generator(8, i)
         u, w = gen.random(times.size), gen.standard_exponential(times.size)
-        pos = 0.4 + np.cumsum(step * _cms(u, w, alpha))
+        pos = 0.4 + np.cumsum(step * _cms_reference(u, w, alpha))
         assert np.array_equal(ens.positions[i], pos)
         assert np.array_equal(ens.running_sup[i], np.maximum.accumulate(np.abs(pos - 0.4)))
 
@@ -309,13 +334,13 @@ def test_stable_like_kernel_matches_euler_reference(grid, scale):
     dts = np.diff(times, prepend=0.0)
     pos, rs = np.empty((9, times.size)), np.empty((9, times.size))
     for i in range(9):
-        gen = _path_generator(8, i)
+        gen = path_generator(8, i)
         u, w = gen.random(times.size), gen.standard_exponential(times.size)
         x, dev = np.array([0.4]), np.zeros(1)
         for k in range(times.size):
             a = np.asarray(proc.alpha(x), dtype=float)
             c = np.asarray(proc.scale(x), dtype=float)
-            x = x + (c * dts[k]) ** (1.0 / a) * _cms(u[k:k + 1], w[k:k + 1], a)
+            x = x + (c * dts[k]) ** (1.0 / a) * _cms_reference(u[k:k + 1], w[k:k + 1], a)
             dev = np.maximum(dev, np.abs(x - 0.4))
             pos[i, k], rs[i, k] = x[0], dev[0]
     for chunk in (1, 7, None):
@@ -326,7 +351,7 @@ def test_stable_like_kernel_matches_euler_reference(grid, scale):
 
 def _compound_poisson_reference(proc, x0, times, seed, i):
     """Path i by its definition: the jumps at times at most t, summed at t."""
-    gen = _path_generator(seed, i)
+    gen = path_generator(seed, i)
     k = gen.poisson(proc.rate * times[-1])
     at = times[-1] * (1.0 - gen.random(k))
     masses = np.array([m for _, m in proc.atoms])
@@ -370,7 +395,7 @@ def test_compound_poisson_path_drift_applied():
 
 @pytest.mark.parametrize("kind", ["stable", "stable_like"])
 def test_recorded_stable_ensemble_memory_stays_in_blocks(kind, monkeypatch):
-    # 2048 x 4096 paths at four recorded times: block buffers only (four per
+    # 2048 x 4096 paths at four recorded times: block buffers only (three per
     # thread for the stable kernel, three tiles of draws for the stable-like
     # one), not the 64 MiB (paths x steps) arrays an unblocked kernel would
     # allocate, nor the 128 MiB of draws of a whole stable-like block
@@ -495,19 +520,19 @@ def test_philox_keys_match_seed_sequence(seed):
         assert np.array_equal(simulate._philox_keys(seed, first, n),
                               _seed_sequence_keys(seed, range(first, first + n))), first
     # and the key is the one Philox takes from the path's SeedSequence
-    key = _path_generator(seed, 9).bit_generator.state["state"]["key"]
+    key = path_generator(seed, 9).bit_generator.state["state"]["key"]
     assert np.array_equal(simulate._philox_keys(seed, 9, 1)[0], key)
 
 
 def test_rekey_discards_buffered_words():
     # after an odd number of 64-bit words and a buffered 32-bit half, a re-keyed
     # generator must draw exactly what a fresh one on the new key draws
-    gen = _path_generator(3, 0)
+    gen = path_generator(3, 0)
     gen.random(5)
     gen.integers(0, 10, dtype=np.uint32)
     assert gen.bit_generator.state["has_uint32"] == 1
     simulate._rekey(gen, simulate._philox_keys(3, 1, 1).tolist()[0])
-    ref = _path_generator(3, 1)
+    ref = path_generator(3, 1)
     assert np.array_equal(gen.random(7), ref.random(7))
     assert np.array_equal(gen.integers(0, 10, 3, dtype=np.uint32),
                           ref.integers(0, 10, 3, dtype=np.uint32))
@@ -518,14 +543,17 @@ def test_negative_seed_or_path_index_raises(kind):
     grid = ll.PathGrid(t_max=1.0, steps=16)
     with pytest.raises(ValueError):
         ll.simulate_ensemble(KINDS[kind], 0.0, grid, -1, 3)
-    with pytest.raises(ValueError):
-        ll.simulate_path(KINDS[kind], 0.0, grid, (5, -1))
     for seed, first in ((-1, 0), (5, -1)):
         with pytest.raises(ValueError):
             simulate._philox_keys(seed, first, 3)
 
 
 CP_LOW_RATE = ll.CompoundPoissonProcess(atoms=((0.7, 1.5), (-0.2, 0.5)))
+SL_SINUSOIDAL = ll.StableLikeProcess(
+    alpha=ll.SinusoidalProfile(center=1.4, amplitude=0.3),
+    scale=ll.SinusoidalProfile(center=1.0, amplitude=0.5, frequency=3.0))
+GRID_GEOMETRIC_513 = ll.PathGrid(t_max=1.0, steps=512, layout="geometric", levels=8,
+                                 points_per_level=64)
 # _ensemble_sha256 of ensembles made with one SeedSequence-built generator per path
 PINNED_STREAMS = {
     "stable_geometric": ((STABLE_15, 0.2, GRID_GEOMETRIC, 41, 23, None),
@@ -544,6 +572,16 @@ PINNED_STREAMS = {
     "compound_poisson_low_rate": (
         (CP_LOW_RATE, 0.0, GRID_GEOMETRIC, 3, 40, None),
         "88ff3449940ea198c72c4a5e6d871d0b6a04145d276415e44773e7b9dfead4dd"),
+    # exponentials from word n = 64, 513 and 1: n % 4 is 0, 1 and 1
+    "stable_like_uniform_64": (
+        (SL_SINUSOIDAL, 0.2, ll.PathGrid(t_max=1.0, steps=64), 41, 23, None),
+        "24ad61d6ae5a97244a3dd020ff8239cd61b274f65a9548359812b0a39a1593b2"),
+    "stable_like_geometric_513": (
+        (SL_SINUSOIDAL, 0.2, GRID_GEOMETRIC_513, 41, 9, None),
+        "05c25d5da107060b411bbe87c48e9d2be971073b74604e36d5598c89039ee272"),
+    "stable_like_one_step": (
+        (SL_SINUSOIDAL, 0.2, ll.PathGrid(t_max=0.5, steps=1), 7, 9, None),
+        "f304e1ed09edf87b03af5c44b74483430d64019f6dee320d1f63d082e934f336"),
 }
 
 
@@ -561,17 +599,11 @@ def test_low_rate_compound_poisson_paths_leave_odd_words():
     lam = CP_LOW_RATE.rate * GRID_GEOMETRIC.t_max
     odd = []
     for i in range(39):
-        gen = _path_generator(3, i)
+        gen = path_generator(3, i)
         k = gen.poisson(lam)
         gen.random(2 * k)
         odd.append(gen.bit_generator.state["buffer_pos"] % 2 == 1)
     assert 0 < sum(odd) < len(odd)
-
-
-def test_single_path_across_2_32_pinned():
-    p = ll.simulate_path(STABLE_15, 0.0, ll.PathGrid(t_max=1.0, steps=64), (5, 2 ** 32 + 3))
-    assert (simulate._ensemble_sha256(p)
-            == "72c09f85094c17caf9f9e11df36aa08d62fa4fe36d5dc9a427b4ae415ae8a4a9")
 
 
 def test_example_manifest_hash_pinned(tmp_path):
@@ -607,7 +639,7 @@ def test_jsonl_roundtrip(tmp_path):
         assert meta["seed"] == ens.master_seed and meta["scenario_hash"] == "abc"
         assert meta["n_paths"] == ens.n_paths
         back = ll.load_ensemble_jsonl(path)
-        for field in ("positions", "running_sup", "times", "path_indices"):
+        for field in ("positions", "running_sup", "times"):
             assert np.array_equal(getattr(back, field), getattr(ens, field)), (i, field)
         assert back.recorded == ens.recorded
         assert back.metadata() == ens.metadata()
@@ -644,16 +676,13 @@ def _write_per_path_rows(ens, path):
     lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, seed=5)),
     lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, sha256="0" * 64)),
     _write_per_path_rows,
-    # path 2 alone: the manifest carries no path index, so it regenerates path 0
-    lambda ens, p: ll.save_ensemble_jsonl(ll.simulate_path(STABLE_15, 0.0, ens.grid, (4, 2)),
-                                          p),
     lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, recorded=True,
                                                                    times=[0.13])),
     lambda ens, p: p.write_text(""),
     lambda ens, p: p.write_text("[1, 2]\n"),
     # a seed of 4.9 must not regenerate (and so match) the seed-4 ensemble
     lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, seed=4.9)),
-], ids=["seed_edited", "hash_edited", "old_format", "one_path", "off_grid_time",
+], ids=["seed_edited", "hash_edited", "old_format", "off_grid_time",
         "empty_file", "not_an_object", "fractional_seed"])
 def test_jsonl_load_rejects_mismatch(tmp_path, corrupt):
     ens = ll.simulate_ensemble(STABLE_15, 0.0, ll.PathGrid(t_max=0.5, steps=16), 4, 3)
@@ -663,13 +692,11 @@ def test_jsonl_load_rejects_mismatch(tmp_path, corrupt):
         ll.load_ensemble_jsonl(path)
 
 
-def test_seed_and_path_index_must_be_integers():
+def test_seed_must_be_an_integer():
     grid = ll.PathGrid(t_max=1.0, steps=16)
-    with pytest.raises(TypeError):
-        ll.simulate_ensemble(STABLE_15, 0.0, grid, 1.5, 3)
-    for tag in ((1.5, 0), (1, 0.5)):
+    for seed in (1.5, 1.0):
         with pytest.raises(TypeError):
-            ll.simulate_path(STABLE_15, 0.0, grid, tag)
+            ll.simulate_ensemble(STABLE_15, 0.0, grid, seed, 3)
     ens = ll.simulate_ensemble(STABLE_15, 0.0, grid, np.int64(7), 3)
     ref = ll.simulate_ensemble(STABLE_15, 0.0, grid, 7, 3)
     assert type(ens.master_seed) is int and ens.metadata() == ref.metadata()

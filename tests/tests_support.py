@@ -29,3 +29,11 @@ def random_symmetric_measure(rng):
     slope = -1.0 - rng.uniform(0.3, 1.8)
     dens = rng.uniform(0.1, 2.0) * grid ** slope
     return ll.TabulatedMeasure(grid=tuple(grid), density=tuple(dens))
+
+
+def path_generator(master_seed, path_index):
+    """Path ``path_index``'s generator built the textbook way, a SeedSequence
+    spawn key under a Philox bit generator: the reference for the vectorized
+    keys of ``levylil.simulate._philox_keys``."""
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(path_index,))
+    return np.random.Generator(np.random.Philox(ss))
