@@ -214,12 +214,10 @@ def _pu_grid(ctx, spec, ens, tag):
 @_analysis("exponent_grid", "symbol", {"x_values": _NUM_LIST, "xi_values": _NUM_LIST},
            required=["x_values", "xi_values"])
 def _exponent_grid(ctx, spec, ens, tag):
-    trip = ctx.triplet()
-    rows = []
-    for xv in spec["x_values"]:
-        for xiv in spec["xi_values"]:
-            p = symbols.eval_exponent(trip, float(xv), float(xiv))
-            rows.append((float(xv), float(xiv), p.real, p.imag))
+    xs, xis = spec["x_values"], spec["xi_values"]
+    re, im = (part.tolist() for part in symbols._exponent_on_grid(ctx.triplet(), xs, xis))
+    rows = [(float(xv), float(xiv), re[i][j], im[i][j])
+            for i, xv in enumerate(xs) for j, xiv in enumerate(xis)]
     return "x,xi,re,im", rows, {"rows": len(rows), "csv": f"{tag}.csv"}
 
 

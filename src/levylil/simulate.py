@@ -345,6 +345,16 @@ def _rekey(gen: np.random.Generator, key) -> None:
                                "has_uint32": 0, "uinteger": 0}
 
 
+class _KeySeq(np.random.bit_generator.ISeedSequence):
+    """``Philox(_KeySeq(k))`` is ``Philox(key=k)`` without its unused OS entropy."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def _cms(u, w, alpha, out):
     """Chambers-Mallows-Stuck transform for symmetric stable variates, in place:
     with theta = pi (u - 1/2),
@@ -442,8 +452,8 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
     kernels, 2048 paths for the stable-like step loop).  The stable-like
     kernel reads each path's uniforms from word 0 of its stream and its
     exponentials from word n, and holds the draws of one tile of
-    ``_STEP_TILE`` steps per block, so its memory does not grow with the
-    step count.  The stable kernel shares its blocks over one thread per CPU
+    ``_STEP_TILE`` steps per block in two buffers, so its memory does not
+    grow with the step count.  The stable kernel shares its blocks over one thread per CPU
     this process may run on; the other two kernels run on one thread.
     Neither the block size nor the thread count changes any bit of the
     result.  A float ``master_seed``, even 1.0, raises TypeError.
@@ -486,7 +496,8 @@ def _grid_index(times, t, tol=1e-9) -> int:
 
 _BLOCK_POINTS = 2 ** 17     # grid points per block buffer (1 MiB of float64)
 _STEP_LOOP_ROWS = 2048      # paths per stable-like block: the loop costs per step
-_STEP_TILE = 256            # steps per stable-like draw tile: 3 x 4 MiB at 2048 paths
+_STEP_TILE = 256            # steps per stable-like draw tile: 2 x 4 MiB at 2048 paths
+_FILL_ROWS = 64             # paths per path-major fill of a tile: 128 KiB, stays in cache
 # threads for the stable kernel (sched_getaffinity is missing on macOS and Windows)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -502,7 +513,7 @@ def _simulate_into(process, x0, times, rec_idx, master_seed, positions, running_
     Each kernel call runs on one thread and takes the Philox keys of its
     blocks from ``_philox_keys``: the stable and compound-Poisson kernels
     re-key one ``Generator`` from path to path, the stable-like kernel builds
-    two per path of a block, one at each end of its draws.
+    two per path of a block from ``_KeySeq``, one at each end of its draws.
 
     Only the stable kernel spends its time in ufuncs and fills that release
     the GIL; the other two run per-path or per-step Python that holds it,
@@ -616,23 +627,24 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
     (Philox is counter-based: a generator built at counter n // 4 starts
     past n // 4 blocks of four words, and n % 4 raw words finish the skip).
     The grid is walked in tiles of ``_STEP_TILE`` steps: a tile's draws are
-    filled path by path, then copied step-major so that each step reads
-    contiguous rows.  The draws held never exceed three tile buffers,
-    whatever the step count.
+    filled path by path, ``_FILL_ROWS`` paths at a time, into a scratch whose
+    transpose goes to the step-major ``u`` and ``w`` while still in cache, so
+    each step reads contiguous rows.  The draws held never exceed two tile
+    buffers and the scratch, whatever the step count.
     """
     n = times.size
     dts = np.diff(times, prepend=0.0)
     slot = dict(zip(rec_idx.tolist(), range(rec_idx.size)))
     rows = max(stop - start for start, stop in blocks)
     tile = min(_STEP_TILE, n)
-    fill, u_buf, w_buf = np.empty((rows, tile)), np.empty((tile, rows)), np.empty((tile, rows))
+    fill, (u_buf, w_buf) = np.empty((_FILL_ROWS, tile)), np.empty((2, tile, rows))
     variates = np.empty(rows)
     fixed_scale = process.scale.is_constant
     for start, stop in blocks:
         m = stop - start
         keys = _philox_keys(master_seed, start, m)
-        u_gens = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
-        w_gens = [np.random.Generator(np.random.Philox(key=k, counter=n // 4)) for k in keys]
+        u_gens = [np.random.Generator(np.random.Philox(_KeySeq(k))) for k in keys]
+        w_gens = [np.random.Generator(np.random.Philox(_KeySeq(k), counter=n // 4)) for k in keys]
         for gen in w_gens:
             gen.bit_generator.random_raw(n % 4)
         xcur = np.full(m, float(x0))
@@ -641,13 +653,16 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
             c = np.asarray(process.scale(xcur), dtype=float)
         for k0 in range(0, n, tile):
             kt = min(tile, n - k0)
-            f, u, w = fill[:m, :kt], u_buf[:kt, :m], w_buf[:kt, :m]
-            for gen, row in zip(u_gens, f):
-                gen.random(out=row)
-            u[...] = f.T
-            for gen, row in zip(w_gens, f):
-                gen.standard_exponential(out=row)
-            w[...] = f.T
+            u, w = u_buf[:kt, :m], w_buf[:kt, :m]
+            for p0 in range(0, m, _FILL_ROWS):
+                p1 = min(p0 + _FILL_ROWS, m)
+                f = fill[:p1 - p0, :kt]
+                for gen, row in zip(u_gens[p0:p1], f):
+                    gen.random(out=row)
+                u[:, p0:p1] = f.T
+                for gen, row in zip(w_gens[p0:p1], f):
+                    gen.standard_exponential(out=row)
+                w[:, p0:p1] = f.T
             for j, k in enumerate(range(k0, k0 + kt)):
                 a = np.asarray(process.alpha(xcur), dtype=float)
                 if not fixed_scale:

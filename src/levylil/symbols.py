@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import QuadratureError, SectorViolationError
-from .measures import (AtomicMeasure, ConstantProfile, LevyTriplet, MeasureSpec,
-                       PowerLawMeasure)
+from .measures import (NORMALIZED, AtomicMeasure, ConstantProfile, LevyTriplet,
+                       MeasureSpec, PowerLawMeasure)
 
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
@@ -91,10 +90,8 @@ def _quad(f, a, b, budget, weight=None, wvar=None):
         kwargs.update(weight=weight, wvar=wvar)
     # imported here, its only use: most runs never integrate numerically
     from scipy import integrate
-    with warnings.catch_warnings():
-        # tolerance shortfalls are handled through the explicit error budget
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, **kwargs)
+    # with full_output, tolerance shortfalls come back unwarned; the error budget handles them
+    val, err = integrate.quad(f, a, b, full_output=1, **kwargs)[:2]
     budget.add(err)
     return val
 
@@ -281,6 +278,29 @@ def eval_exponent(triplet: LevyTriplet, x: float, xi: float, *,
     return value
 
 
+def _exponent_on_grid(triplet: LevyTriplet, xs, xis):
+    """(Re p, Im p) on xs x xis as two (len(xs), len(xis)) arrays, equal bit for
+    bit to ``eval_exponent`` at each point.  A power-law measure takes the
+    closed form with its x-profiles evaluated once per x, and |xi|^alpha(x)
+    from Python's float power (libm), which numpy's array power may miss by
+    an ulp; any other measure goes through ``eval_exponent`` point by point."""
+    xs, xis = np.asarray(xs, dtype=float), np.asarray(xis, dtype=float)
+    measure = triplet.measure
+    if not isinstance(measure, PowerLawMeasure):
+        p = np.array([[eval_exponent(triplet, x, xi) for xi in xis.tolist()]
+                      for x in xs.tolist()], dtype=complex).reshape(xs.size, xis.size)
+        return p.real, p.imag
+    a = measure.alpha(xs)
+    c = a * (2.0 - a) / 4.0 if measure.coefficient == NORMALIZED else measure.coefficient(xs)
+    pw = [[v ** av for v in np.abs(xis).tolist()] for av in a.tolist()]
+    with np.errstate(over="ignore"):   # an overflow is the non-finite value raised below
+        re = (c * 2.0 * stable_levy_constant(a))[:, None] * np.array(pw).reshape(xs.size, xis.size)
+        im = 0.0 + triplet.drift(xs)[:, None] * xis
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise QuadratureError("non-finite exponent value")
+    return re, im
+
+
 def _exponent_atomic(measure, xi):
     if measure.is_symmetric:
         locs, masses = measure.locations(), measure.masses()
@@ -404,20 +424,15 @@ def sector_estimate(triplet: LevyTriplet, x_window, xi_grid) -> SectorEstimate:
 
     history = []
     for level in range(5):
-        sup = 0.0
-        for xv in xs:
-            for xiv in xi:
-                p = eval_exponent(triplet, float(xv), float(xiv))
-                re, im = p.real, p.imag
-                if re <= 0.0 or abs(im) > 1e15 * re:
-                    # Re p vanishes (to machine precision) at this point
-                    if abs(im) > 1e-12:
-                        raise SectorViolationError(
-                            f"sector violated at x={xv:.6g}, xi={xiv:.6g}: "
-                            f"Re p = {re:.3e}, Im p = {im:.3e}")
-                    continue
-                sup = max(sup, abs(im) / re)
-        history.append(sup)
+        re, im = _exponent_on_grid(triplet, xs, xi)
+        flat = (re <= 0.0) | (np.abs(im) > 1e15 * re)   # Re p vanishes to machine precision
+        bad = flat & (np.abs(im) > 1e-12)
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)   # first in row-major order
+            raise SectorViolationError(
+                f"sector violated at x={xs[i]:.6g}, xi={xi[j]:.6g}: "
+                f"Re p = {re[i, j]:.3e}, Im p = {im[i, j]:.3e}")
+        history.append(float(np.max(np.abs(im[~flat]) / re[~flat], initial=0.0)))
         if level < 4:
             xi = _densify(xi)
             if state_dep:
@@ -466,10 +481,8 @@ def build_lower_envelope(triplet: LevyTriplet, x_window, xi_hi: float) -> LowerE
     xs = np.linspace(x_window[0], x_window[1], 257)
     if triplet.measure.is_state_independent:
         xs = xs[:1]
-    raw = np.empty_like(xi_grid)
-    for j, xiv in enumerate(xi_grid):
-        raw[j] = min(eval_exponent(triplet, float(xv), float(xiv)).real for xv in xs)
-    return LowerEnvelope(xi_grid, np.maximum.accumulate(raw))
+    re, _ = _exponent_on_grid(triplet, xs, xi_grid)
+    return LowerEnvelope(xi_grid, np.maximum.accumulate(re.min(axis=0)))
 
 
 @dataclass
@@ -491,14 +504,15 @@ class SymbolFamily:
 
     def validate_on(self, x_grid, xi_grid):
         """Check g <= Re p <= C_p (1 + xi^2) on the given grids, to within 1e-9."""
-        for xv in x_grid:
-            for xiv in xi_grid:
-                re = eval_exponent(self.triplet, float(xv), float(xiv)).real
-                g = float(self.envelope(xiv))
-                if g > re + 1e-9:
-                    raise AssertionError(f"envelope exceeds Re p at x={xv}, xi={xiv}")
-                if re > self.coefficient_bound * (1.0 + xiv ** 2) + 1e-9:
-                    raise AssertionError(f"Re p above C_p(1+xi^2) at x={xv}, xi={xiv}")
+        re, _ = _exponent_on_grid(self.triplet, x_grid, xi_grid)
+        # g and the bound per xi from scalars: an array ** or square may round otherwise
+        low = np.array([float(self.envelope(xiv)) for xiv in xi_grid]) > re + 1e-9
+        bound = [self.coefficient_bound * (1.0 + xiv ** 2) + 1e-9 for xiv in xi_grid]
+        bad = low | (re > np.array(bound))
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)   # first in row-major order
+            what = "envelope exceeds Re p" if low[i, j] else "Re p above C_p(1+xi^2)"
+            raise AssertionError(f"{what} at x={x_grid[i]}, xi={xi_grid[j]}")
 
     @classmethod
     def from_stable(cls, alpha: float, scale: float = 1.0):
@@ -516,11 +530,9 @@ def build_symbol_family(triplet: LevyTriplet, x_window, xi_grid) -> SymbolFamily
     sector = sector_estimate(triplet, x_window, xi_grid)
     xi_hi = float(np.max(np.abs(np.asarray(xi_grid))))
     envelope = build_lower_envelope(triplet, x_window, max(xi_hi, 1.0))
-    xs = np.linspace(x_window[0], x_window[1], 33)
-    cp = 0.0
-    for xv in xs:
-        for xiv in np.geomspace(1.0, max(xi_hi, 1.0), 17):
-            re = eval_exponent(triplet, float(xv), float(xiv)).real
-            cp = max(cp, re / (1.0 + xiv ** 2))
+    xis = np.geomspace(1.0, max(xi_hi, 1.0), 17)
+    re, _ = _exponent_on_grid(triplet, np.linspace(x_window[0], x_window[1], 33), xis)
+    # 1 + xi^2 through libm pow, as Python floats: numpy's square rounds differently
+    cp = float(np.max(re / np.array([1.0 + v ** 2 for v in xis.tolist()]), initial=0.0))
     return SymbolFamily(triplet=triplet, x_window=tuple(x_window), sector=sector,
                         envelope=envelope, coefficient_bound=cp)

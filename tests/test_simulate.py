@@ -396,9 +396,10 @@ def test_compound_poisson_path_drift_applied():
 @pytest.mark.parametrize("kind", ["stable", "stable_like"])
 def test_recorded_stable_ensemble_memory_stays_in_blocks(kind, monkeypatch):
     # 2048 x 4096 paths at four recorded times: block buffers only (three per
-    # thread for the stable kernel, three tiles of draws for the stable-like
-    # one), not the 64 MiB (paths x steps) arrays an unblocked kernel would
-    # allocate, nor the 128 MiB of draws of a whole stable-like block
+    # thread for the stable kernel; for the stable-like one, two tiles of draws
+    # and a 64-path fill scratch), not the 64 MiB (paths x steps) arrays an
+    # unblocked kernel would allocate, nor the 128 MiB of draws of a whole
+    # stable-like block
     monkeypatch.setattr(simulate, "_WORKERS", 2)
     grid = ll.PathGrid(t_max=1.0, steps=4096)
     tracemalloc.start()
@@ -582,6 +583,11 @@ PINNED_STREAMS = {
     "stable_like_one_step": (
         (SL_SINUSOIDAL, 0.2, ll.PathGrid(t_max=0.5, steps=1), 7, 9, None),
         "f304e1ed09edf87b03af5c44b74483430d64019f6dee320d1f63d082e934f336"),
+    # at the default block size, 150 paths fill a tile in 64 + 64 + 22 rows,
+    # and the 513 grid times make step tiles of 256, 256 and 1
+    "stable_like_geometric_513_150": (
+        (SL_SINUSOIDAL, 0.2, GRID_GEOMETRIC_513, 41, 150, None),
+        "18bc409ca5a78641c24fa9860c4aeeaf0ca1a3be7c296949b00fa8a7b24fe7b0"),
 }
 
 
@@ -589,8 +595,10 @@ PINNED_STREAMS = {
 def test_stream_bits_pinned(name, monkeypatch):
     monkeypatch.setattr(simulate, "_WORKERS", 2)
     (proc, x0, grid, seed, n, record), digest = PINNED_STREAMS[name]
-    ens = ll.simulate_ensemble(proc, x0, grid, seed, n, record_times=record, chunk_size=4)
-    assert simulate._ensemble_sha256(ens) == digest
+    for chunk_size in (4, None):
+        ens = ll.simulate_ensemble(proc, x0, grid, seed, n, record_times=record,
+                                   chunk_size=chunk_size)
+        assert simulate._ensemble_sha256(ens) == digest
 
 
 def test_low_rate_compound_poisson_paths_leave_odd_words():

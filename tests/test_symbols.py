@@ -301,6 +301,76 @@ def test_property_doubling_domination_scaling():
 
 
 # --------------------------------------------------------------------------
+# grid evaluation
+# --------------------------------------------------------------------------
+
+SIN_ALPHA = ll.SinusoidalProfile(center=1.5, amplitude=0.3)
+GRID_TRIPLETS = {
+    "sinusoidal_normalized": ll.LevyTriplet(measure=ll.PowerLawMeasure(alpha=SIN_ALPHA)),
+    "sinusoidal_profiled": ll.LevyTriplet(measure=ll.PowerLawMeasure(
+        alpha=SIN_ALPHA,
+        coefficient=ll.SinusoidalProfile(center=1.0, amplitude=0.4, frequency=3.0))),
+    "tanh_drift": ll.LevyTriplet(
+        measure=ll.PowerLawMeasure(alpha=ll.TanhRampProfile(center=1.0, amplitude=0.25,
+                                                            rate=3.0)),
+        drift=ll.SinusoidalProfile(center=0.1, amplitude=0.2)),
+    "atomic": ll.LevyTriplet(measure=ll.AtomicMeasure(atoms=((1.0, 1.0), (-0.5, 2.0))),
+                             drift=0.3),
+}
+
+
+def _scalar_exponent(triplet, x, xi):
+    return ll.eval_exponent(triplet, float(x), float(xi))
+
+
+@pytest.mark.parametrize("name", sorted(GRID_TRIPLETS))
+def test_exponent_on_grid_matches_scalar_loop(name):
+    t = GRID_TRIPLETS[name]
+    xs = np.linspace(-2.0, 2.0, 41)
+    xis = np.concatenate([[0.0, -0.0, -3.0], np.geomspace(1e-3, 1e4, 60)])
+    re, im = symbols._exponent_on_grid(t, xs, xis)
+    want = np.array([[_scalar_exponent(t, x, xi) for xi in xis] for x in xs])
+    assert np.array_equal(re, want.real) and np.array_equal(im, want.imag)
+    assert np.array_equal(np.signbit(im), np.signbit(want.imag))
+
+
+def _scalar_family(t, x_window, xi_grid):
+    """Sector history, envelope values and C_p of ``build_symbol_family``
+    from one ``eval_exponent`` call per grid point."""
+    xi, xs = np.sort(np.asarray(xi_grid, dtype=float)), np.linspace(*x_window, 9)
+    history = []
+    for _ in range(5):
+        sup = 0.0
+        for xv in xs:
+            for xiv in xi:
+                p = _scalar_exponent(t, xv, xiv)
+                if p.real > 0.0 and abs(p.imag) <= 1e15 * p.real:
+                    sup = max(sup, abs(p.imag) / p.real)
+        history.append(sup)
+        xi, xs = symbols._densify(xi), symbols._densify(xs)
+    xi_hi = max(float(np.max(np.abs(xi_grid))), 1.0)
+    env = np.maximum.accumulate([min(_scalar_exponent(t, xv, xiv).real
+                                     for xv in np.linspace(*x_window, 257))
+                                 for xiv in np.geomspace(1.0, xi_hi, 65)])
+    cp = 0.0
+    for xv in np.linspace(*x_window, 33):
+        for xiv in np.geomspace(1.0, xi_hi, 17):
+            cp = max(cp, _scalar_exponent(t, xv, xiv).real / (1.0 + xiv ** 2))
+    return tuple(history), env, cp
+
+
+@pytest.mark.parametrize("name", ["sinusoidal_normalized", "tanh_drift"])
+def test_symbol_family_matches_scalar_loops(name):
+    # the window and xi grid of the feller_chung benchmark
+    window, xi_grid = (-0.5, 0.5), [0.5, 1.0, 2.0, 4.0, 8.0]
+    fam = ll.build_symbol_family(GRID_TRIPLETS[name], window, xi_grid)
+    history, env, cp = _scalar_family(GRID_TRIPLETS[name], window, xi_grid)
+    assert fam.sector.history == history
+    assert np.array_equal(fam.envelope.values, env)
+    assert fam.coefficient_bound == cp
+
+
+# --------------------------------------------------------------------------
 # sector estimates
 # --------------------------------------------------------------------------
 
@@ -337,6 +407,16 @@ def test_sector_violation_error():
     t = ll.LevyTriplet(measure=ll.AtomicMeasure(atoms=((1.0, 1.0),)))
     with pytest.raises(ll.SectorViolationError):
         ll.sector_estimate(t, (0.0, 0.0), [2.0 * math.pi])
+
+
+def test_sector_violation_names_first_point_in_row_major_order():
+    # Re p vanishes at xi = 2 pi and 4 pi; Im p is about (1 + l(x)) xi, and
+    # l(-1) + 1 = 1.2e-13 keeps it under 1e-12 at (x, xi) = (-1, 2 pi) only,
+    # so x-major order meets (-1, 4 pi) before (-0.75, 2 pi)
+    drift = ll.AffineClampedProfile(intercept=1.2e-13, slope=1.0, lo=-2.0, hi=2.0)
+    t = ll.LevyTriplet(measure=ll.AtomicMeasure(atoms=((1.0, 1.0),)), drift=drift)
+    with pytest.raises(ll.SectorViolationError, match=r"at x=-1, xi=12\.5664: "):
+        ll.sector_estimate(t, (-1.0, 1.0), [1.0, 2.0 * math.pi, 4.0 * math.pi])
 
 
 # --------------------------------------------------------------------------
