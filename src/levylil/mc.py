@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import LevyOnlyError
 from .measures import MeasureSpec
-from .norming import ball_extremum, u_of_R, u_inverse
+from .norming import ball_extremum, chung_rate, u_of_R
 from .simulate import PathEnsemble, PathGrid
 from .symbols import SymbolFamily, tail_mass
 
@@ -211,9 +211,11 @@ def empirical_charfn_bound(ensemble: PathEnsemble, symbol: SymbolFamily,
     """Check |lambda_hat_t(x, xi)| <= exp(-delta t g(xi)) + 4/sqrt(N).
 
     delta = 1 - c0 - epsilon with c0 the sector estimate; epsilon defaults to
-    (1 - c0)/2.  PASS when at most 1% of the probed (t, xi) pairs violate the
-    bound.  When all violations sit at the largest probed t the report is
-    flagged (unknown validity horizon t0(xi, eps)) instead of failed.
+    (1 - c0)/2.  Each probed t is snapped to the nearest stored time, at
+    which the bound is evaluated and the row reported.  PASS when at most 1%
+    of the probed (t, xi) pairs violate the bound.  When all violations sit
+    at the largest probed t the report is flagged (unknown validity horizon
+    t0(xi, eps)) instead of failed.
     """
     c0 = symbol.sector_value
     if c0 is None or c0 >= 1.0:
@@ -226,13 +228,14 @@ def empirical_charfn_bound(ensemble: PathEnsemble, symbol: SymbolFamily,
     band = 4.0 / math.sqrt(ensemble.n_paths)
     rows = []
     violations = []
-    t_max_probe = max(t_list)
-    for t in t_list:
+    ts = [ensemble.nearest_time(t) for t in t_list]
+    t_max_probe = max(ts)
+    for t in ts:
         for xi in xi_list:
             lam = empirical_charfn(ensemble, xi, t)
             bound = math.exp(-delta * t * float(symbol.g(xi))) if xi != 0.0 else 1.0
             violated = abs(lam) > bound + band
-            rows.append({"t": float(t), "xi": float(xi),
+            rows.append({"t": t, "xi": float(xi),
                          "modulus": abs(lam), "re": lam.real, "im": lam.imag,
                          "bound": bound, "violated": bool(violated)})
             if violated:
@@ -282,7 +285,7 @@ def chung_statistic(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
                     rate_exponent: Optional[float] = None) -> ChungStatistic:
     """Ensemble Chung statistic over the dyadic probe window [t_lo, t_hi].
 
-    The rate is u^{-1}(x, t / log|log t|); ``rate_exponent`` replaces it by
+    The rate is ``chung_rate``; ``rate_exponent`` replaces it by
     (t / log|log t|)^rate_exponent (misspecification diagnostics).  The dual
     exit-time statistic is computed only for the correctly specified rate.
     log|log t| is positive only for t < e^-1, so ``t_hi`` must lie below it.
@@ -298,20 +301,14 @@ def chung_statistic(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
     while t >= t_lo * (1.0 - 1e-12):
         cols.add(ensemble.nearest_index(t))
         t *= 0.5
-    if not cols:
-        raise ValueError("window outside the stored grid")
     idx = np.array(sorted(cols))
     probes = ensemble.times[idx].tolist()
     if probes[-1] >= math.exp(-1.0):
         raise ValueError(f"t_hi={t_hi} snaps to grid time {probes[-1]}, not below e^-1")
-    rates = []
-    for tp in probes:
-        ll = math.log(abs(math.log(tp)))
-        rho = tp / ll
-        if rate_exponent is None:
-            rates.append(u_inverse(measure, x, rho))
-        else:
-            rates.append(rho ** rate_exponent)
+    if rate_exponent is None:
+        rates = [chung_rate(measure, x, tp) for tp in probes]
+    else:
+        rates = [(tp / math.log(abs(math.log(tp)))) ** rate_exponent for tp in probes]
     ratios = ensemble.running_sup[:, idx] / np.asarray(rates)
     values = np.min(ratios, axis=1)
     med, q25, q75 = (float(np.percentile(values, q)) for q in (50, 25, 75))

@@ -5,10 +5,13 @@ generalized inverse u^{-1}(x, rho) = inf{r : u(x, r) >= rho} evaluated at
 t / log|log t| gives the small-time rate.  The iterated-logarithm upper
 function v(x, t) inverts xi -> p^U(x, xi) at 1/(t ell_{eps,n}(t)).
 
-Everything here is a pure function of its arguments.  ``NormingFunction`` is
-the table that ``build_norming_function`` samples on a given argument grid
-(closed forms for constant-index power laws, numerics otherwise), read back
-by log-log interpolation; the ``norming_table`` analysis writes it as CSV.
+Everything here is a pure function of its arguments.  ``u_of_R``,
+``u_inverse``, ``chung_rate`` and ``upper_norming_v`` are the only evaluators
+of their quantities: each takes the closed form of a constant-index power law
+itself (``upper_norming_v``, which inverts p^U at x alone, that of any power
+law) and falls back to numerics otherwise.  ``build_norming_function``
+tabulates one of them on an argument grid by calling it at every point; the
+``norming_table`` analysis writes that table as CSV.
 """
 
 from __future__ import annotations
@@ -73,17 +76,20 @@ def u_of_R(measure: MeasureSpec, x: float, R: float) -> float:
 
 
 def u_inverse(measure: MeasureSpec, x: float, rho: float) -> float:
-    """Generalized inverse inf{r : u(x, r) >= rho}.
+    """Generalized inverse inf{r : u(x, r) >= rho} for rho in (0, u(x, 1)].
 
-    Ascending geometric scan (ratio 2 from r = 1e-12) finds the first
-    crossing from below, honoring non-monotone u; bisection then shrinks the
-    bracket to a relative width of 1e-10.
+    A constant-index power law has u(x, r) = r^alpha / pu_factor(x), inverted
+    in closed form.  Otherwise an ascending geometric scan (ratio 2 from
+    r = 1e-12) finds the first crossing from below, honoring non-monotone u;
+    bisection then shrinks the bracket to a relative width of 1e-10.
     """
     if rho <= 0.0:
         raise RhoOutOfRangeError("rho must be positive")
     u_top = u_of_R(measure, x, 1.0)
     if rho > u_top:
         raise RhoOutOfRangeError(f"rho={rho:.3e} above u(x, 1) = {u_top:.3e}")
+    if isinstance(measure, PowerLawMeasure) and measure.is_state_independent:
+        return (measure.pu_factor(x) * rho) ** (1.0 / measure.alpha_at(x))
 
     def u(r):
         return u_of_R(measure, x, r)
@@ -142,24 +148,19 @@ def iterated_log_factor(t: float, epsilon: float, n: int) -> float:
 
 
 def upper_norming_v(measure: MeasureSpec, x: float, t: float, epsilon: float,
-                    n: int, *, ell_one: bool = False, method: str = "auto") -> float:
+                    n: int, *, ell_one: bool = False) -> float:
     """Iterated-log upper norming function v(x, t) = 1 / chi(x, 1/(t ell)).
 
-    chi(x, .) is the inverse of xi -> p^U(x, xi) on [1, inf).  For power-law
-    measures the closed form (pu_factor(x) * t * ell)^{1/alpha(x)} is used
-    unless ``method='numeric'`` forces the bisection route.  ``ell_one``
-    replaces ell_{eps,n} by 1 (the epsilon-skip diagnostic mode).
+    chi(x, .) is the inverse of xi -> p^U(x, xi) on [1, inf).  A power-law
+    measure has p^U(x, xi) = pu_factor(x) |xi|^alpha(x), so v is
+    (pu_factor(x) t ell)^{1/alpha(x)}; other measures invert p^U by
+    bisection.  ``ell_one`` replaces ell_{eps,n} by 1 (the epsilon-skip
+    diagnostic mode).
     """
-    if method not in ("auto", "closed", "numeric"):
-        raise ValueError(f"unknown method {method!r}; expected 'auto', 'closed' or 'numeric'")
     ell = 1.0 if ell_one else iterated_log_factor(t, epsilon, n)
-    target = 1.0 / (t * ell)
-    if isinstance(measure, PowerLawMeasure) and method in ("auto", "closed"):
-        a = measure.alpha_at(x)
-        return (measure.pu_factor(x) * t * ell) ** (1.0 / a)
-    if method == "closed":
-        raise ValueError("closed form only available for power-law measures")
-    return 1.0 / _chi_inverse(measure, x, target)
+    if isinstance(measure, PowerLawMeasure):
+        return (measure.pu_factor(x) * t * ell) ** (1.0 / measure.alpha_at(x))
+    return 1.0 / _chi_inverse(measure, x, 1.0 / (t * ell))
 
 
 def _chi_inverse(measure, x, target):
@@ -231,17 +232,9 @@ class NormingFunction:
     whether the values come from a closed form or from numerics."""
 
     kind: str
-    x: float
     form: str                      # "closed_form" | "numeric"
     arg_grid: np.ndarray
     values: np.ndarray
-
-    def __call__(self, arg):
-        """Log-log interpolation of the table inside its argument range."""
-        arg = np.asarray(arg, dtype=float)
-        if np.any(arg < self.arg_grid[0]) or np.any(arg > self.arg_grid[-1]):
-            raise ValueError("argument outside norming-function domain")
-        return np.exp(np.interp(np.log(arg), np.log(self.arg_grid), np.log(self.values)))
 
     def table(self):
         return self.arg_grid, self.values
@@ -249,41 +242,26 @@ class NormingFunction:
 
 def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
                            *, epsilon: float = 0.5, n: int = 1) -> NormingFunction:
-    """Tabulate one of the named norming functions on ``arg_grid``.
+    """Tabulate ``kind`` ('u', 'u_inverse', 'chung_rate' or 'upper_v') on the
+    sorted ``arg_grid``.
 
-    Constant-index power-law measures get closed forms; everything else is
-    sampled and interpolated log-log.
+    Each value is the scalar evaluator of that quantity at its argument, so
+    the table equals ``u_of_R``, ``u_inverse``, ``chung_rate`` or
+    ``upper_norming_v`` bit for bit and fails where they fail.  ``form`` is
+    'closed_form' for constant-index power laws and 'numeric' otherwise.
     """
-    arg_grid = np.asarray(sorted(arg_grid), dtype=float)
-    if kind == "u" and (arg_grid[0] <= 0.0 or arg_grid[-1] > 1.0):
-        raise ValueError("u is defined for R in (0, 1]")
-    if kind == "chung_rate" and arg_grid[-1] >= math.exp(-1.0):
-        raise ValueError("chung_rate needs t < e^-1")
-    closed = isinstance(measure, PowerLawMeasure) and measure.is_state_independent
-    if closed:
-        a = measure.alpha_at(x)
-        f = measure.pu_factor(x)
-        if kind == "u_inverse" and arg_grid[-1] > 1.0 / f:
-            raise RhoOutOfRangeError("rho above u(x, 1)")
-        closures = {
-            "u": lambda r: r ** a / f,
-            "u_inverse": lambda rho: (f * rho) ** (1.0 / a),
-            "chung_rate": lambda t: (f * t / np.log(np.abs(np.log(t)))) ** (1.0 / a),
-            "upper_v": lambda t: (f * t * np.array([iterated_log_factor(float(tv), epsilon, n)
-                                                    for tv in np.atleast_1d(t)])) ** (1.0 / a),
-        }
-        if kind in closures:
-            return NormingFunction(kind=kind, x=x, form="closed_form", arg_grid=arg_grid,
-                                   values=np.asarray(closures[kind](arg_grid)))
     samplers = {
-        "u": lambda r: u_of_R(measure, x, float(r)),
-        "u_inverse": lambda rho: u_inverse(measure, x, float(rho)),
-        "chung_rate": lambda t: chung_rate(measure, x, float(t)),
-        "upper_v": lambda t: upper_norming_v(measure, x, float(t), epsilon, n),
+        "u": lambda r: u_of_R(measure, x, r),
+        "u_inverse": lambda rho: u_inverse(measure, x, rho),
+        "chung_rate": lambda t: chung_rate(measure, x, t),
+        "upper_v": lambda t: upper_norming_v(measure, x, t, epsilon, n),
     }
     if kind not in samplers:
         raise ValueError(f"cannot tabulate kind {kind!r} from a measure")
-    vals = np.array([samplers[kind](a) for a in arg_grid])
-    if np.any(vals <= 0.0):
+    arg_grid = np.asarray(sorted(arg_grid), dtype=float)
+    values = np.array([samplers[kind](a) for a in arg_grid.tolist()])
+    if np.any(values <= 0.0):
         raise DegenerateMeasureError(f"{kind} must be positive on its domain")
-    return NormingFunction(kind=kind, x=x, form="numeric", arg_grid=arg_grid, values=vals)
+    closed = isinstance(measure, PowerLawMeasure) and measure.is_state_independent
+    return NormingFunction(kind=kind, form="closed_form" if closed else "numeric",
+                           arg_grid=arg_grid, values=values)

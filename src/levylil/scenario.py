@@ -344,10 +344,10 @@ def _simulate(ctx, spec, ens, tag):
                                          "direction": {"enum": ["ge", "lt"]}},
            required=["t", "R"])
 def _sup_probability(ctx, spec, ens, tag):
-    est = mc.estimate_sup_probability(ens, ens.nearest_time(spec["t"]), spec["R"],
-                                      spec.get("direction", "ge"))
+    t = ens.nearest_time(spec["t"])
+    est = mc.estimate_sup_probability(ens, t, spec["R"], spec.get("direction", "ge"))
     return ("t,R,p_hat,standard_error",
-            [(spec["t"], spec["R"], est.p_hat, est.standard_error)], est.to_dict())
+            [(t, spec["R"], est.p_hat, est.standard_error)], est.to_dict())
 
 
 @_analysis("maximal_inequality", "verify", {"t_list": _NUM_LIST, "R_list": _NUM_LIST},
@@ -518,11 +518,12 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
                  out: Optional[str] = None, canonical: bool = False) -> dict:
     """Execute a scenario (path or dict); returns the report dict.
 
-    A numeric failure of one analysis (``LevyLilError``, ``ValueError`` or
-    ``MemoryError``, but not ``SchemaError``) is recorded as its result,
-    ``{"status": "failed", "analysis", "arguments", "error"}``, and writes no
-    CSV; the later analyses still run and ``report.json`` is written.  Then
-    a ``LevyLilError`` names every failed analysis.
+    A numeric failure of one analysis (``LevyLilError``, ``ValueError``,
+    ``OverflowError`` or ``MemoryError``, but not ``SchemaError``) is
+    recorded as its result, ``{"status": "failed", "analysis", "arguments",
+    "error"}``, and writes no CSV; the later analyses still run and
+    ``report.json`` is written.  Then a ``LevyLilError`` names every failed
+    analysis.
     """
     if isinstance(scenario, (str, os.PathLike)):
         doc = load_scenario(scenario)
@@ -558,7 +559,7 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
                 results[tag] = _run_analysis(ctx, spec, tag)
             except SchemaError:
                 raise
-            except (LevyLilError, ValueError, MemoryError) as exc:
+            except (LevyLilError, ValueError, OverflowError, MemoryError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 failed.append(f"{tag}: {error}")
                 results[tag] = {"status": "failed", "analysis": spec["name"],

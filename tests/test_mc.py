@@ -187,6 +187,16 @@ def test_charfn_bound_report(ens):
     assert rep["delta"] == pytest.approx(0.5)
 
 
+def test_charfn_bound_reports_the_grid_time_it_measured(ens_small):
+    # t = 0.3 lies between stored times; its nearest is 77/256
+    fam = ll.SymbolFamily.from_stable(ALPHA)
+    rep = ll.empirical_charfn_bound(ens_small, fam, [1.0], [0.3])
+    (row,) = rep["rows"]
+    assert row["t"] == ens_small.nearest_time(0.3) == 0.30078125
+    assert row["bound"] == math.exp(-rep["delta"] * 0.30078125)
+    assert row["modulus"] == abs(ll.empirical_charfn(ens_small, 1.0, 0.30078125))
+
+
 def test_charfn_bound_sector_too_large(ens_small):
     fam = ll.SymbolFamily.from_stable(ALPHA)
     fam.sector = ll.SectorEstimate(value=1.2, unbounded=False, history=(1.2,))
@@ -212,6 +222,14 @@ def test_chung_statistic_degenerate_window(ens_chung):
     rate = chung_rate(M_NORM, 0.0, t)
     want = ens_chung.running_sup[:, idx] / rate
     assert np.allclose(stat.values, want, rtol=1e-9)
+
+
+def test_chung_statistic_rates_are_chung_rate(ens_chung):
+    sinusoidal = ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(center=1.5, amplitude=0.3))
+    for measure in (M_NORM, sinusoidal):
+        stat = ll.chung_statistic(ens_chung, measure, 0.0, 1e-4, 1e-2)
+        assert np.array_equal(stat.rates,
+                              [chung_rate(measure, 0.0, t) for t in stat.probe_times])
 
 
 def test_chung_statistic_window_stability(ens_chung):

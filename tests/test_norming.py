@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import levylil as ll
+from levylil.norming import _chi_inverse
 
 
 M_CONST_12 = ll.PowerLawMeasure(alpha=1.2)
@@ -202,12 +203,13 @@ def test_upper_norming_v_alpha_one_eps_zero():
 
 
 def test_upper_norming_v_numeric_matches_closed():
+    # the closed form against bisection on p^U, v = 1 / chi(x, 1/(t ell))
     rng = np.random.default_rng(5)
     for _ in range(10):
         t = 10 ** rng.uniform(-6, -1)
         eps = rng.uniform(0.1, 1.0)
-        c = ll.upper_norming_v(M_SIN, 0.4, t, eps, 1, method="closed")
-        n = ll.upper_norming_v(M_SIN, 0.4, t, eps, 1, method="numeric")
+        c = ll.upper_norming_v(M_SIN, 0.4, t, eps, 1)
+        n = 1.0 / _chi_inverse(M_SIN, 0.4, 1.0 / (t * ll.iterated_log_factor(t, eps, 1)))
         assert n == pytest.approx(c, rel=1e-8)
 
 
@@ -217,9 +219,7 @@ def test_upper_norming_v_numeric_matches_closed():
     (lambda: ll.eval_pU(M_SIN, 0.0, 2.0, method="Quadrature"), "Quadrature"),
     (lambda: ll.eval_exponent(ll.LevyTriplet(measure=M_SIN), 0.0, 2.0, method="Quadrature"),
      "Quadrature"),
-    (lambda: ll.upper_norming_v(M_SIN, 0.0, 1e-3, 0.5, 1, method="Closed"), "Closed"),
-], ids=["ball_mode", "ball_mode_state_independent", "pU_method", "exponent_method",
-        "upper_v_method"])
+], ids=["ball_mode", "ball_mode_state_independent", "pU_method", "exponent_method"])
 def test_unknown_mode_or_method_is_rejected(call, bad):
     with pytest.raises(ValueError, match=f"'{bad}'"):
         call()
@@ -269,22 +269,47 @@ def test_norming_function_closed_and_csv():
     grid = np.geomspace(1e-6, 1e-1, 17)
     nf = ll.build_norming_function(M_CONST_15, 0.0, "u_inverse", grid)
     assert nf.form == "closed_form"
-    assert nf(1e-4) == pytest.approx((1e-4) ** (1 / 1.5), rel=1e-12)
     args, vals = nf.table()
     assert len(args) == len(vals) == len(grid)
     assert args[0] == pytest.approx(grid[0])
-    assert vals[0] == pytest.approx(nf(grid[0]))
+    assert vals == pytest.approx(grid ** (1 / 1.5), rel=1e-12)
 
 
-def test_norming_function_numeric_interpolates():
+def test_norming_function_numeric_form_and_domain():
     grid = np.geomspace(1e-5, 1e-2, 25)
     nf = ll.build_norming_function(M_TANH, 0.0, "u_inverse", grid)
     assert nf.form == "numeric"
-    mid = math.sqrt(grid[3] * grid[4])
-    direct = ll.u_inverse(M_TANH, 0.0, mid)
-    assert nf(mid) == pytest.approx(direct, rel=1e-3)
-    with pytest.raises(ValueError):
-        nf(grid[0] * 0.1)
+    # past u(x, 1) the table fails as u_inverse does
+    rho_above = 2.0 * ll.u_of_R(M_TANH, 0.0, 1.0)
+    with pytest.raises(ll.RhoOutOfRangeError):
+        ll.build_norming_function(M_TANH, 0.0, "u_inverse", [1e-3, rho_above])
+
+
+# a tabulated density 0.7 |y|^-2.2 on [1e-4, 1e2]: p^U saturates past xi = 1e4
+TAB_GRID = np.geomspace(1e-4, 1e2, 40)
+M_TAB = ll.TabulatedMeasure(grid=tuple(TAB_GRID.tolist()),
+                            density=tuple((0.7 * TAB_GRID ** -2.2).tolist()))
+SCALAR = {
+    "u": lambda m, r: ll.u_of_R(m, 0.0, r),
+    "u_inverse": lambda m, rho: ll.u_inverse(m, 0.0, rho),
+    "chung_rate": lambda m, t: ll.chung_rate(m, 0.0, t),
+    "upper_v": lambda m, t: ll.upper_norming_v(m, 0.0, t, 0.5, 1),
+}
+
+
+@pytest.mark.parametrize("measure, form", [(M_CONST_15, "closed_form"), (M_SIN, "numeric"),
+                                           (M_TAB, "numeric")],
+                         ids=["constant_index", "sinusoidal", "tabulated"])
+@pytest.mark.parametrize("kind, args", [
+    ("u", [1e-3, 0.0123, 0.1, 0.37, 1.0]),
+    ("u_inverse", [1e-4, 3.3e-4, 1e-3, 7e-3, 1e-2]),
+    ("chung_rate", [1e-4, 2e-4, 1e-3, 5e-3, 1e-2]),
+    ("upper_v", [1e-6, 1e-4, 1e-3, 3e-3, 1e-2]),
+], ids=["u", "u_inverse", "chung_rate", "upper_v"])
+def test_norming_table_is_its_scalar_evaluator(measure, form, kind, args):
+    nf = ll.build_norming_function(measure, 0.0, kind, args, epsilon=0.5, n=1)
+    assert nf.form == form
+    assert np.array_equal(nf.table()[1], [SCALAR[kind](measure, a) for a in args])
 
 
 def test_norming_function_rejects_unknown_kind():

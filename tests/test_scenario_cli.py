@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -165,6 +166,72 @@ def test_failed_analysis_is_recorded_and_the_rest_still_run(tmp_path, capsys):
     assert cli_main(["report", "--scenario", str(write_scenario(tmp_path, doc, "s.json"))]) == 2
     assert "simulate needs a 'grid'" in capsys.readouterr().err
     assert not (tmp_path / "schema" / "report.json").exists()
+
+
+def test_overflow_in_symbol_analyses_is_recorded(tmp_path, capsys):
+    # |xi|^1.5 at xi = 1e300 and r^-1.5 at r = 1e-300 overflow a double
+    doc = minimal_scenario(tmp_path / "out")
+    doc["analyses"] = [
+        {"name": "pu_grid", "x_values": [0.0], "xi_values": [1e300]},
+        {"name": "exponent_grid", "x_values": [0.0], "xi_values": [1e300]},
+        {"name": "tail_mass_grid", "r_values": [1e-300]}]
+    assert cli_main(["symbol", "--scenario", str(write_scenario(tmp_path, doc))]) == 1
+    assert "3 of 3 analyses failed" in capsys.readouterr().err
+    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    assert [(r["status"], r["analysis"], r["error"].split(":")[0])
+            for r in results.values()] == [
+        ("failed", name, "OverflowError")
+        for name in ("pu_grid", "exponent_grid", "tail_mass_grid")]
+
+
+def test_verify_rows_report_the_grid_time_measured(tmp_path):
+    # on 64 steps over [0, 1], t = 0.3 snaps to 19/64 and t = 5 to t_max
+    doc = {"seed": 3, "process": {"kind": "stable", "alpha": 1.5},
+           "grid": {"t_max": 1.0, "steps": 64}, "paths": 200,
+           "output_dir": str(tmp_path / "out"),
+           "analyses": [{"name": "sup_probability", "t": 0.3, "R": 0.5},
+                        {"name": "sup_probability", "t": 5.0, "R": 0.5},
+                        {"name": "charfn_bound", "xi_list": [1.0], "t_list": [0.3]}]}
+    report = run_scenario(doc, canonical=True)
+    rows = {tag: (tmp_path / "out" / f"{tag}.csv").read_text().splitlines()[3:]
+            for tag in report["results"]}
+    assert [float(r.split(",")[0]) for r in rows["00_sup_probability"]
+            + rows["01_sup_probability"] + rows["02_charfn_bound"]] == [0.296875, 1.0, 0.296875]
+    bound = float(rows["02_charfn_bound"][0].split(",")[3])
+    assert bound == math.exp(-report["results"]["02_charfn_bound"]["delta"] * 0.296875)
+
+
+# SHA-256 of every file that `levylil report --canonical-output` writes for
+# docs/example_scenario.json into its own output_dir
+EXAMPLE_SHA256 = {
+    "00_pu_grid.csv": "9eb53f4d24646d70fdffe1caf9ae18dc5f438b3a66a68dfe888304618c4a6cd2",
+    "01_exponent_grid.csv": "8c011e8665fdebc4a32d0dcbbaea71b46310d0763a7a3ab2b19e832b2fadcec2",
+    "02_sector.csv": "dcd55834b9fbe92d7e1c87745d722e3cfd892e634b8f1c3f39973c416536325a",
+    "03_norming_table.csv": "1c7ba0b698b26bbc4d83cba35777a6aab8163f2ff64577052ae427e207bf4528",
+    "04_kappa.csv": "e33f82d973cbe7148ef206005ec560622b9ca847e2520b2c893f0610a890633d",
+    "05_upper_function_test.csv": "fca486f46dcd0669e8374a7d57c20662fc4f613fb58bb21e80d4ad454dc00197",
+    "06_lower_tail_test.csv": "2f66ed0e68c707325f4dc2efa931a75cc0a993deeb15c0537e1e23ef5c6a4c6b",
+    "07_symbol_liminf_test.csv": "7854308c28adb1c6ad238510d232429c50f93815df2943de46826bd937cfd402",
+    "08_simulate.csv": "7434b5fd9c35826f12054bd99723ac846031a89096f18f23f179e4945baa00f9",
+    "08_simulate_paths.jsonl": "e3d786d9c27615e87e681aa09e22635920d07c06ea7ecce9498d1c00524c3b2e",
+    "09_sup_probability.csv": "daffc2245240bd8af4e4a01b2f5f48bb99c41c642703a05ba0d9fde4498d4c3c",
+    "10_maximal_inequality.csv": "64903eb6d8bbd29a3d86cf669a911e35ed6977ed25a38fb0444949bb2939ce60",
+    "11_spitzer.csv": "5ae45d4a5752d4b1218b8c8e6b587efa7efcbef28ea5013fbab483dd7b30233c",
+    "12_etemadi.csv": "49e131eaa0cec2cc053cd248f320454984aa3ededbf08dd63b56e1379fa666c4",
+    "13_charfn_bound.csv": "bfb6f2daf57352522fa78b345697fcb66d93539d5c89ba4e4bf947adb9dadf8d",
+    "14_chung_statistic.csv": "a8a5458e683ee22240af85c8ed19b641513f1eaf9e88c83561cc1a3b8a5900b0",
+    "report.json": "c0be8e60b25dbbd5cf6b741ce4ecdcb0f0126c8860ba89b07424831e9bb725db",
+}
+
+
+def test_example_canonical_output_is_pinned(tmp_path, monkeypatch):
+    # output_dir stays "out", so the scenario hash in every file is that of the example
+    monkeypatch.chdir(tmp_path)
+    run_scenario(Path(__file__).resolve().parent.parent / "docs" / "example_scenario.json",
+                 canonical=True)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert digests == EXAMPLE_SHA256
 
 
 def test_canonical_output_byte_identical(tmp_path):
