@@ -59,6 +59,12 @@ def _compensated_mean(values: np.ndarray) -> float:
     return math.fsum(values.tolist()) / values.size
 
 
+def _probe_columns(ensemble: PathEnsemble, t_list) -> list:
+    """Stored columns nearest to the probe times, in request order, each
+    once: probes that snap to the same stored time give one row."""
+    return list(dict.fromkeys(ensemble.nearest_index(t) for t in t_list))
+
+
 # --------------------------------------------------------------------------
 # maximal inequalities (two-sided exit probability bounds)
 # --------------------------------------------------------------------------
@@ -74,8 +80,8 @@ def maximal_inequality_check(ensemble: PathEnsemble, measure: MeasureSpec, x: fl
     def fitted(ts, Rs):
         c1 = c2 = 0.0
         rows = []
-        for t in ts:
-            t_snap = ensemble.nearest_time(t)
+        for idx in _probe_columns(ensemble, ts):
+            t_snap = float(ensemble.times[idx])
             for R in Rs:
                 p_ge = estimate_sup_probability(ensemble, t_snap, R, "ge")
                 p_lt = estimate_sup_probability(ensemble, t_snap, R, "lt")
@@ -148,10 +154,10 @@ def multi_interval_decay(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
 # --------------------------------------------------------------------------
 
 def spitzer_estimate(ensemble: PathEnsemble, x: float, t_list) -> list:
-    """P^x(X_t < x) per probe time, with binomial standard errors."""
+    """P^x(X_t < x) at the stored time nearest to each probe time (once per
+    stored time), with binomial standard errors."""
     out = []
-    for t in t_list:
-        idx = ensemble.nearest_index(t)
+    for idx in _probe_columns(ensemble, t_list):
         count = int(np.sum(ensemble.positions[:, idx] < x))
         est = ProbabilityEstimate.from_count(count, ensemble.n_paths)
         out.append({"t": float(ensemble.times[idx]), **est.to_dict()})
@@ -175,8 +181,7 @@ def etemadi_check(ensemble: PathEnsemble, v: Callable[[float], float], C: float,
     rows = []
     ok = True
     n = ensemble.n_paths
-    for t in t_list:
-        idx = ensemble.nearest_index(t)
+    for idx in _probe_columns(ensemble, t_list):
         ts = float(ensemble.times[idx])
         vt = float(v(ts))
         marg = ProbabilityEstimate.from_count(
@@ -212,7 +217,8 @@ def empirical_charfn_bound(ensemble: PathEnsemble, symbol: SymbolFamily,
 
     delta = 1 - c0 - epsilon with c0 the sector estimate; epsilon defaults to
     (1 - c0)/2.  Each probed t is snapped to the nearest stored time, at
-    which the bound is evaluated and the row reported.  PASS when at most 1%
+    which the bound is evaluated and the row reported; probes that snap to
+    the same stored time give one row per xi.  PASS when at most 1%
     of the probed (t, xi) pairs violate the bound.  When all violations sit
     at the largest probed t the report is flagged (unknown validity horizon
     t0(xi, eps)) instead of failed.
@@ -228,7 +234,7 @@ def empirical_charfn_bound(ensemble: PathEnsemble, symbol: SymbolFamily,
     band = 4.0 / math.sqrt(ensemble.n_paths)
     rows = []
     violations = []
-    ts = [ensemble.nearest_time(t) for t in t_list]
+    ts = ensemble.times[_probe_columns(ensemble, t_list)].tolist()
     t_max_probe = max(ts)
     for t in ts:
         for xi in xi_list:

@@ -248,7 +248,9 @@ def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
     Each value is the scalar evaluator of that quantity at its argument, so
     the table equals ``u_of_R``, ``u_inverse``, ``chung_rate`` or
     ``upper_norming_v`` bit for bit and fails where they fail.  ``form`` is
-    'closed_form' for constant-index power laws and 'numeric' otherwise.
+    'closed_form' where the evaluator takes its closed form: every kind on a
+    constant-index power law, and 'upper_v' on any power law; 'numeric'
+    otherwise.
     """
     samplers = {
         "u": lambda r: u_of_R(measure, x, r),
@@ -262,6 +264,7 @@ def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
     values = np.array([samplers[kind](a) for a in arg_grid.tolist()])
     if np.any(values <= 0.0):
         raise DegenerateMeasureError(f"{kind} must be positive on its domain")
-    closed = isinstance(measure, PowerLawMeasure) and measure.is_state_independent
+    closed = isinstance(measure, PowerLawMeasure) and (
+        kind == "upper_v" or measure.is_state_independent)
     return NormingFunction(kind=kind, form="closed_form" if closed else "numeric",
                            arg_grid=arg_grid, values=values)

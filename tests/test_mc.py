@@ -197,6 +197,26 @@ def test_charfn_bound_reports_the_grid_time_it_measured(ens_small):
     assert row["modulus"] == abs(ll.empirical_charfn(ens_small, 1.0, 0.30078125))
 
 
+def test_probes_snapping_to_one_stored_time_give_one_row(ens_small):
+    # 0.3 and 0.301 both snap to 77/256 on the 256-step grid; the inflated
+    # envelope of scale 4 is violated there for each xi, which must count once
+    fam = ll.SymbolFamily.from_stable(ALPHA, scale=4.0)
+    fam.sector = ll.SectorEstimate(value=0.0, unbounded=False, history=(0.0,))
+    dup = ll.empirical_charfn_bound(ens_small, fam, [0.5, 1.0], [0.0625, 0.3, 0.301])
+    once = ll.empirical_charfn_bound(ens_small, fam, [0.5, 1.0], [0.0625, 0.3])
+    assert [r["t"] for r in dup["rows"]] == [0.0625, 0.0625, 0.30078125, 0.30078125]
+    assert dup == once
+    assert [r["violated"] for r in dup["rows"]] == [False, False, True, True]
+    assert dup["violation_fraction"] == 0.5
+    spitzer = ll.spitzer_estimate(ens_small, 0.0, [0.3, 0.301, 0.0625])
+    assert spitzer == ll.spitzer_estimate(ens_small, 0.0, [0.3, 0.0625])
+    assert [r["t"] for r in spitzer] == [0.30078125, 0.0625]
+    etemadi = ll.etemadi_check(ens_small, lambda t: t ** (2.0 / 3.0), 1.0, [0.3, 0.301])
+    assert [r["t"] for r in etemadi["rows"]] == [0.30078125]
+    maximal = ll.maximal_inequality_check(ens_small, STABLE.levy_measure, 0.0, [0.3, 0.301], [1.0])
+    assert [r["t"] for r in maximal["rows"]] == [0.30078125]
+
+
 def test_charfn_bound_sector_too_large(ens_small):
     fam = ll.SymbolFamily.from_stable(ALPHA)
     fam.sector = ll.SectorEstimate(value=1.2, unbounded=False, history=(1.2,))

@@ -297,8 +297,9 @@ SCALAR = {
 }
 
 
-@pytest.mark.parametrize("measure, form", [(M_CONST_15, "closed_form"), (M_SIN, "numeric"),
-                                           (M_TAB, "numeric")],
+# the kinds whose evaluator takes a closed form on each measure
+@pytest.mark.parametrize("measure, closed", [(M_CONST_15, set(SCALAR)), (M_SIN, {"upper_v"}),
+                                             (M_TAB, set())],
                          ids=["constant_index", "sinusoidal", "tabulated"])
 @pytest.mark.parametrize("kind, args", [
     ("u", [1e-3, 0.0123, 0.1, 0.37, 1.0]),
@@ -306,10 +307,21 @@ SCALAR = {
     ("chung_rate", [1e-4, 2e-4, 1e-3, 5e-3, 1e-2]),
     ("upper_v", [1e-6, 1e-4, 1e-3, 3e-3, 1e-2]),
 ], ids=["u", "u_inverse", "chung_rate", "upper_v"])
-def test_norming_table_is_its_scalar_evaluator(measure, form, kind, args):
+def test_norming_table_is_its_scalar_evaluator(measure, closed, kind, args):
     nf = ll.build_norming_function(measure, 0.0, kind, args, epsilon=0.5, n=1)
-    assert nf.form == form
+    assert nf.form == ("closed_form" if kind in closed else "numeric")
     assert np.array_equal(nf.table()[1], [SCALAR[kind](measure, a) for a in args])
+
+
+def test_upper_v_table_on_a_state_dependent_power_law_is_closed_form():
+    # alpha = 1.5 + 0.3 sin x: upper_norming_v takes its power-law branch, so
+    # the table is (pu_factor(x) t ell)^(1 / alpha(x)) and says so
+    x, ts = 0.7, [1e-4, 1e-3]
+    nf = ll.build_norming_function(M_SIN, x, "upper_v", ts, epsilon=0.5, n=1)
+    assert nf.form == "closed_form"
+    want = [(M_SIN.pu_factor(x) * t * ll.iterated_log_factor(t, 0.5, 1)) ** (1.0 / M_SIN.alpha_at(x))
+            for t in ts]
+    assert np.array_equal(nf.table()[1], want)
 
 
 def test_norming_function_rejects_unknown_kind():

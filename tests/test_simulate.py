@@ -413,16 +413,66 @@ def test_recorded_stable_ensemble_memory_stays_in_blocks(kind, monkeypatch):
     assert peak < 32 * 2 ** 20
 
 
+SPARSE_256 = [GRID_256.times()[0], 0.1015625, 0.5, 0.75]
+EVERY_2ND_64 = ll.PathGrid(t_max=1.0, steps=64).times()[1::2].tolist()
+
+
 def test_record_times_subset():
-    rec = [0.25, 0.5, 1.0]
-    full = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 9, 8)
-    part = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 9, 8, record_times=rec)
-    assert part.recorded
-    idx = [full.time_index(t) for t in rec]
-    assert np.array_equal(part.positions, full.positions[:, idx])
-    assert np.array_equal(part.running_sup, full.running_sup[:, idx])
+    # at most 1/8 of the grid stored, the stable kernel takes segment maxima;
+    # at every 2nd grid time, its row-wise accumulate.  Compound Poisson reads
+    # both from its events.  Either way the stored columns are the full grid's.
+    for kind in sorted(KINDS):
+        full = ll.simulate_ensemble(KINDS[kind], 0.3, GRID_256, 9, 8)
+        for rec in (SPARSE_256, GRID_256.times()[1::2].tolist()):
+            part = ll.simulate_ensemble(KINDS[kind], 0.3, GRID_256, 9, 8, record_times=rec)
+            assert part.recorded
+            idx = [full.time_index(t) for t in rec]
+            assert np.array_equal(part.positions, full.positions[:, idx]), (kind, len(rec))
+            assert np.array_equal(part.running_sup, full.running_sup[:, idx]), (kind, len(rec))
     with pytest.raises(ValueError):
         ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 9, 2, record_times=[0.123456789])
+
+
+def _cp_jump_times(proc, t_max, seed, i):
+    gen = path_generator(seed, i)
+    return t_max * (1.0 - gen.random(gen.poisson(proc.rate * t_max)))
+
+
+# integer jumps, so the order of summation cannot change a bit of the reference
+CP_EDGE = ll.CompoundPoissonProcess(atoms=((1.0, 6.0), (-2.0, 2.0)), path_drift=-0.7)
+CP_EDGE_CASES = {
+    # (process, grid, paths, record_times, property of the draws the case needs)
+    "zero_paths": (CP_EDGE, GRID_256, 0, SPARSE_256, lambda jumps: True),
+    # some block of 2 paths (the test's chunk size) has no jump, some path has one
+    "block_without_jumps": (
+        ll.CompoundPoissonProcess(atoms=((1.0, 0.2), (-2.0, 0.1)), path_drift=-0.7),
+        GRID_256, 16, SPARSE_256,
+        lambda jumps: (any(j.size for j in jumps)
+                       and any(not (a.size or b.size) for a, b in zip(jumps[::2], jumps[1::2])))),
+    "jump_at_index_0": (CP_EDGE, ll.PathGrid(t_max=1.0, steps=4), 12, [0.5, 1.0],
+                        lambda jumps: any(np.any(j <= 0.25) for j in jumps)),
+    "one_step": (CP_EDGE, ll.PathGrid(t_max=0.5, steps=1), 12, None,
+                 lambda jumps: any(j.size >= 2 for j in jumps)),
+    "last_record_before_t_max": (CP_EDGE, GRID_256, 12, [0.125, 0.5],
+                                 lambda jumps: any(np.any(j > 0.5) for j in jumps)),
+}
+
+
+@pytest.mark.parametrize("case", list(CP_EDGE_CASES))
+def test_compound_poisson_event_kernel_edge_cases(case):
+    # against the dense reference: the path at every grid time and its
+    # running max of |X - x0|, read at the stored columns
+    proc, grid, n, rec, needs = CP_EDGE_CASES[case]
+    times = grid.times()
+    assert needs([_cp_jump_times(proc, times[-1], 31, i) for i in range(n)])
+    pos = np.array([_compound_poisson_reference(proc, 0.3, times, 31, i)
+                    for i in range(n)]).reshape(n, times.size)
+    sup = np.maximum.accumulate(np.abs(pos - 0.3), axis=1)
+    idx = list(range(times.size)) if rec is None else [simulate._grid_index(times, t) for t in rec]
+    for chunk in (2, None):
+        ens = ll.simulate_ensemble(proc, 0.3, grid, 31, n, record_times=rec, chunk_size=chunk)
+        assert np.array_equal(ens.positions, pos[:, idx]), chunk
+        assert np.array_equal(ens.running_sup, sup[:, idx]), chunk
 
 
 def test_stable_like_constant_alpha_matches_stable_in_distribution():
@@ -550,6 +600,7 @@ def test_negative_seed_or_path_index_raises(kind):
 
 
 CP_LOW_RATE = ll.CompoundPoissonProcess(atoms=((0.7, 1.5), (-0.2, 0.5)))
+CP_CROWDED = ll.CompoundPoissonProcess(atoms=((0.37, 400.0), (-0.61, 300.0)), path_drift=-0.7)
 SL_SINUSOIDAL = ll.StableLikeProcess(
     alpha=ll.SinusoidalProfile(center=1.4, amplitude=0.3),
     scale=ll.SinusoidalProfile(center=1.0, amplitude=0.5, frequency=3.0))
@@ -573,6 +624,20 @@ PINNED_STREAMS = {
     "compound_poisson_low_rate": (
         (CP_LOW_RATE, 0.0, GRID_GEOMETRIC, 3, 40, None),
         "88ff3449940ea198c72c4a5e6d871d0b6a04145d276415e44773e7b9dfead4dd"),
+    # rate 700 puts up to 12 (256 steps) and 22 (64 steps) non-integer jumps
+    # in one cell, so a change in the order of summation shows
+    "compound_poisson_crowded_cells_sparse": (
+        (CP_CROWDED, 0.3, GRID_256, 5, 23, SPARSE_256),
+        "275d3418f3b37e83a31b5cdece21cf37c5dd54cd1bf6e91e29b290aa20f8363d"),
+    "compound_poisson_crowded_cells_every_2nd": (
+        (CP_CROWDED, 0.3, ll.PathGrid(t_max=1.0, steps=64), 5, 23, EVERY_2ND_64),
+        "9dc9bd89d00ec5b297c2aadc708c8b749b16fb197fa2021d1a2c04c99943349d"),
+    # the stable kernel's two running-sup branches: row-wise accumulate and
+    # segment maxima
+    "stable_every_2nd": ((STABLE_15, 0.3, ll.PathGrid(t_max=1.0, steps=64), 5, 23, EVERY_2ND_64),
+                         "1b5397433202e70fc03457e2fa8aeb53ece1f7f69c5e0576b9a5daaf7285e762"),
+    "stable_sparse_x0": ((STABLE_15, 0.3, GRID_256, 5, 23, SPARSE_256),
+                         "0f6e4f3a887365106c732453c2263f4292e56f82b4e2a95e005f704dc898c3d9"),
     # exponentials from word n = 64, 513 and 1: n % 4 is 0, 1 and 1
     "stable_like_uniform_64": (
         (SL_SINUSOIDAL, 0.2, ll.PathGrid(t_max=1.0, steps=64), 41, 23, None),
