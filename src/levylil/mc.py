@@ -175,9 +175,9 @@ def etemadi_check(ensemble: PathEnsemble, v: Callable[[float], float], C: float,
         3 P(|X_t - x| >= (C/3) v(t)) >= P(sup_{s<=t}|X_s - x| >= C v(t))
                                       >= 1 - exp(-t nu{|y| >= 2 C v(t)}).
     """
-    if not ensemble.process.is_state_independent:
+    measure = ensemble.process.levy_triplet.measure
+    if not measure.is_state_independent:
         raise LevyOnlyError("Etemadi check requires a Levy (state-independent) ensemble")
-    measure = ensemble.process.levy_measure
     rows = []
     ok = True
     n = ensemble.n_paths

@@ -1,7 +1,8 @@
 """Scenario-driven orchestration: declarative JSON in, tables and reports out.
 
-A scenario names a measure and/or process, a grid, a master seed and a list
-of analyses.  Analyses execute in the fixed dependency order
+A scenario names one law (a ``process``, or a ``measure`` with an optional
+``drift``; giving both exits 2 before any output), a grid, a master seed and
+a list of analyses.  Analyses execute in the fixed dependency order
 
     symbol -> norming -> classify -> simulate -> verify
 
@@ -155,40 +156,41 @@ def _power_log_family(a, b=0.0, c=0.0):
 
 
 class _Context:
+    """A run's settings and its one law, read once as a triplet."""
+
     def __init__(self, doc):
         self.scen_hash = spec_hash(doc)
         self.outdir = doc.get("output_dir", "out")
         self.x = float(doc.get("x", 0.0))
         self.seed = int(doc["seed"])
         self.paths = int(doc.get("paths", 1000))
-        self.measure = measure_from_dict(doc["measure"]) if "measure" in doc else None
-        self.process = process_from_dict(doc["process"]) if "process" in doc else None
-        self.drift = profile_from_dict(doc["drift"]) if "drift" in doc else 0.0
         self.grid = PathGrid.from_dict(doc["grid"]) if "grid" in doc else None
+        self.process = self.triplet = None
+        if "process" in doc:
+            mixed = " and ".join(repr(k) for k in ("measure", "drift") if k in doc)
+            if mixed:
+                raise SchemaError(f"a scenario names one law: 'process' or {mixed}, not both")
+            self.process = process_from_dict(doc["process"])
+            self.triplet = self.process.levy_triplet
+        elif "measure" in doc:
+            drift = profile_from_dict(doc["drift"]) if "drift" in doc else 0.0
+            self.triplet = LevyTriplet(measure=measure_from_dict(doc["measure"]), drift=drift)
         self.ensembles = {}
 
+    def need_triplet(self):
+        if self.triplet is None:
+            raise SchemaError("analysis needs a law: a 'measure' or a 'process'")
+        return self.triplet
+
     def need_measure(self):
-        if self.measure is not None:
-            return self.measure
-        if self.process is not None:
-            return self.process.levy_measure
-        raise SchemaError("analysis needs a 'measure' (or a 'process' to derive one)")
+        return self.need_triplet().measure
 
     def need_process(self):
-        if self.process is not None:
-            return self.process
-        if self.measure is not None:
-            return process_from_triplet(LevyTriplet(measure=self.measure, drift=self.drift))
-        raise SchemaError("analysis needs a 'process' (or an exactly simulatable 'measure')")
-
-    def triplet(self):
-        return LevyTriplet(measure=self.need_measure(), drift=self.drift)
+        return self.process or process_from_triplet(self.need_triplet())
 
     def need_ensemble(self, spec):
         eid = spec.get("ensemble_id", "main")
         if eid not in self.ensembles:
-            if self.grid is None:
-                raise SchemaError("verification analyses need a 'grid' and a simulate analysis")
             self.ensembles[eid] = simulate_ensemble(self.need_process(), self.x, self.grid,
                                                     self.seed, self.paths)
         if self.ensembles[eid] is None:
@@ -215,7 +217,7 @@ def _pu_grid(ctx, spec, ens, tag):
            required=["x_values", "xi_values"])
 def _exponent_grid(ctx, spec, ens, tag):
     xs, xis = spec["x_values"], spec["xi_values"]
-    re, im = (part.tolist() for part in symbols._exponent_on_grid(ctx.triplet(), xs, xis))
+    re, im = (part.tolist() for part in symbols._exponent_on_grid(ctx.need_triplet(), xs, xis))
     rows = [(float(xv), float(xiv), re[i][j], im[i][j])
             for i, xv in enumerate(xs) for j, xiv in enumerate(xis)]
     return "x,xi,re,im", rows, {"rows": len(rows), "csv": f"{tag}.csv"}
@@ -231,7 +233,7 @@ def _tail_mass_grid(ctx, spec, ens, tag):
 @_analysis("sector", "symbol", {"x_window": _NUM_LIST, "xi_grid": _NUM_LIST},
            required=["x_window", "xi_grid"])
 def _sector(ctx, spec, ens, tag):
-    est = symbols.sector_estimate(ctx.triplet(), tuple(spec["x_window"]), spec["xi_grid"])
+    est = symbols.sector_estimate(ctx.need_triplet(), tuple(spec["x_window"]), spec["xi_grid"])
     return ("refinement,sup_ratio", list(enumerate(est.history)),
             {"value": est.value, "flag": est.flag, "history": list(est.history)})
 
@@ -322,8 +324,6 @@ def _per_time_summary(ens):
                                     "save": {"enum": ["jsonl"]},
                                     "ensemble_id": {"type": "string"}})
 def _simulate(ctx, spec, ens, tag):
-    if ctx.grid is None:
-        raise SchemaError("simulate needs a 'grid'")
     eid = spec.get("ensemble_id", "main")
     ctx.ensembles[eid] = None   # if the simulation fails, verify analyses must not build another
     ens = simulate_ensemble(ctx.need_process(), ctx.x, ctx.grid, ctx.seed, ctx.paths,
@@ -545,27 +545,31 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
     except (ValueError, TypeError) as exc:
         # a constructor rejected a value that the schema lets through
         raise SchemaError(f"invalid scenario: {exc}") from exc
-    os.makedirs(ctx.outdir, exist_ok=True)
-    wanted = range(len(STAGES)) if stages is None else {STAGES.index(s) for s in stages}
+    wanted = STAGES if stages is None else stages
     staged = sorted((STAGES.index(_ANALYSES[spec["name"]].stage), i)
-                    for i, spec in enumerate(doc["analyses"]))
+                    for i, spec in enumerate(doc["analyses"])
+                    if _ANALYSES[spec["name"]].stage in wanted)
+    run_stages = {STAGES[stage] for stage, _ in staged}
+    if ctx.grid is None and {"simulate", "verify"} & run_stages:
+        raise SchemaError("simulate needs a 'grid'" if "simulate" in run_stages
+                          else "verification analyses need a 'grid' and a simulate analysis")
+    os.makedirs(ctx.outdir, exist_ok=True)
 
     results, failed = {}, []
-    for stage, i in staged:
-        if stage in wanted:
-            spec = doc["analyses"][i]
-            tag = f"{i:02d}_{spec.get('label', spec['name'])}"
-            try:
-                results[tag] = _run_analysis(ctx, spec, tag)
-            except SchemaError:
-                raise
-            except (LevyLilError, ValueError, OverflowError, MemoryError) as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                failed.append(f"{tag}: {error}")
-                results[tag] = {"status": "failed", "analysis": spec["name"],
-                                "arguments": {k: v for k, v in spec.items()
-                                              if k not in ("name", "label")},
-                                "error": error}
+    for _, i in staged:
+        spec = doc["analyses"][i]
+        tag = f"{i:02d}_{spec.get('label', spec['name'])}"
+        try:
+            results[tag] = _run_analysis(ctx, spec, tag)
+        except SchemaError:
+            raise
+        except (LevyLilError, ValueError, OverflowError, MemoryError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            failed.append(f"{tag}: {error}")
+            results[tag] = {"status": "failed", "analysis": spec["name"],
+                            "arguments": {k: v for k, v in spec.items()
+                                          if k not in ("name", "label")},
+                            "error": error}
 
     report = {"scenario_hash": ctx.scen_hash, "seed": ctx.seed, "scenario": doc,
               "results": results}

@@ -35,7 +35,7 @@ import numpy as np
 
 from .measures import (AtomicMeasure, ConstantProfile, LevyTriplet, PowerLawMeasure,
                        Profile, profile_from_dict)
-from .symbols import stable_levy_constant
+from .symbols import _StableCoefficient, stable_levy_constant
 
 _MAX_POINTS = 2 ** 26
 
@@ -129,45 +129,12 @@ class SymmetricStableProcess:
             raise ValueError("scale must be positive")
 
     @property
-    def is_state_independent(self):
-        return True
-
-    @property
-    def levy_measure(self) -> PowerLawMeasure:
-        c = self.scale / (2.0 * stable_levy_constant(self.alpha))
-        return PowerLawMeasure(alpha=ConstantProfile(self.alpha),
-                               coefficient=ConstantProfile(c))
+    def levy_triplet(self) -> LevyTriplet:
+        return StableLikeProcess(ConstantProfile(self.alpha),
+                                 ConstantProfile(self.scale)).levy_triplet
 
     def to_dict(self):
         return {"kind": "stable", "alpha": self.alpha, "scale": self.scale}
-
-
-class _StableCoefficient:
-    """Coefficient profile c(x) = scale(x) / (2 I(alpha(x))) for stable-like
-    measures, where I(alpha) is the cosine integral of the stable exponent."""
-
-    def __init__(self, alpha: Profile, scale: Profile):
-        self.alpha = alpha
-        self.scale = scale
-
-    def __call__(self, x):
-        a = np.asarray(self.alpha(x), dtype=float)
-        out = np.asarray(self.scale(x), dtype=float) / (2.0 * stable_levy_constant(a))
-        return float(out) if a.ndim == 0 else out
-
-    def bounds(self):
-        a_lo, a_hi = self.alpha.bounds()
-        s_lo, s_hi = self.scale.bounds()
-        consts = [stable_levy_constant(float(a)) for a in np.linspace(a_lo, a_hi, 65)]
-        return (s_lo / (2.0 * max(consts)), s_hi / (2.0 * min(consts)))
-
-    @property
-    def is_constant(self):
-        return self.alpha.is_constant and self.scale.is_constant
-
-    def to_dict(self):
-        return {"kind": "stable_coefficient", "alpha": self.alpha.to_dict(),
-                "scale": self.scale.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -186,17 +153,18 @@ class StableLikeProcess:
             raise ValueError("scale profile must be positive")
 
     @property
-    def is_state_independent(self):
-        return self.alpha.is_constant and self.scale.is_constant
-
-    @property
-    def levy_measure(self) -> PowerLawMeasure:
-        return PowerLawMeasure(alpha=self.alpha,
-                               coefficient=_StableCoefficient(self.alpha, self.scale))
+    def levy_triplet(self) -> LevyTriplet:
+        return LevyTriplet(measure=PowerLawMeasure(
+            alpha=self.alpha, coefficient=_StableCoefficient(self.alpha, self.scale)))
 
     def to_dict(self):
         return {"kind": "stable_like", "alpha": self.alpha.to_dict(),
                 "scale": self.scale.to_dict()}
+
+
+def _small_jump_mean(atoms):
+    """m1 = int_{|y|<=1} y nu(dy), the mean of the compensated small jumps."""
+    return sum(loc * mass for loc, mass in atoms if abs(loc) <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -211,27 +179,15 @@ class CompoundPoissonProcess:
         AtomicMeasure(atoms=self.atoms)   # validates
 
     @property
-    def is_state_independent(self):
-        return True
-
-    @property
-    def levy_measure(self) -> AtomicMeasure:
-        return AtomicMeasure(atoms=self.atoms)
+    def levy_triplet(self) -> LevyTriplet:
+        """(l, 0, nu) with l = -path_drift - m1: the path drift holds the
+        compensation of the small jumps (``process_from_triplet`` inverts it)."""
+        return LevyTriplet(measure=AtomicMeasure(atoms=self.atoms),
+                           drift=ConstantProfile(-self.path_drift - _small_jump_mean(self.atoms)))
 
     @property
     def rate(self):
         return sum(m for _, m in self.atoms)
-
-    @classmethod
-    def from_triplet(cls, triplet: LevyTriplet):
-        """Path realization of a triplet (l, 0, atomic nu): the compensation of
-        small jumps and the drift l turn into the linear part -(l + m1) t."""
-        if not isinstance(triplet.measure, AtomicMeasure):
-            raise TypeError("from_triplet needs an atomic measure")
-        if not triplet.drift.is_constant:
-            raise ValueError("state-dependent drift is not a Levy process")
-        m1 = sum(loc * mass for loc, mass in triplet.measure.atoms if abs(loc) <= 1.0)
-        return cls(atoms=triplet.measure.atoms, path_drift=-(triplet.drift_at(0.0) + m1))
 
     def to_dict(self):
         return {"kind": "compound_poisson", "atoms": [[l, m] for l, m in self.atoms],
@@ -255,17 +211,26 @@ def process_from_dict(d) -> ProcessSpec:
 
 
 def process_from_triplet(triplet: LevyTriplet) -> ProcessSpec:
-    """Exactly simulatable process for a state-independent triplet."""
+    """The one map from a triplet to a sampler, the inverse of ``levy_triplet``:
+    atoms give compound Poisson with path drift -(l + m1), and a
+    constant-index power law without drift gives the stable kernel."""
     measure = triplet.measure
     if isinstance(measure, AtomicMeasure):
-        return CompoundPoissonProcess.from_triplet(triplet)
-    if isinstance(measure, PowerLawMeasure) and measure.is_state_independent:
-        if not (triplet.drift.is_constant and triplet.drift_at(0.0) == 0.0):
-            raise ValueError("power-law triplets are simulated without drift")
-        a = measure.alpha_at(0.0)
-        scale = measure.coeff_at(0.0) * 2.0 * stable_levy_constant(a)
-        return SymmetricStableProcess(alpha=a, scale=scale)
-    raise ValueError("no exact sampler for this triplet; use StableLikeProcess")
+        if not triplet.drift.is_constant:
+            raise ValueError("state-dependent drift is not a Levy process")
+        return CompoundPoissonProcess(
+            atoms=measure.atoms,
+            path_drift=-(triplet.drift_at(0.0) + _small_jump_mean(measure.atoms)))
+    if not isinstance(measure, PowerLawMeasure):
+        raise ValueError(f"no sampler for a {measure.to_dict()['variant']} measure")
+    if not measure.is_state_independent:
+        raise ValueError("no exact sampler for a state-dependent power_law measure; "
+                         "give this law as a stable_like 'process'")
+    if not (triplet.drift.is_constant and triplet.drift_at(0.0) == 0.0):
+        raise ValueError("power-law triplets are simulated without drift")
+    a = measure.alpha_at(0.0)
+    scale = measure.coeff_at(0.0) * 2.0 * stable_levy_constant(a)
+    return SymmetricStableProcess(alpha=a, scale=scale)
 
 
 # --------------------------------------------------------------------------

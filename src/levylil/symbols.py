@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import QuadratureError, SectorViolationError
 from .measures import (NORMALIZED, AtomicMeasure, ConstantProfile, LevyTriplet,
-                       MeasureSpec, PowerLawMeasure)
+                       MeasureSpec, PowerLawMeasure, Profile)
 
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
@@ -62,6 +62,35 @@ def stable_levy_constant(alpha):
 @functools.lru_cache(maxsize=4096)
 def _stable_levy_constant(alpha: float) -> float:
     return float(stable_levy_constant(np.array([alpha]))[0])
+
+
+class _StableCoefficient:
+    """Coefficient profile c(x) = scale(x) / (2 C(alpha(x))), C the constant
+    ``stable_levy_constant``: the power law c(x) |y|^(-1-alpha(x)) has the
+    exponent scale(x) |xi|^alpha(x).  The one place this relation is written."""
+
+    def __init__(self, alpha: Profile, scale: Profile):
+        self.alpha = alpha
+        self.scale = scale
+
+    def __call__(self, x):
+        a = np.asarray(self.alpha(x), dtype=float)
+        out = np.asarray(self.scale(x), dtype=float) / (2.0 * stable_levy_constant(a))
+        return float(out) if a.ndim == 0 else out
+
+    def bounds(self):
+        a_lo, a_hi = self.alpha.bounds()
+        s_lo, s_hi = self.scale.bounds()
+        consts = [stable_levy_constant(float(a)) for a in np.linspace(a_lo, a_hi, 65)]
+        return (s_lo / (2.0 * max(consts)), s_hi / (2.0 * min(consts)))
+
+    @property
+    def is_constant(self):
+        return self.alpha.is_constant and self.scale.is_constant
+
+    def to_dict(self):
+        return {"kind": "stable_coefficient", "alpha": self.alpha.to_dict(),
+                "scale": self.scale.to_dict()}
 
 
 class _ErrorBudget:
@@ -517,9 +546,9 @@ class SymbolFamily:
     @classmethod
     def from_stable(cls, alpha: float, scale: float = 1.0):
         """Family for psi(xi) = scale |xi|^alpha with exact analytic envelope."""
-        coeff = scale / (2.0 * stable_levy_constant(alpha))
-        measure = PowerLawMeasure(alpha=ConstantProfile(alpha), coefficient=ConstantProfile(coeff))
-        triplet = LevyTriplet(measure=measure)
+        a = ConstantProfile(alpha)
+        coeff = _StableCoefficient(a, ConstantProfile(scale))
+        triplet = LevyTriplet(measure=PowerLawMeasure(alpha=a, coefficient=coeff))
         sector = SectorEstimate(value=0.0, unbounded=False, history=(0.0,))
         return cls(triplet=triplet, x_window=(0.0, 0.0), sector=sector,
                    envelope=lambda xi: scale * np.abs(np.asarray(xi, dtype=float)) ** alpha,

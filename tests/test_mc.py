@@ -66,14 +66,14 @@ def test_sup_probability_self_similarity(ens):
 def test_maximal_inequality_stable(ens):
     t_list = [0.125, 0.25, 0.5, 1.0]
     R_list = [0.5, 1.0, 2.0]
-    rep = ll.maximal_inequality_check(ens, STABLE.levy_measure, 0.0, t_list, R_list)
+    rep = ll.maximal_inequality_check(ens, STABLE.levy_triplet.measure, 0.0, t_list, R_list)
     assert rep["pass"]
     assert math.isfinite(rep["c1_hat"]) and math.isfinite(rep["c2_hat"])
     assert rep["c1_refined"] <= 2.0 * rep["c1_hat"]
 
 
 def test_maximal_inequality_large_radius_vanishes(ens_small):
-    rep = ll.maximal_inequality_check(ens_small, STABLE.levy_measure, 0.0, [0.5], [1e7])
+    rep = ll.maximal_inequality_check(ens_small, STABLE.levy_triplet.measure, 0.0, [0.5], [1e7])
     row = rep["rows"][0]
     assert row["c1_candidate"] == 0.0   # no path exceeds a huge radius
 
@@ -96,7 +96,7 @@ def test_multi_interval_decay_monotone():
 
 def test_multi_interval_decay_needs_grid_coverage(ens_small):
     with pytest.raises(ValueError, match="cover"):
-        ll.multi_interval_decay(ens_small, STABLE.levy_measure, 0.0, 1.0, 50)
+        ll.multi_interval_decay(ens_small, STABLE.levy_triplet.measure, 0.0, 1.0, 50)
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +213,8 @@ def test_probes_snapping_to_one_stored_time_give_one_row(ens_small):
     assert [r["t"] for r in spitzer] == [0.30078125, 0.0625]
     etemadi = ll.etemadi_check(ens_small, lambda t: t ** (2.0 / 3.0), 1.0, [0.3, 0.301])
     assert [r["t"] for r in etemadi["rows"]] == [0.30078125]
-    maximal = ll.maximal_inequality_check(ens_small, STABLE.levy_measure, 0.0, [0.3, 0.301], [1.0])
+    maximal = ll.maximal_inequality_check(ens_small, STABLE.levy_triplet.measure, 0.0,
+                                          [0.3, 0.301], [1.0])
     assert [r["t"] for r in maximal["rows"]] == [0.30078125]
 
 
@@ -393,7 +394,7 @@ def test_maximal_inequality_degenerate_ensemble_passes():
     grid = ll.PathGrid(t_max=1.0, steps=64)
     e = ll.simulate_ensemble(proc, 0.0, grid, 2, 500)
     assert float(np.max(e.running_sup)) == 0.0
-    rep = ll.maximal_inequality_check(e, proc.levy_measure, 0.0, [0.5, 1.0], [0.5, 1.0])
+    rep = ll.maximal_inequality_check(e, proc.levy_triplet.measure, 0.0, [0.5, 1.0], [0.5, 1.0])
     assert rep["pass"]
     assert rep["c1_hat"] == 0.0
     assert math.isfinite(rep["c2_hat"])

@@ -238,8 +238,6 @@ def test_canonical_output_byte_identical(tmp_path):
     doc = {
         "seed": 7,
         "x": 0.0,
-        "measure": {"variant": "power_law",
-                    "alpha": {"kind": "sinusoidal", "center": 1.5, "amplitude": 0.3}},
         "process": {"kind": "stable", "alpha": 1.5},
         "grid": {"t_max": 1.0, "steps": 128},
         "paths": 200,
@@ -394,6 +392,67 @@ def test_value_a_constructor_rejects_is_a_schema_error(tmp_path, capsys, change,
     assert cli_main(["report", "--scenario", str(path), "--out", str(out), *argv]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"measure": {"variant": "power_law", "alpha": 1.5},
+      "process": {"kind": "stable", "alpha": 0.8}, "grid": {"t_max": 1.0, "steps": 64},
+      "analyses": [{"name": "simulate"},
+                   {"name": "chung_statistic", "t_lo": 0.03, "t_hi": 0.25}]},
+     ["'measure'", "'process'"]),
+    ({"process": {"kind": "compound_poisson", "atoms": [[1.0, 2.0]]}, "drift": 0.5,
+      "grid": {"t_max": 1.0, "steps": 64}, "analyses": [{"name": "simulate"}]},
+     ["'drift'", "'process'"]),
+    ({"measure": {"variant": "power_law", "alpha": 1.5},
+      "analyses": [{"name": "pu_grid", "x_values": [0.0], "xi_values": [1.0]},
+                   {"name": "simulate"}]}, ["simulate needs a 'grid'"]),
+    ({"measure": {"variant": "power_law", "alpha": 1.5},
+      "analyses": [{"name": "pu_grid", "x_values": [0.0], "xi_values": [1.0]},
+                   {"name": "spitzer", "t_list": [0.5]}]},
+     ["verification analyses need a 'grid'"]),
+], ids=["measure_and_process", "process_and_drift", "simulate_without_grid",
+        "verify_without_grid"])
+def test_usage_error_the_document_decides_writes_nothing(tmp_path, capsys, change, named):
+    # one law per scenario, and a grid for every simulation: both are known
+    # before the first analysis, so no output directory is made
+    out = tmp_path / "out"
+    doc = {"seed": 3, "paths": 100, "output_dir": str(out), **change}
+    assert cli_main(["report", "--scenario", str(write_scenario(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in named), err
+    assert not out.exists()
+
+
+def test_process_only_compound_poisson_exponent_is_its_paths_law(tmp_path):
+    # atoms [[1, 2]]: the triplet drift -m1 = -2 compensates the small jumps,
+    # so Im p(0, xi) = -2 xi + 2 (xi - sin xi) = -2 sin xi
+    doc = {"seed": 5, "process": {"kind": "compound_poisson", "atoms": [[1.0, 2.0]]},
+           "grid": {"t_max": 1.0, "steps": 16}, "paths": 20_000,
+           "output_dir": str(tmp_path / "out"),
+           "analyses": [{"name": "exponent_grid", "x_values": [0.0], "xi_values": [0.5, 1.0]},
+                        {"name": "simulate", "save": "jsonl"}]}
+    run_scenario(doc, canonical=True)
+    lines = (tmp_path / "out" / "00_exponent_grid.csv").read_text().splitlines()[3:]
+    ens = ll.load_ensemble_jsonl(tmp_path / "out" / "01_simulate_paths.jsonl")
+    for line in lines:
+        _, xi, re_p, im_p = map(float, line.split(","))
+        assert abs(im_p + 2.0 * math.sin(xi)) <= 1e-12
+        lam, want = ll.empirical_charfn(ens, xi, 1.0), np.exp(-complex(re_p, im_p))
+        assert abs(lam.real - want.real) <= 4.0 / math.sqrt(ens.n_paths)
+        assert abs(lam.imag - want.imag) <= 4.0 / math.sqrt(ens.n_paths)
+
+
+def test_state_dependent_measure_alone_fails_its_simulation(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = {"seed": 3, "measure": {"variant": "power_law", "alpha": {
+               "kind": "sinusoidal", "center": 1.5, "amplitude": 0.3}},
+           "grid": {"t_max": 1.0, "steps": 64}, "paths": 100, "output_dir": str(out),
+           "analyses": [{"name": "simulate"}]}
+    assert cli_main(["report", "--scenario", str(write_scenario(tmp_path, doc))]) == 1
+    (result,) = json.loads((out / "report.json").read_text())["results"].values()
+    assert result["status"] == "failed"
+    assert "state-dependent power_law measure" in result["error"]
+    assert "as a stable_like 'process'" in result["error"]
 
 
 def _spitzer_scenario(outdir):

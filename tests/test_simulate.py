@@ -504,7 +504,7 @@ def test_symmetric_ensemble_mean_within_3se():
 def test_compound_poisson_ecf_matches_exponent():
     proc = ll.CompoundPoissonProcess(atoms=((1.0, 1.0), (-1.0, 1.0)))
     ens = ll.simulate_ensemble(proc, 0.0, GRID_256, 11, 20_000)
-    trip = ll.LevyTriplet(measure=proc.levy_measure)
+    trip = ll.LevyTriplet(measure=proc.levy_triplet.measure)
     for xi in (0.7, 2.0):
         lam = ll.empirical_charfn(ens, xi, 1.0)
         want = math.exp(-ll.eval_exponent(trip, 0.0, xi).real)
@@ -513,9 +513,16 @@ def test_compound_poisson_ecf_matches_exponent():
 
 def test_compound_poisson_from_triplet_drift():
     trip = ll.LevyTriplet(measure=ll.AtomicMeasure(atoms=((0.5, 2.0),)), drift=0.3)
-    proc = ll.CompoundPoissonProcess.from_triplet(trip)
+    proc = ll.process_from_triplet(trip)
     # path drift compensates l + int_{|y|<=1} y nu(dy) = 0.3 + 1.0
     assert proc.path_drift == pytest.approx(-1.3)
+    # levy_triplet is the inverse: it gives back l, and the process
+    assert proc.levy_triplet.drift_at(0.0) == pytest.approx(0.3, rel=1e-15)
+    for path_drift in (0.0, 0.7, -2.5):
+        cp = ll.CompoundPoissonProcess(atoms=((0.5, 2.0), (-3.0, 1.0)), path_drift=path_drift)
+        back = ll.process_from_triplet(cp.levy_triplet)
+        assert isinstance(back, ll.CompoundPoissonProcess) and back.atoms == cp.atoms
+        assert back.path_drift == pytest.approx(path_drift, rel=1e-15)
 
 
 def test_process_from_triplet_stable():
@@ -524,9 +531,21 @@ def test_process_from_triplet_stable():
     assert isinstance(proc, ll.SymmetricStableProcess)
     assert proc.scale == pytest.approx(0.1875 * 2.0 * ll.stable_levy_constant(1.5))
     # round trip: the process measure reproduces the original coefficient
-    assert proc.levy_measure.coeff_at(0.0) == pytest.approx(0.1875)
-    with pytest.raises(ValueError):
+    assert proc.levy_triplet.measure.coeff_at(0.0) == pytest.approx(0.1875)
+    for alpha, scale in ((1.5, 1.3), (0.8, 1.0), (1.0, 4.0)):
+        back = ll.process_from_triplet(ll.SymmetricStableProcess(alpha, scale).levy_triplet)
+        assert isinstance(back, ll.SymmetricStableProcess) and back.alpha == alpha
+        assert back.scale == pytest.approx(scale, rel=1e-15)
+    # the process and the stable symbol family hold one coefficient, bit for bit
+    want = 1.3 / (2.0 * ll.stable_levy_constant(1.5))
+    assert ll.SymmetricStableProcess(1.5, 1.3).levy_triplet.measure.coeff_at(0.0) == want
+    assert ll.SymbolFamily.from_stable(1.5, 1.3).triplet.measure.coeff_at(0.0) == want
+    with pytest.raises(ValueError, match="state-dependent power_law measure; "
+                                         "give this law as a stable_like 'process'"):
         ll.process_from_triplet(ll.LevyTriplet(measure=M_SIN_STATE))
+    with pytest.raises(ValueError, match="no sampler for a tabulated measure"):
+        ll.process_from_triplet(ll.LevyTriplet(measure=ll.TabulatedMeasure(
+            grid=(0.5, 1.0, 2.0), density=(1.0, 0.5, 0.25))))
 
 
 M_SIN_STATE = ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(center=1.5, amplitude=0.3))
