@@ -1,10 +1,11 @@
 """Monte Carlo estimates of small-time probabilities and inequality checks.
 
-Every estimate is a sample proportion with its binomial standard error;
-probability comparisons use 3 standard errors of slack and characteristic
-function moduli use a 4/sqrt(N) band.  Aggregations run over paths in a fixed
-order with compensated summation, so results are deterministic given
-(master seed, spec, grid, window).
+Every probability is a share of paths with its binomial standard error,
+computed only by ``ProbabilityEstimate.of``; probe times reach stored columns
+only through ``_probes``.  Probability comparisons use 3 standard errors of
+slack and characteristic function moduli use a 4/sqrt(N) band.  Aggregations
+run over paths in a fixed order with compensated summation, so results are
+deterministic given (master seed, spec, grid, window).
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ class ProbabilityEstimate:
     sample_size: int
 
     @classmethod
-    def from_count(cls, count: int, n: int) -> "ProbabilityEstimate":
-        if n <= 0:
+    def of(cls, hits: np.ndarray) -> "ProbabilityEstimate":
+        """The share of True entries of a boolean array, one entry per path."""
+        n = hits.size
+        if n == 0:
             raise ValueError("empty ensemble")
-        p = count / n
+        p = int(np.count_nonzero(hits)) / n
         return cls(p_hat=p, standard_error=math.sqrt(p * (1.0 - p) / n), sample_size=n)
 
     def to_dict(self):
@@ -49,20 +52,19 @@ def estimate_sup_probability(ensemble: PathEnsemble, t: float, R: float,
         raise ValueError("R must be positive")
     if direction not in ("ge", "lt"):
         raise ValueError("direction must be 'ge' or 'lt'")
-    idx = ensemble.time_index(t)
-    rs = ensemble.running_sup[:, idx]
-    count = int(np.sum(rs >= R)) if direction == "ge" else int(np.sum(rs < R))
-    return ProbabilityEstimate.from_count(count, ensemble.n_paths)
+    rs = ensemble.running_sup[:, ensemble.time_index(t)]
+    return ProbabilityEstimate.of(rs >= R if direction == "ge" else rs < R)
 
 
 def _compensated_mean(values: np.ndarray) -> float:
     return math.fsum(values.tolist()) / values.size
 
 
-def _probe_columns(ensemble: PathEnsemble, t_list) -> list:
-    """Stored columns nearest to the probe times, in request order, each
-    once: probes that snap to the same stored time give one row."""
-    return list(dict.fromkeys(ensemble.nearest_index(t) for t in t_list))
+def _probes(ensemble: PathEnsemble, t_list) -> list:
+    """(column, stored time) nearest to each probe time, in request order, each
+    column once: probes that snap to the same stored time give one row."""
+    return [(idx, float(ensemble.times[idx]))
+            for idx in dict.fromkeys(ensemble.nearest_index(t) for t in t_list)]
 
 
 # --------------------------------------------------------------------------
@@ -75,18 +77,20 @@ def maximal_inequality_check(ensemble: PathEnsemble, measure: MeasureSpec, x: fl
 
     For each (t, R): c1 candidate = P(sup >= R) / (t sup-ball p^U) and
     c2 candidate = P(sup < R) * (t inf-ball p^U).  PASS when both fitted
-    constants are finite and grow at most 2x under grid refinement.
+    constants are finite and grow at most 2x under grid refinement.  The ball
+    extrema depend on R alone, so they are computed once per radius.
     """
     def fitted(ts, Rs):
+        if any(R <= 0.0 for R in Rs):
+            raise ValueError("R must be positive")
+        balls = [(R, ball_extremum(measure, x, R, 1.0 / R, "sup"),
+                  ball_extremum(measure, x, R, 1.0 / R, "inf")) for R in Rs]
         c1 = c2 = 0.0
         rows = []
-        for idx in _probe_columns(ensemble, ts):
-            t_snap = float(ensemble.times[idx])
-            for R in Rs:
-                p_ge = estimate_sup_probability(ensemble, t_snap, R, "ge")
-                p_lt = estimate_sup_probability(ensemble, t_snap, R, "lt")
-                sup_ball = ball_extremum(measure, x, R, 1.0 / R, "sup")
-                inf_ball = ball_extremum(measure, x, R, 1.0 / R, "inf")
+        for idx, t_snap in _probes(ensemble, ts):
+            rs = ensemble.running_sup[:, idx]
+            for R, sup_ball, inf_ball in balls:
+                p_ge, p_lt = ProbabilityEstimate.of(rs >= R), ProbabilityEstimate.of(rs < R)
                 r1 = p_ge.p_hat / (t_snap * sup_ball)
                 r2 = p_lt.p_hat * (t_snap * inf_ball)
                 rows.append({"t": t_snap, "R": R, "c1_candidate": r1, "c2_candidate": r2,
@@ -123,8 +127,8 @@ def multi_interval_decay(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
     if m_max * u > ensemble.times[-1] * (1.0 + 1e-9):
         raise ValueError("grid does not cover m_max * u(x, R)")
     ms = np.arange(1, m_max + 1)
-    idx = [ensemble.nearest_index(m * u) for m in ms]
-    q = np.array([float(np.mean(ensemble.running_sup[:, i] <= R)) for i in idx])
+    idx = [ensemble.nearest_index(m * u) for m in ms]   # one q per m, repeats kept
+    q = np.array([ProbabilityEstimate.of(ensemble.running_sup[:, i] <= R).p_hat for i in idx])
     snapped = ensemble.times[idx].tolist()
     truncated = False
     pos = q > 0.0
@@ -156,12 +160,8 @@ def multi_interval_decay(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
 def spitzer_estimate(ensemble: PathEnsemble, x: float, t_list) -> list:
     """P^x(X_t < x) at the stored time nearest to each probe time (once per
     stored time), with binomial standard errors."""
-    out = []
-    for idx in _probe_columns(ensemble, t_list):
-        count = int(np.sum(ensemble.positions[:, idx] < x))
-        est = ProbabilityEstimate.from_count(count, ensemble.n_paths)
-        out.append({"t": float(ensemble.times[idx]), **est.to_dict()})
-    return out
+    return [{"t": ts, **ProbabilityEstimate.of(ensemble.positions[:, idx] < x).to_dict()}
+            for idx, ts in _probes(ensemble, t_list)]
 
 
 # --------------------------------------------------------------------------
@@ -181,13 +181,11 @@ def etemadi_check(ensemble: PathEnsemble, v: Callable[[float], float], C: float,
     rows = []
     ok = True
     n = ensemble.n_paths
-    for idx in _probe_columns(ensemble, t_list):
-        ts = float(ensemble.times[idx])
+    for idx, ts in _probes(ensemble, t_list):
         vt = float(v(ts))
-        marg = ProbabilityEstimate.from_count(
-            int(np.sum(np.abs(ensemble.positions[:, idx] - ensemble.x0) >= (C / 3.0) * vt)), n)
-        sup = ProbabilityEstimate.from_count(
-            int(np.sum(ensemble.running_sup[:, idx] >= C * vt)), n)
+        marg = ProbabilityEstimate.of(
+            np.abs(ensemble.positions[:, idx] - ensemble.x0) >= (C / 3.0) * vt)
+        sup = ProbabilityEstimate.of(ensemble.running_sup[:, idx] >= C * vt)
         lower = 1.0 - math.exp(-ts * tail_mass(measure, ensemble.x0, 2.0 * C * vt))
         first = 3.0 * marg.p_hat + 3.0 * marg.standard_error >= sup.p_hat - 3.0 * sup.standard_error
         # 3/n rule-of-three allowance keeps the check meaningful at p_hat = 0
@@ -234,7 +232,7 @@ def empirical_charfn_bound(ensemble: PathEnsemble, symbol: SymbolFamily,
     band = 4.0 / math.sqrt(ensemble.n_paths)
     rows = []
     violations = []
-    ts = ensemble.times[_probe_columns(ensemble, t_list)].tolist()
+    ts = [t for _, t in _probes(ensemble, t_list)]
     t_max_probe = max(ts)
     for t in ts:
         for xi in xi_list:
@@ -302,34 +300,35 @@ def chung_statistic(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
         raise ValueError(f"t_hi={t_hi} outside (0, e^-1); log|log t| must be positive")
     if t_hi > ensemble.times[-1] * (1 + 1e-9) or t_hi < ensemble.times[0] * (1 - 1e-9):
         raise ValueError("window outside the stored grid")
-    cols = set()
+    dyadic = []
     t = t_hi
     while t >= t_lo * (1.0 - 1e-12):
-        cols.add(ensemble.nearest_index(t))
+        dyadic.append(t)
         t *= 0.5
-    idx = np.array(sorted(cols))
-    probes = ensemble.times[idx].tolist()
+    idx, probes = zip(*sorted(_probes(ensemble, dyadic)))
     if probes[-1] >= math.exp(-1.0):
         raise ValueError(f"t_hi={t_hi} snaps to grid time {probes[-1]}, not below e^-1")
     if rate_exponent is None:
         rates = [chung_rate(measure, x, tp) for tp in probes]
     else:
         rates = [(tp / math.log(abs(math.log(tp)))) ** rate_exponent for tp in probes]
-    ratios = ensemble.running_sup[:, idx] / np.asarray(rates)
+    ratios = ensemble.running_sup[:, list(idx)] / np.asarray(rates)
     values = np.min(ratios, axis=1)
-    med, q25, q75 = (float(np.percentile(values, q)) for q in (50, 25, 75))
 
     dual = {}
     if rate_exponent is None:
         dual_vals = _dual_exit_statistic(ensemble, measure, x, rates)
         if dual_vals.size:
-            dual = {"dual_median": float(np.percentile(dual_vals, 50)),
-                    "dual_q25": float(np.percentile(dual_vals, 25)),
-                    "dual_q75": float(np.percentile(dual_vals, 75)),
-                    "dual_paths": int(dual_vals.size)}
-    return ChungStatistic(window=(t_lo, t_hi), probe_times=tuple(probes),
-                          rates=tuple(rates), values=values,
-                          median=med, q25=q25, q75=q75, **dual)
+            dual = {f"dual_{k}": v for k, v in _quartiles(dual_vals).items()}
+            dual["dual_paths"] = int(dual_vals.size)
+    return ChungStatistic(window=(t_lo, t_hi), probe_times=probes,
+                          rates=tuple(rates), values=values, **_quartiles(values), **dual)
+
+
+def _quartiles(values):
+    """The median and the quartiles of a per-path statistic."""
+    return {name: float(np.percentile(values, q))
+            for name, q in (("median", 50), ("q25", 25), ("q75", 75))}
 
 
 def resolution_drift(ensemble: PathEnsemble, statistic, stride: int = 2) -> dict:

@@ -219,10 +219,10 @@ class PowerLawMeasure:
         return float(self.alpha(x))
 
     def coeff_at(self, x):
-        a = self.alpha_at(x)
-        if self.coefficient == NORMALIZED:
-            return a * (2.0 - a) / 4.0
-        return float(self.coefficient(x))
+        """c(x); x may be an array."""
+        a = self.alpha(x)
+        out = a * (2.0 - a) / 4.0 if self.coefficient == NORMALIZED else self.coefficient(x)
+        return float(out) if np.ndim(out) == 0 else out
 
     def pu_factor(self, x):
         """p^U(x, xi) = pu_factor(x) * |xi|^alpha(x); x may be an array."""

@@ -18,6 +18,8 @@ Exit codes (CLI): 0 success, 1 numeric failure, 2 schema/usage error.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import datetime
 import json
 import math
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import classifiers, mc, norming, symbols
 from .errors import LevyLilError
-from .measures import LevyTriplet, measure_from_dict, profile_from_dict
+from .measures import _PROFILE_KINDS, LevyTriplet, measure_from_dict, profile_from_dict
 from .simulate import (_BLOCK_POINTS, PathGrid, SymmetricStableProcess, _atomic_write,
                        process_from_dict, process_from_triplet, save_ensemble_jsonl,
                        simulate_ensemble, spec_hash)
@@ -39,29 +41,20 @@ class SchemaError(ValueError):
     """Scenario violates the published schema (CLI exit code 2)."""
 
 
-_PROFILE_SCHEMA = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "object",
-         "properties": {"kind": {"const": "constant"}, "value": {"type": "number"}},
-         "required": ["kind", "value"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"kind": {"const": "affine_clamped"}, "intercept": {"type": "number"},
-                        "slope": {"type": "number"}, "lo": {"type": "number"},
-                        "hi": {"type": "number"}},
-         "required": ["kind", "intercept", "slope", "lo", "hi"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"kind": {"const": "sinusoidal"}, "center": {"type": "number"},
-                        "amplitude": {"type": "number"}, "frequency": {"type": "number"},
-                        "phase": {"type": "number"}},
-         "required": ["kind", "center", "amplitude"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"kind": {"const": "tanh_ramp"}, "center": {"type": "number"},
-                        "amplitude": {"type": "number"}, "rate": {"type": "number"},
-                        "x0": {"type": "number"}},
-         "required": ["kind", "center", "amplitude"], "additionalProperties": False},
-    ]
-}
+def _profile_branch(kind, cls):
+    """A profile object: its kind plus its dataclass fields, all numbers; the
+    fields without a default are required."""
+    fields = dataclasses.fields(cls)
+    return {"type": "object",
+            "properties": {"kind": {"const": kind},
+                           **{f.name: {"type": "number"} for f in fields}},
+            "required": ["kind", *(f.name for f in fields
+                                   if f.default is dataclasses.MISSING)],
+            "additionalProperties": False}
+
+
+_PROFILE_SCHEMA = {"oneOf": [{"type": "number"},
+                             *(_profile_branch(k, c) for k, c in _PROFILE_KINDS.items())]}
 
 _MEASURE_SCHEMA = {
     "oneOf": [
@@ -175,18 +168,12 @@ class _Context:
         elif "measure" in doc:
             drift = profile_from_dict(doc["drift"]) if "drift" in doc else 0.0
             self.triplet = LevyTriplet(measure=measure_from_dict(doc["measure"]), drift=drift)
+            with contextlib.suppress(ValueError):   # no sampler: need_process raises it
+                self.process = process_from_triplet(self.triplet)
         self.ensembles = {}
 
-    def need_triplet(self):
-        if self.triplet is None:
-            raise SchemaError("analysis needs a law: a 'measure' or a 'process'")
-        return self.triplet
-
-    def need_measure(self):
-        return self.need_triplet().measure
-
     def need_process(self):
-        return self.process or process_from_triplet(self.need_triplet())
+        return self.process or process_from_triplet(self.triplet)
 
     def need_ensemble(self, spec):
         eid = spec.get("ensemble_id", "main")
@@ -206,7 +193,7 @@ class _Context:
                                  "method": {"enum": ["auto", "closed", "quadrature"]}},
            required=["x_values", "xi_values"])
 def _pu_grid(ctx, spec, ens, tag):
-    m = ctx.need_measure()
+    m = ctx.triplet.measure
     rows = [(float(xv), float(xiv),
              symbols.eval_pU(m, float(xv), float(xiv), method=spec.get("method", "auto")))
             for xv in spec["x_values"] for xiv in spec["xi_values"]]
@@ -217,7 +204,7 @@ def _pu_grid(ctx, spec, ens, tag):
            required=["x_values", "xi_values"])
 def _exponent_grid(ctx, spec, ens, tag):
     xs, xis = spec["x_values"], spec["xi_values"]
-    re, im = (part.tolist() for part in symbols._exponent_on_grid(ctx.need_triplet(), xs, xis))
+    re, im = (part.tolist() for part in symbols._exponent_on_grid(ctx.triplet, xs, xis))
     rows = [(float(xv), float(xiv), re[i][j], im[i][j])
             for i, xv in enumerate(xs) for j, xiv in enumerate(xis)]
     return "x,xi,re,im", rows, {"rows": len(rows), "csv": f"{tag}.csv"}
@@ -225,7 +212,7 @@ def _exponent_grid(ctx, spec, ens, tag):
 
 @_analysis("tail_mass_grid", "symbol", {"r_values": _NUM_LIST}, required=["r_values"])
 def _tail_mass_grid(ctx, spec, ens, tag):
-    m = ctx.need_measure()
+    m = ctx.triplet.measure
     rows = [(float(r), symbols.tail_mass(m, ctx.x, float(r))) for r in spec["r_values"]]
     return "r,tail_mass", rows, {"rows": len(rows), "csv": f"{tag}.csv"}
 
@@ -233,7 +220,7 @@ def _tail_mass_grid(ctx, spec, ens, tag):
 @_analysis("sector", "symbol", {"x_window": _NUM_LIST, "xi_grid": _NUM_LIST},
            required=["x_window", "xi_grid"])
 def _sector(ctx, spec, ens, tag):
-    est = symbols.sector_estimate(ctx.need_triplet(), tuple(spec["x_window"]), spec["xi_grid"])
+    est = symbols.sector_estimate(ctx.triplet, tuple(spec["x_window"]), spec["xi_grid"])
     return ("refinement,sup_ratio", list(enumerate(est.history)),
             {"value": est.value, "flag": est.flag, "history": list(est.history)})
 
@@ -244,7 +231,7 @@ def _sector(ctx, spec, ens, tag):
             "n": {"type": "integer", "minimum": 1}},
            required=["kind", "arguments"])
 def _norming_table(ctx, spec, ens, tag):
-    nf = norming.build_norming_function(ctx.need_measure(), ctx.x, spec["kind"],
+    nf = norming.build_norming_function(ctx.triplet.measure, ctx.x, spec["kind"],
                                         spec["arguments"], epsilon=spec.get("epsilon", 0.5),
                                         n=spec.get("n", 1))
     args, vals = nf.table()
@@ -254,7 +241,7 @@ def _norming_table(ctx, spec, ens, tag):
 
 @_analysis("kappa", "norming", {"R_grid": _NUM_LIST}, required=["R_grid"])
 def _kappa(ctx, spec, ens, tag):
-    est = norming.kappa_estimate(ctx.need_measure(), ctx.x, spec["R_grid"])
+    est = norming.kappa_estimate(ctx.triplet.measure, ctx.x, spec["R_grid"])
     return ("R,kappa", list(zip(est.R_grid, est.kappa_values)),
             {"kappa": est.kappa, "values": list(est.kappa_values)})
 
@@ -266,7 +253,7 @@ def _kappa(ctx, spec, ens, tag):
            required=["epsilon", "t_max", "levels"])
 def _upper_function_test(ctx, spec, ens, tag):
     verdict = classifiers.upper_function_test(
-        ctx.need_measure(), ctx.x, spec["epsilon"], spec.get("n", 1),
+        ctx.triplet.measure, ctx.x, spec["epsilon"], spec.get("n", 1),
         spec["t_max"], spec["levels"], ell_one=spec.get("ell_one", False))
     return "index,block", list(enumerate(verdict.block_values)), verdict.to_dict()
 
@@ -278,7 +265,7 @@ def _upper_function_test(ctx, spec, ens, tag):
            required=["v_exponent", "C", "t_max", "levels"])
 def _lower_tail_test(ctx, spec, ens, tag):
     v = _power_log_family(spec["v_exponent"], spec.get("v_log_exponent", 0.0))
-    verdict = classifiers.lower_tail_test(ctx.need_measure(), v, spec["C"],
+    verdict = classifiers.lower_tail_test(ctx.triplet.measure, v, spec["C"],
                                           spec["t_max"], spec["levels"])
     return "index,block", list(enumerate(verdict.block_values)), verdict.to_dict()
 
@@ -353,7 +340,7 @@ def _sup_probability(ctx, spec, ens, tag):
 @_analysis("maximal_inequality", "verify", {"t_list": _NUM_LIST, "R_list": _NUM_LIST},
            required=["t_list", "R_list"])
 def _maximal_inequality(ctx, spec, ens, tag):
-    rep = mc.maximal_inequality_check(ens, ctx.need_measure(), ctx.x,
+    rep = mc.maximal_inequality_check(ens, ctx.triplet.measure, ctx.x,
                                       spec["t_list"], spec["R_list"])
     rows = [(r["t"], r["R"], r["c1_candidate"], r["c2_candidate"]) for r in rep.pop("rows")]
     return "t,R,c1_candidate,c2_candidate", rows, rep
@@ -363,7 +350,7 @@ def _maximal_inequality(ctx, spec, ens, tag):
            {"R": {"type": "number"}, "m_max": {"type": "integer", "minimum": 1}},
            required=["R", "m_max"])
 def _multi_interval_decay(ctx, spec, ens, tag):
-    rep = mc.multi_interval_decay(ens, ctx.need_measure(), ctx.x, spec["R"], spec["m_max"])
+    rep = mc.multi_interval_decay(ens, ctx.triplet.measure, ctx.x, spec["R"], spec["m_max"])
     return "m,q", list(zip(rep["m"], rep["q"])), rep
 
 
@@ -389,9 +376,7 @@ def _etemadi(ctx, spec, ens, tag):
                                       "epsilon": {"type": "number"}},
            required=["xi_list", "t_list"])
 def _charfn_bound(ctx, spec, ens, tag):
-    proc = ens.process
-    if not isinstance(proc, SymmetricStableProcess):
-        raise SchemaError("charfn_bound is available for stable processes")
+    proc = ens.process   # stable: run_scenario checks it
     family = symbols.SymbolFamily.from_stable(proc.alpha, proc.scale)
     rep = mc.empirical_charfn_bound(ens, family, spec["xi_list"], spec["t_list"],
                                     epsilon=spec.get("epsilon"))
@@ -405,7 +390,7 @@ def _charfn_bound(ctx, spec, ens, tag):
                                          "rate_exponent": {"type": "number"}},
            required=["t_lo", "t_hi"])
 def _chung_statistic(ctx, spec, ens, tag):
-    stat = mc.chung_statistic(ens, ctx.need_measure(), ctx.x, spec["t_lo"], spec["t_hi"],
+    stat = mc.chung_statistic(ens, ctx.triplet.measure, ctx.x, spec["t_lo"], spec["t_hi"],
                               rate_exponent=spec.get("rate_exponent"))
     return "probe_time,rate", list(zip(stat.probe_times, stat.rates)), stat.summary()
 
@@ -518,12 +503,15 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
                  out: Optional[str] = None, canonical: bool = False) -> dict:
     """Execute a scenario (path or dict); returns the report dict.
 
-    A numeric failure of one analysis (``LevyLilError``, ``ValueError``,
-    ``OverflowError`` or ``MemoryError``, but not ``SchemaError``) is
-    recorded as its result, ``{"status": "failed", "analysis", "arguments",
-    "error"}``, and writes no CSV; the later analyses still run and
-    ``report.json`` is written.  Then a ``LevyLilError`` names every failed
-    analysis.
+    A usage error raises ``SchemaError`` before the output directory is
+    made: an analysis without a law (all but ``symbol_liminf_test`` read
+    one), a simulation without a grid, or ``charfn_bound`` on a law whose
+    sampler is not stable.  A numeric failure of one analysis
+    (``LevyLilError``, ``ValueError``, ``OverflowError`` or ``MemoryError``;
+    a law with no sampler fails so at its simulation) is recorded as its
+    result, ``{"status": "failed", "analysis", "arguments", "error"}``, and
+    writes no CSV; the later analyses still run and ``report.json`` is
+    written.  Then a ``LevyLilError`` names every failed analysis.
     """
     if isinstance(scenario, (str, os.PathLike)):
         doc = load_scenario(scenario)
@@ -550,9 +538,17 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
                     for i, spec in enumerate(doc["analyses"])
                     if _ANALYSES[spec["name"]].stage in wanted)
     run_stages = {STAGES[stage] for stage, _ in staged}
+    names = {doc["analyses"][i]["name"] for _, i in staged}
+    lawless = sorted(names - {"symbol_liminf_test"}) if ctx.triplet is None else []
+    if lawless:
+        raise SchemaError(f"analyses need a law, a 'measure' or a 'process': "
+                          f"{', '.join(lawless)}")
     if ctx.grid is None and {"simulate", "verify"} & run_stages:
         raise SchemaError("simulate needs a 'grid'" if "simulate" in run_stages
                           else "verification analyses need a 'grid' and a simulate analysis")
+    if ("charfn_bound" in names and ctx.process is not None
+            and not isinstance(ctx.process, SymmetricStableProcess)):
+        raise SchemaError("charfn_bound is available for stable processes")
     os.makedirs(ctx.outdir, exist_ok=True)
 
     results, failed = {}, []
@@ -561,8 +557,6 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
         tag = f"{i:02d}_{spec.get('label', spec['name'])}"
         try:
             results[tag] = _run_analysis(ctx, spec, tag)
-        except SchemaError:
-            raise
         except (LevyLilError, ValueError, OverflowError, MemoryError) as exc:
             error = f"{type(exc).__name__}: {exc}"
             failed.append(f"{tag}: {error}")

@@ -212,8 +212,10 @@ def process_from_dict(d) -> ProcessSpec:
 
 def process_from_triplet(triplet: LevyTriplet) -> ProcessSpec:
     """The one map from a triplet to a sampler, the inverse of ``levy_triplet``:
-    atoms give compound Poisson with path drift -(l + m1), and a
-    constant-index power law without drift gives the stable kernel."""
+    atoms give compound Poisson with path drift -(l + m1).  A power law
+    without drift gives the stable kernel at a constant index, or the
+    stable-like one when its coefficient holds a stable index and scale,
+    which come back as they are."""
     measure = triplet.measure
     if isinstance(measure, AtomicMeasure):
         if not triplet.drift.is_constant:
@@ -223,11 +225,17 @@ def process_from_triplet(triplet: LevyTriplet) -> ProcessSpec:
             path_drift=-(triplet.drift_at(0.0) + _small_jump_mean(measure.atoms)))
     if not isinstance(measure, PowerLawMeasure):
         raise ValueError(f"no sampler for a {measure.to_dict()['variant']} measure")
+    if not (triplet.drift.is_constant and triplet.drift_at(0.0) == 0.0):
+        raise ValueError("power-law triplets are simulated without drift")
+    coeff = measure.coefficient
+    if isinstance(coeff, _StableCoefficient):
+        if measure.is_state_independent:
+            return SymmetricStableProcess(alpha=measure.alpha_at(0.0),
+                                          scale=float(coeff.scale(0.0)))
+        return StableLikeProcess(alpha=coeff.alpha, scale=coeff.scale)
     if not measure.is_state_independent:
         raise ValueError("no exact sampler for a state-dependent power_law measure; "
                          "give this law as a stable_like 'process'")
-    if not (triplet.drift.is_constant and triplet.drift_at(0.0) == 0.0):
-        raise ValueError("power-law triplets are simulated without drift")
     a = measure.alpha_at(0.0)
     scale = measure.coeff_at(0.0) * 2.0 * stable_levy_constant(a)
     return SymmetricStableProcess(alpha=a, scale=scale)

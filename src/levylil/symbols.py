@@ -32,8 +32,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import QuadratureError, SectorViolationError
-from .measures import (NORMALIZED, AtomicMeasure, ConstantProfile, LevyTriplet,
-                       MeasureSpec, PowerLawMeasure, Profile)
+from .measures import (AtomicMeasure, ConstantProfile, LevyTriplet, MeasureSpec,
+                       PowerLawMeasure, Profile)
 
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
@@ -285,16 +285,14 @@ def eval_exponent(triplet: LevyTriplet, x: float, xi: float, *,
     if xi == 0.0:
         return complex(0.0, 0.0)
     measure = triplet.measure
+    if isinstance(measure, PowerLawMeasure) and method != "quadrature":
+        re, im = _exponent_on_grid(triplet, [x], [xi])
+        return complex(re[0, 0], im[0, 0])
     drift_im = triplet.drift_at(x) * xi
     if isinstance(measure, AtomicMeasure):
         re, im = _exponent_atomic(measure, xi)
     elif isinstance(measure, PowerLawMeasure):
-        if method in ("auto", "closed"):
-            a = measure.alpha_at(x)
-            re = measure.coeff_at(x) * 2.0 * stable_levy_constant(a) * abs(xi) ** a
-        else:
-            re = _exponent_power_law_quadrature(measure, x, xi)
-        im = 0.0
+        re, im = _exponent_power_law_quadrature(measure, x, xi), 0.0
     else:
         re, im = _exponent_tabulated(measure, xi)
     if re < 0.0:
@@ -309,8 +307,8 @@ def eval_exponent(triplet: LevyTriplet, x: float, xi: float, *,
 
 def _exponent_on_grid(triplet: LevyTriplet, xs, xis):
     """(Re p, Im p) on xs x xis as two (len(xs), len(xis)) arrays, equal bit for
-    bit to ``eval_exponent`` at each point.  A power-law measure takes the
-    closed form with its x-profiles evaluated once per x, and |xi|^alpha(x)
+    bit to ``eval_exponent`` at each point.  A power-law measure takes the one
+    closed form, with its x-profiles evaluated once per x and |xi|^alpha(x)
     from Python's float power (libm), which numpy's array power may miss by
     an ulp; any other measure goes through ``eval_exponent`` point by point."""
     xs, xis = np.asarray(xs, dtype=float), np.asarray(xis, dtype=float)
@@ -319,8 +317,7 @@ def _exponent_on_grid(triplet: LevyTriplet, xs, xis):
         p = np.array([[eval_exponent(triplet, x, xi) for xi in xis.tolist()]
                       for x in xs.tolist()], dtype=complex).reshape(xs.size, xis.size)
         return p.real, p.imag
-    a = measure.alpha(xs)
-    c = a * (2.0 - a) / 4.0 if measure.coefficient == NORMALIZED else measure.coefficient(xs)
+    a, c = measure.alpha(xs), measure.coeff_at(xs)
     pw = [[v ** av for v in np.abs(xis).tolist()] for av in a.tolist()]
     with np.errstate(over="ignore"):   # an overflow is the non-finite value raised below
         re = (c * 2.0 * stable_levy_constant(a))[:, None] * np.array(pw).reshape(xs.size, xis.size)

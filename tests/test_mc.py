@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 import levylil as ll
-from levylil.norming import chung_rate
+from levylil import mc
+from levylil.norming import ball_extremum, chung_rate
 
 ALPHA = 1.5
 STABLE = ll.SymmetricStableProcess(alpha=ALPHA)
 # measure with p^U = |xi|^alpha and the process realizing exactly that triplet
 M_NORM = ll.PowerLawMeasure(alpha=ALPHA)
 PROC_NORM = ll.process_from_triplet(ll.LevyTriplet(measure=M_NORM))
+M_SIN = ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(center=1.5, amplitude=0.3))
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,12 @@ def test_sup_probability_complementarity(ens_small):
     assert ge.p_hat + lt.p_hat == 1.0
     assert ge.standard_error == pytest.approx(
         math.sqrt(ge.p_hat * (1 - ge.p_hat) / ens_small.n_paths))
+    # the one estimator: the share of True entries of a column, one per path
+    hits = ens_small.running_sup[:, ens_small.time_index(t)] >= R
+    assert ll.ProbabilityEstimate.of(hits) == ge
+    assert ge.p_hat == int(hits.sum()) / hits.size and ge.sample_size == hits.size
+    with pytest.raises(ValueError, match="empty ensemble"):
+        ll.ProbabilityEstimate.of(np.zeros(0, dtype=bool))
 
 
 def test_sup_probability_requires_grid_time(ens_small):
@@ -70,6 +78,31 @@ def test_maximal_inequality_stable(ens):
     assert rep["pass"]
     assert math.isfinite(rep["c1_hat"]) and math.isfinite(rep["c2_hat"])
     assert rep["c1_refined"] <= 2.0 * rep["c1_hat"]
+
+
+def test_maximal_inequality_ball_extrema_once_per_radius(ens_small, monkeypatch):
+    # the ball extrema depend on R alone: 2 per radius of the base lists and 2
+    # per radius of the refined ones, not 2 per (t, R) pair
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ball_extremum(*args)
+
+    monkeypatch.setattr(mc, "ball_extremum", counted)
+    t_list, R_list = [0.25, 0.5, 1.0], [0.5, 1.0, 2.0]
+    rep = ll.maximal_inequality_check(ens_small, M_SIN, 0.0, t_list, R_list)
+    assert len(calls) == 2 * (3 + 5)
+    # each row is the estimate and the ball extremum of its own (t, R)
+    for row in rep["rows"]:
+        t, R = row["t"], row["R"]
+        p_ge = ll.estimate_sup_probability(ens_small, t, R, "ge")
+        p_lt = ll.estimate_sup_probability(ens_small, t, R, "lt")
+        assert row["p_ge"] == p_ge.to_dict() and row["p_lt"] == p_lt.to_dict()
+        sup_ball, inf_ball = (ball_extremum(M_SIN, 0.0, R, 1.0 / R, m) for m in ("sup", "inf"))
+        assert row["c1_candidate"] == p_ge.p_hat / (t * sup_ball)
+        assert row["c2_candidate"] == p_lt.p_hat * (t * inf_ball)
+    assert rep["c1_hat"] == max(r["c1_candidate"] for r in rep["rows"])
 
 
 def test_maximal_inequality_large_radius_vanishes(ens_small):

@@ -70,6 +70,16 @@ def test_power_law_normalized_coefficient():
     m2 = ll.PowerLawMeasure(alpha=1.0, coefficient=0.25)
     # 0.25 equals the normalization at alpha=1, so the factor is 1
     assert m2.pu_factor(0.0) == pytest.approx(1.0)
+    # on an array, c(x) is the scalar value at each point, bit for bit
+    sin = ll.SinusoidalProfile(center=1.5, amplitude=0.3)
+    xs = np.linspace(-2.0, 2.0, 17)
+    for m3 in (ll.PowerLawMeasure(alpha=sin), ll.PowerLawMeasure(alpha=sin, coefficient=sin)):
+        got = m3.coeff_at(xs)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [m3.coeff_at(x) for x in xs.tolist()]
+        a = m3.alpha_at(0.3)
+        assert m3.coeff_at(0.3) == (a * (2.0 - a) / 4.0 if m3.coefficient == "normalized"
+                                    else m3.coefficient(0.3))
 
 
 def test_atomic_validation():

@@ -410,17 +410,68 @@ def test_value_a_constructor_rejects_is_a_schema_error(tmp_path, capsys, change,
       "analyses": [{"name": "pu_grid", "x_values": [0.0], "xi_values": [1.0]},
                    {"name": "spitzer", "t_list": [0.5]}]},
      ["verification analyses need a 'grid'"]),
+    ({"process": {"kind": "compound_poisson", "atoms": [[1.0, 2.0]]},
+      "grid": {"t_max": 1.0, "steps": 64},
+      "analyses": [{"name": "exponent_grid", "x_values": [0.0], "xi_values": [1.0]},
+                   {"name": "spitzer", "t_list": [0.5]},
+                   {"name": "charfn_bound", "xi_list": [1.0], "t_list": [0.5]}]},
+     ["charfn_bound is available for stable processes"]),
+    ({"analyses": [{"name": "symbol_liminf_test", "g_exponent": 1.5, "w_exponent": 0.5,
+                    "t_max": 0.1, "levels": 8},
+                   {"name": "kappa", "R_grid": [0.5]}]},
+     ["need a law", "kappa"]),
 ], ids=["measure_and_process", "process_and_drift", "simulate_without_grid",
-        "verify_without_grid"])
+        "verify_without_grid", "charfn_bound_on_compound_poisson", "kappa_without_law"])
 def test_usage_error_the_document_decides_writes_nothing(tmp_path, capsys, change, named):
-    # one law per scenario, and a grid for every simulation: both are known
-    # before the first analysis, so no output directory is made
+    # one law per scenario, a law for every analysis that reads one, a grid
+    # for every simulation and a stable sampler for charfn_bound: all are
+    # known before the first analysis, so no output directory is made
     out = tmp_path / "out"
     doc = {"seed": 3, "paths": 100, "output_dir": str(out), **change}
     assert cli_main(["report", "--scenario", str(write_scenario(tmp_path, doc))]) == 2
     err = capsys.readouterr().err
     assert all(word in err for word in named), err
     assert not out.exists()
+
+
+_MINIMAL_SPECS = {
+    "pu_grid": {"x_values": [0.0], "xi_values": [1.0]},
+    "exponent_grid": {"x_values": [0.0], "xi_values": [1.0]},
+    "tail_mass_grid": {"r_values": [0.5]},
+    "sector": {"x_window": [-0.5, 0.5], "xi_grid": [1.0, 2.0]},
+    "norming_table": {"kind": "u", "arguments": [0.5]},
+    "kappa": {"R_grid": [0.5, 0.25]},
+    "upper_function_test": {"epsilon": 0.5, "t_max": 0.1, "levels": 8},
+    "lower_tail_test": {"v_exponent": 0.5, "C": 1.0, "t_max": 0.1, "levels": 8},
+    "symbol_liminf_test": {"g_exponent": 1.5, "w_exponent": 0.5, "t_max": 0.1, "levels": 8},
+    "simulate": {},
+    "sup_probability": {"t": 0.5, "R": 1.0},
+    "maximal_inequality": {"t_list": [0.5], "R_list": [1.0]},
+    "multi_interval_decay": {"R": 1.0, "m_max": 2},
+    "spitzer": {"t_list": [0.5]},
+    "etemadi": {"C": 1.0, "v_exponent": 0.5, "t_list": [0.5]},
+    "charfn_bound": {"xi_list": [1.0], "t_list": [0.5]},
+    "chung_statistic": {"t_lo": 0.05, "t_hi": 0.2},
+}
+
+
+@pytest.mark.parametrize("law", [{}, {"process": {"kind": "compound_poisson",
+                                                  "atoms": [[0.5, 1.0], [-0.5, 1.0]]}}],
+                         ids=["no_law", "compound_poisson"])
+@pytest.mark.parametrize("name", list(scenario._ANALYSES))
+def test_every_analysis_exits_2_up_front_or_writes_its_report(tmp_path, capsys, name, law):
+    # a usage error leaves no output; any other run ends with report.json
+    out = tmp_path / "out"
+    doc = {"seed": 3, "paths": 200, "grid": {"t_max": 1.0, "steps": 64},
+           "output_dir": str(out), **law, "analyses": [{"name": name, **_MINIMAL_SPECS[name]}]}
+    code = cli_main(["report", "--scenario", str(write_scenario(tmp_path, doc))])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert not out.exists(), err
+    else:
+        assert code in (0, 1) and (out / "report.json").exists(), err
+    if not law:   # every analysis but symbol_liminf_test reads the law
+        assert (code == 2) == (name != "symbol_liminf_test"), err
 
 
 def test_process_only_compound_poisson_exponent_is_its_paths_law(tmp_path):

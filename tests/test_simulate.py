@@ -532,10 +532,16 @@ def test_process_from_triplet_stable():
     assert proc.scale == pytest.approx(0.1875 * 2.0 * ll.stable_levy_constant(1.5))
     # round trip: the process measure reproduces the original coefficient
     assert proc.levy_triplet.measure.coeff_at(0.0) == pytest.approx(0.1875)
-    for alpha, scale in ((1.5, 1.3), (0.8, 1.0), (1.0, 4.0)):
-        back = ll.process_from_triplet(ll.SymmetricStableProcess(alpha, scale).levy_triplet)
-        assert isinstance(back, ll.SymmetricStableProcess) and back.alpha == alpha
-        assert back.scale == pytest.approx(scale, rel=1e-15)
+    # levy_triplet then process_from_triplet gives the process back, bit for bit
+    for alpha in np.linspace(0.3, 1.9, 17).tolist():
+        for scale in (0.1, 0.7, 1.0, 1.3, 2.5, 10.0):
+            proc = ll.SymmetricStableProcess(alpha, scale)
+            assert ll.process_from_triplet(proc.levy_triplet) == proc
+    for proc in (ll.StableLikeProcess(alpha=M_SIN_STATE.alpha),
+                 ll.StableLikeProcess(alpha=M_SIN_STATE.alpha, scale=ll.TanhRampProfile(1.0, 0.5)),
+                 ll.StableLikeProcess(alpha=ll.ConstantProfile(1.2),
+                                      scale=ll.SinusoidalProfile(1.0, 0.5))):
+        assert ll.process_from_triplet(proc.levy_triplet) == proc
     # the process and the stable symbol family hold one coefficient, bit for bit
     want = 1.3 / (2.0 * ll.stable_levy_constant(1.5))
     assert ll.SymmetricStableProcess(1.5, 1.3).levy_triplet.measure.coeff_at(0.0) == want

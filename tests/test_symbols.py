@@ -320,7 +320,15 @@ GRID_TRIPLETS = {
 
 
 def _scalar_exponent(triplet, x, xi):
-    return ll.eval_exponent(triplet, float(x), float(xi))
+    """p(x, xi) at one point; for a power law, the closed form from Python
+    floats, c(x) 2 C(alpha(x)) |xi|^alpha(x) + i l(x) xi, as the reference
+    that the grid evaluation must equal bit for bit."""
+    m, x, xi = triplet.measure, float(x), float(xi)
+    if not isinstance(m, ll.PowerLawMeasure) or xi == 0.0:
+        return ll.eval_exponent(triplet, x, xi)
+    a = m.alpha_at(x)
+    re = m.coeff_at(x) * 2.0 * ll.stable_levy_constant(a) * abs(xi) ** a
+    return complex(re, 0.0 + triplet.drift_at(x) * xi)
 
 
 @pytest.mark.parametrize("name", sorted(GRID_TRIPLETS))
@@ -332,6 +340,10 @@ def test_exponent_on_grid_matches_scalar_loop(name):
     want = np.array([[_scalar_exponent(t, x, xi) for xi in xis] for x in xs])
     assert np.array_equal(re, want.real) and np.array_equal(im, want.imag)
     assert np.array_equal(np.signbit(im), np.signbit(want.imag))
+    # the scalar evaluator gives the same bits at every point
+    got = np.array([[ll.eval_exponent(t, float(x), float(xi)) for xi in xis] for x in xs])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 def _scalar_family(t, x_window, xi_grid):
