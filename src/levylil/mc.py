@@ -78,18 +78,20 @@ def maximal_inequality_check(ensemble: PathEnsemble, measure: MeasureSpec, x: fl
     For each (t, R): c1 candidate = P(sup >= R) / (t sup-ball p^U) and
     c2 candidate = P(sup < R) * (t inf-ball p^U).  PASS when both fitted
     constants are finite and grow at most 2x under grid refinement.  The ball
-    extrema depend on R alone, so they are computed once per radius.
+    extrema depend on R alone, so both fits share them, one per radius.
     """
+    if any(R <= 0.0 for R in R_list):
+        raise ValueError("R must be positive")
+    balls = {R: tuple(ball_extremum(measure, x, R, 1.0 / R, m) for m in ("sup", "inf"))
+             for R in dict.fromkeys([*R_list, *_densify_list(R_list)])}
+
     def fitted(ts, Rs):
-        if any(R <= 0.0 for R in Rs):
-            raise ValueError("R must be positive")
-        balls = [(R, ball_extremum(measure, x, R, 1.0 / R, "sup"),
-                  ball_extremum(measure, x, R, 1.0 / R, "inf")) for R in Rs]
         c1 = c2 = 0.0
         rows = []
         for idx, t_snap in _probes(ensemble, ts):
             rs = ensemble.running_sup[:, idx]
-            for R, sup_ball, inf_ball in balls:
+            for R in Rs:
+                sup_ball, inf_ball = balls[R]
                 p_ge, p_lt = ProbabilityEstimate.of(rs >= R), ProbabilityEstimate.of(rs < R)
                 r1 = p_ge.p_hat / (t_snap * sup_ball)
                 r2 = p_lt.p_hat * (t_snap * inf_ball)

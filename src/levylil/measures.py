@@ -6,9 +6,9 @@ R \\ {0}.  Three variants are supported:
 * ``PowerLawMeasure`` -- density c(x) |y|^(-1-alpha(x)) dy with a
   state-dependent index alpha(x) in a compact subinterval of (0, 2);
 * ``AtomicMeasure`` -- finitely many atoms (location, mass);
-* ``TabulatedMeasure`` -- density samples on a log-spaced |y| grid,
-  interpreted as piecewise power-law (log-log linear) between knots; a
-  panel with a zero knot carries no mass.
+* ``TabulatedMeasure`` -- density samples on a log-spaced |y| grid, held
+  as panels: between two positive knots the density is the power law
+  A y^b through both, and a panel with a zero knot carries no mass.
 
 Coefficients that vary with x are expressed through a small set of named
 profiles (constant, affine-clamped, sinusoidal, tanh-ramp); there is no
@@ -17,6 +17,7 @@ general expression parser.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,7 +33,7 @@ class ConstantProfile:
     value: float
 
     def __call__(self, x):
-        return self.value + np.zeros_like(np.asarray(x, dtype=float))
+        return np.full(np.shape(x), self.value, dtype=float)[()]
 
     def derivative(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -277,16 +278,35 @@ class AtomicMeasure:
         return {"variant": "atomic", "atoms": [[loc, m] for loc, m in self.atoms]}
 
 
+def _panels(grid, dens):
+    """(y1, y2, A, b) for each panel that carries mass, with density A y^b on
+    [y1, y2]: both knots positive, the power law through them.  ValueError
+    when A or b is not a finite float."""
+    panels = []
+    for y1, y2, d1, d2 in zip(grid, grid[1:], dens, dens[1:]):
+        if d1 > 0.0 and d2 > 0.0:
+            b = math.log(d2 / d1) / math.log(y2 / y1)
+            try:
+                A = d1 / y1 ** b
+            except ArithmeticError:   # y1 ** b past the float range
+                A = math.inf
+            if not (math.isfinite(A) and math.isfinite(b)):
+                raise ValueError(f"panel [{y1}, {y2}]: its power law leaves the float range")
+            panels.append((y1, y2, A, b))
+    return tuple(panels)
+
+
 @dataclass(frozen=True)
 class TabulatedMeasure:
     """Density samples on a strictly increasing log-spaced |y| grid.
 
-    Between two positive knots the density is interpolated log-log linearly
-    (piecewise power law).  A panel with a zero knot carries no mass, and the
-    density vanishes outside [grid[0], grid[-1]] -- the zero tail correction
-    for tabulated data.  So ``density`` needs two adjacent positive knots.
-    With ``density_neg`` unset the measure is symmetric, the samples
-    describing both half-lines.
+    The samples are held as panels ``(y1, y2, A, b)``, which every integral
+    of the measure reads through ``sides()``: between two positive knots the
+    density is the power law A y^b through both.  A panel with a zero knot
+    carries no mass, and the density vanishes outside [grid[0], grid[-1]] --
+    the zero tail correction for tabulated data.  So ``density`` needs two
+    adjacent positive knots.  With ``density_neg`` unset the measure is
+    symmetric, the samples describing both half-lines.
     """
 
     grid: tuple
@@ -302,15 +322,19 @@ class TabulatedMeasure:
             raise ValueError("tabulated grid must be positive and strictly increasing")
         if dens.shape != grid.shape:
             raise ValueError("density must match the grid")
-        if np.any(dens < 0) or not np.any((dens[:-1] > 0) & (dens[1:] > 0)):
-            raise ValueError("density must be nonnegative and positive at two adjacent knots")
         object.__setattr__(self, "grid", tuple(grid))
         object.__setattr__(self, "density", tuple(dens))
+        pos = _panels(grid.tolist(), dens.tolist())
+        if np.any(dens < 0) or not pos:
+            raise ValueError("density must be nonnegative and positive at two adjacent knots")
+        sides = ((2.0, pos),)
         if self.density_neg is not None:
             dn = np.asarray(self.density_neg, dtype=float)
             if dn.shape != grid.shape or np.any(dn < 0):
                 raise ValueError("density_neg must match the grid and be nonnegative")
             object.__setattr__(self, "density_neg", tuple(dn))
+            sides = ((1.0, pos), (1.0, _panels(grid.tolist(), dn.tolist())))
+        object.__setattr__(self, "_sides", sides)
 
     @property
     def is_state_independent(self):
@@ -321,10 +345,9 @@ class TabulatedMeasure:
         return self.density_neg is None
 
     def sides(self):
-        """(weight, samples) per half-line; symmetric data carries weight 2."""
-        if self.density_neg is None:
-            return ((2.0, np.asarray(self.density)),)
-        return ((1.0, np.asarray(self.density)), (1.0, np.asarray(self.density_neg)))
+        """(weight, panels) per half-line, positive first; symmetric data
+        carries weight 2."""
+        return self._sides
 
     def to_dict(self):
         d = {"variant": "tabulated", "grid": list(self.grid), "density": list(self.density)}
@@ -340,7 +363,11 @@ def measure_from_dict(d) -> MeasureSpec:
     variant = d.get("variant")
     if variant == "power_law":
         coeff = d.get("coefficient", NORMALIZED)
-        if coeff != NORMALIZED:
+        if isinstance(coeff, dict) and coeff.get("kind") == "stable_coefficient":
+            from .symbols import _StableCoefficient   # a process's; no scenario names one
+            coeff = _StableCoefficient(profile_from_dict(coeff["alpha"]),
+                                       profile_from_dict(coeff["scale"]))
+        elif coeff != NORMALIZED:
             coeff = profile_from_dict(coeff)
         return PowerLawMeasure(alpha=profile_from_dict(d["alpha"]), coefficient=coeff,
                                truncation_radius=d.get("truncation_radius", 1e8))

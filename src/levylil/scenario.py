@@ -170,16 +170,28 @@ class _Context:
             self.triplet = LevyTriplet(measure=measure_from_dict(doc["measure"]), drift=drift)
             with contextlib.suppress(ValueError):   # no sampler: need_process raises it
                 self.process = process_from_triplet(self.triplet)
+        self.simulations = {}   # ensemble id -> its simulate spec
+        for spec in doc["analyses"]:
+            eid = spec.get("ensemble_id", "main")
+            if spec["name"] == "simulate" and self.simulations.setdefault(eid, spec) is not spec:
+                raise SchemaError(f"two simulate analyses build ensemble {eid!r}")
+        unbuilt = {spec.get("ensemble_id", "main") for spec in doc["analyses"]
+                   if _ANALYSES[spec["name"]].stage == "verify"} - set(self.simulations)
+        if self.simulations and unbuilt:   # with no simulate analysis, the full grid
+            raise SchemaError(f"no simulate analysis builds ensemble {min(unbuilt)!r}")
         self.ensembles = {}
 
     def need_process(self):
         return self.process or process_from_triplet(self.triplet)
 
     def need_ensemble(self, spec):
+        """The ensemble of ``spec``'s id, built once from that id's simulate spec."""
         eid = spec.get("ensemble_id", "main")
         if eid not in self.ensembles:
-            self.ensembles[eid] = simulate_ensemble(self.need_process(), self.x, self.grid,
-                                                    self.seed, self.paths)
+            self.ensembles[eid] = None   # if it fails, no later analysis builds another
+            self.ensembles[eid] = simulate_ensemble(
+                self.need_process(), self.x, self.grid, self.seed, self.paths,
+                record_times=self.simulations.get(eid, {}).get("record_times"))
         if self.ensembles[eid] is None:
             raise LevyLilError(f"ensemble {eid!r} was not built: its simulate analysis failed")
         return self.ensembles[eid]
@@ -311,11 +323,7 @@ def _per_time_summary(ens):
                                     "save": {"enum": ["jsonl"]},
                                     "ensemble_id": {"type": "string"}})
 def _simulate(ctx, spec, ens, tag):
-    eid = spec.get("ensemble_id", "main")
-    ctx.ensembles[eid] = None   # if the simulation fails, verify analyses must not build another
-    ens = simulate_ensemble(ctx.need_process(), ctx.x, ctx.grid, ctx.seed, ctx.paths,
-                            record_times=spec.get("record_times"))
-    ctx.ensembles[eid] = ens
+    ens = ctx.need_ensemble(spec)
     if spec.get("save") == "jsonl":
         save_ensemble_jsonl(ens, os.path.join(ctx.outdir, f"{tag}_paths.jsonl"),
                             {"scenario_hash": ctx.scen_hash})

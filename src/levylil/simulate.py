@@ -661,7 +661,6 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
     tile = min(_STEP_TILE, n)
     fill, (u_buf, w_buf) = np.empty((_FILL_ROWS, tile)), np.empty((2, tile, rows))
     variates = np.empty(rows)
-    fixed_scale = process.scale.is_constant
     for start, stop in blocks:
         m = stop - start
         keys = _philox_keys(master_seed, start, m)
@@ -671,8 +670,6 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
             gen.bit_generator.random_raw(n % 4)
         xcur = np.full(m, float(x0))
         dev = np.zeros(m)
-        if fixed_scale:
-            c = np.asarray(process.scale(xcur), dtype=float)
         for k0 in range(0, n, tile):
             kt = min(tile, n - k0)
             u, w = u_buf[:kt, :m], w_buf[:kt, :m]
@@ -687,8 +684,7 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
                 w[:, p0:p1] = f.T
             for j, k in enumerate(range(k0, k0 + kt)):
                 a = np.asarray(process.alpha(xcur), dtype=float)
-                if not fixed_scale:
-                    c = np.asarray(process.scale(xcur), dtype=float)
+                c = np.asarray(process.scale(xcur), dtype=float)
                 xcur = xcur + (c * dts[k]) ** (1.0 / a) * _cms(u[j], w[j], a, variates[:m])
                 dev = np.maximum(dev, np.abs(xcur - x0))
                 if k in slot:

@@ -10,7 +10,9 @@ Power-law measures admit closed forms for both; the quadrature route is kept
 as an independent evaluation path (log-spaced panels with mandatory
 breakpoints at the integrand kink |y| = 1/|xi| and at the compensation cutoff
 |y| = 1, analytic tail correction beyond the truncation radius, oscillatory
-outer integrals through cos/sin-weighted Gauss quadrature).  Symmetric
+outer integrals through cos/sin-weighted Gauss quadrature).  A tabulated
+measure is integrated over the panels it holds, the oscillatory parts of its
+exponent by quadrature of A y^b on each panel, the rest in closed form.  Symmetric
 measures are evaluated through the real cosine form so the imaginary part is
 exactly zero.
 
@@ -149,27 +151,8 @@ def _quad_log_panels(f, s_min, s_max, budget):
 
 
 # --------------------------------------------------------------------------
-# tabulated-measure panel integrals (piecewise power law between knots)
+# tabulated-measure panel integrals (the panels of ``TabulatedMeasure.sides``)
 # --------------------------------------------------------------------------
-
-def _panel_coeffs(y1, y2, d1, d2):
-    """Power-law coefficients (A, b) with d(y) = A y^b through both knots."""
-    b = math.log(d2 / d1) / math.log(y2 / y1)
-    return d1 / y1 ** b, b
-
-
-def _panels(grid, dens):
-    """(y1, y2, A, b) for each panel of one tabulated side that carries mass.
-
-    The density is A y^b on [y1, y2] when both knots are positive; a panel
-    with a zero knot carries no mass, and nothing lies outside the grid.
-    """
-    g = np.asarray(grid, dtype=float)
-    d = np.asarray(dens, dtype=float)
-    for i in range(len(g) - 1):
-        if d[i] > 0.0 and d[i + 1] > 0.0:
-            yield (g[i], g[i + 1]) + _panel_coeffs(g[i], g[i + 1], d[i], d[i + 1])
-
 
 def _power_moment(A, b, p, lo, hi):
     """int_lo^hi A y^(b+p) dy."""
@@ -179,28 +162,14 @@ def _power_moment(A, b, p, lo, hi):
     return A * (hi ** q - lo ** q) / q
 
 
-def _tab_moment(grid, dens, p, lo=0.0, hi=math.inf):
+def _tab_moment(panels, p, lo=0.0, hi=math.inf):
     """int y^p d(y) dy over [lo, hi] for one tabulated side."""
     total = 0.0
-    for y1, y2, A, b in _panels(grid, dens):
+    for y1, y2, A, b in panels:
         a, c = max(y1, lo), min(y2, hi)
         if c > a:
             total += _power_moment(A, b, p, a, c)
     return total
-
-
-def _tab_density_fn(grid, dens) -> Callable:
-    """The log-log interpolant as a function of y (zero on a zero-knot panel)."""
-    g = np.log(np.asarray(grid, dtype=float))
-    with np.errstate(divide="ignore"):
-        ld = np.log(np.asarray(dens, dtype=float))
-
-    def f(y):
-        y = np.asarray(y, dtype=float)
-        out = np.exp(np.interp(np.log(np.maximum(y, 1e-300)), g, ld))
-        return np.where((y >= grid[0]) & (y <= grid[-1]), out, 0.0)
-
-    return f
 
 
 # --------------------------------------------------------------------------
@@ -216,8 +185,7 @@ def tail_mass(measure: MeasureSpec, x: float, r: float) -> float:
     if isinstance(measure, PowerLawMeasure):
         a = measure.alpha_at(x)
         return float(2.0 * measure.coeff_at(x) * r ** (-a) / a)
-    return float(sum(w * _tab_moment(measure.grid, dens, 0, lo=r)
-                     for w, dens in measure.sides()))
+    return float(sum(w * _tab_moment(panels, 0, lo=r) for w, panels in measure.sides()))
 
 
 def eval_pU(measure: MeasureSpec, x: float, xi: float, *, method: str = "auto") -> float:
@@ -239,12 +207,11 @@ def eval_pU(measure: MeasureSpec, x: float, xi: float, *, method: str = "auto") 
         raise ValueError("no closed form for tabulated measures")
     k = 1.0 / axi
     total = 0.0
-    for w, dens in measure.sides():
+    for w, panels in measure.sides():
         # the quadratic moment is zero exactly when k lies below the grid,
         # where axi ** 2 may overflow
-        quad = _tab_moment(measure.grid, dens, 2, hi=k)
-        total += w * ((axi ** 2 * quad if quad else 0.0)
-                      + _tab_moment(measure.grid, dens, 0, lo=k))
+        quad = _tab_moment(panels, 2, hi=k)
+        total += w * ((axi ** 2 * quad if quad else 0.0) + _tab_moment(panels, 0, lo=k))
     return float(total)
 
 
@@ -375,44 +342,41 @@ def _exponent_tabulated(measure, xi):
     axi = abs(xi)
     k = 1.0 / axi
     budget = _ErrorBudget()
-    grid = np.asarray(measure.grid)
     re = 0.0
     im = 0.0
-    sides = measure.sides()
-    signs = (1.0,) if measure.is_symmetric else (1.0, -1.0)
-    for (w, dens), sign in zip(sides, signs):
-        f = _tab_density_fn(grid, dens)
-        re += w * _tab_oscillatory(grid, dens, f, axi, k, budget, kind="one_minus_cos")
+    for (w, panels), sign in zip(measure.sides(), (1.0, -1.0)):
+        re += w * _tab_oscillatory(panels, axi, k, budget, kind="one_minus_cos")
         if not measure.is_symmetric:
-            sin_int = _tab_oscillatory(grid, dens, f, axi, k, budget, kind="sin")
-            moment = _tab_moment(grid, dens, 1, hi=1.0)
+            sin_int = _tab_oscillatory(panels, axi, k, budget, kind="sin")
+            moment = _tab_moment(panels, 1, hi=1.0)
             im += sign * (xi * moment - math.copysign(1.0, xi) * sin_int)
     value = complex(re, im)
     budget.check(abs(value), "tabulated exponent quadrature")
     return re, im
 
 
-def _tab_oscillatory(grid, dens, f, axi, k, budget, kind):
-    """int over the tabulated support of (1 - cos(axi y)) f or sin(axi y) f."""
+def _tab_oscillatory(panels, axi, k, budget, kind):
+    """int of (1 - cos(axi y)) d(y) or sin(axi y) d(y) over one side, panel by panel."""
     total = 0.0
-    for y1, y2, A, b in _panels(grid, dens):
+    for y1, y2, A, b in panels:
         if kind == "sin":
-            total += _osc_panel(f, y1, y2, axi, "sin", budget)
+            total += _osc_panel(A, b, y1, y2, axi, "sin", budget)
             continue
         # below the kink k by plain quadrature, above it as mass minus the cos integral
         split = min(max(k, y1), y2)
-        total += _quad(lambda y: 2.0 * math.sin(0.5 * axi * y) ** 2 * f(y), y1, split, budget)
-        total += _power_moment(A, b, 0, split, y2) - _osc_panel(f, split, y2, axi, "cos", budget)
+        total += _quad(lambda y: 2.0 * math.sin(0.5 * axi * y) ** 2 * A * y ** b, y1, split, budget)
+        total += _power_moment(A, b, 0, split, y2) - _osc_panel(A, b, split, y2, axi, "cos",
+                                                                 budget)
     return total
 
 
-def _osc_panel(f, lo, hi, axi, weight, budget):
+def _osc_panel(A, b, lo, hi, axi, weight, budget):
     if hi <= lo:
         return 0.0
     if axi * (hi - lo) <= 6.0:
         wf = math.cos if weight == "cos" else math.sin
-        return _quad(lambda y: wf(axi * y) * f(y), lo, hi, budget)
-    return _quad_octaves(f, lo, hi, budget, weight=weight, wvar=axi)
+        return _quad(lambda y: wf(axi * y) * A * y ** b, lo, hi, budget)
+    return _quad_octaves(lambda y: A * y ** b, lo, hi, budget, weight=weight, wvar=axi)
 
 
 # --------------------------------------------------------------------------

@@ -81,8 +81,8 @@ def test_maximal_inequality_stable(ens):
 
 
 def test_maximal_inequality_ball_extrema_once_per_radius(ens_small, monkeypatch):
-    # the ball extrema depend on R alone: 2 per radius of the base lists and 2
-    # per radius of the refined ones, not 2 per (t, R) pair
+    # the ball extrema depend on R alone: 2 per distinct radius of the base
+    # and refined lists together, not 2 per (t, R) pair or per fit
     calls = []
 
     def counted(*args):
@@ -92,7 +92,7 @@ def test_maximal_inequality_ball_extrema_once_per_radius(ens_small, monkeypatch)
     monkeypatch.setattr(mc, "ball_extremum", counted)
     t_list, R_list = [0.25, 0.5, 1.0], [0.5, 1.0, 2.0]
     rep = ll.maximal_inequality_check(ens_small, M_SIN, 0.0, t_list, R_list)
-    assert len(calls) == 2 * (3 + 5)
+    assert len(calls) == 2 * 5
     # each row is the estimate and the ball extremum of its own (t, R)
     for row in rep["rows"]:
         t, R = row["t"], row["R"]

@@ -106,6 +106,13 @@ def test_tabulated_validation():
     # no panel has two positive knots, so this is the zero measure
     with pytest.raises(ValueError):
         ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(0.0, 1.0, 0.0))
+    # a panel power law A y^b whose A is past the float range: y1 ** b
+    # underflows, overflows, or A overflows on division
+    for grid, dens in (((1e-3, 1.0001e-3, 1.0), (1.0, 1e300, 1e300)),
+                       ((1.9999999999999998, 2.0, 3.0), (1.0, 2.0, 1.0)),
+                       ((1e-3, 2e-3), (1e-300, 1e300))):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            ll.TabulatedMeasure(grid=grid, density=dens)
 
 
 def test_triplet_rejects_gaussian_part():
@@ -117,9 +124,15 @@ def test_triplet_rejects_gaussian_part():
 
 
 def test_measure_dict_roundtrip():
+    # and the measure of each process kind, a stable one's coefficient included
+    processes = (ll.SymmetricStableProcess(alpha=1.5, scale=0.7),
+                 ll.StableLikeProcess(alpha=ll.SinusoidalProfile(1.4, 0.3),
+                                      scale=ll.SinusoidalProfile(1.0, 0.5, 3.0)),
+                 ll.CompoundPoissonProcess(atoms=((0.7, 1.5), (-0.2, 0.5)), path_drift=0.3))
     for m in (ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(1.5, 0.3)),
               ll.AtomicMeasure(atoms=((1.0, 2.0), (-0.5, 1.0))),
-              ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(1.0, 0.1, 0.01))):
+              ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(1.0, 0.1, 0.01)),
+              *(p.levy_triplet.measure for p in processes)):
         m2 = ll.measure_from_dict(m.to_dict())
         assert m2.to_dict() == m.to_dict()
 

@@ -648,6 +648,38 @@ def test_cli_verify_runs_simulation(tmp_path):
     assert len(names) == 1 and names[0].endswith("spitzer")
 
 
+def test_verify_ensemble_is_its_simulate_spec_whichever_stages_run(tmp_path, capsys):
+    # with the simulate stage or without it, sup_probability reads the ensemble
+    # recorded at the simulate analysis's times (t = 0.25 snaps to 0.5)
+    doc = {"seed": 3, "process": {"kind": "stable", "alpha": 1.5},
+           "grid": {"t_max": 1.0, "steps": 64}, "paths": 400,
+           "output_dir": str(tmp_path / "all"),
+           "analyses": [{"name": "simulate", "record_times": [0.5, 1.0]},
+                        {"name": "sup_probability", "t": 0.25, "R": 0.5}]}
+    both = run_scenario(doc, canonical=True)["results"]["01_sup_probability"]
+    doc["output_dir"] = str(tmp_path / "verify")
+    alone = run_scenario(doc, stages=("verify",), canonical=True)["results"]
+    assert alone == {"01_sup_probability": both}
+    csv = (tmp_path / "verify" / "01_sup_probability.csv").read_text().splitlines()
+    assert csv[-1].startswith("0.5,0.5,")
+    # two simulate analyses for one id, or a verify analysis naming an id no
+    # simulate analysis builds, exit 2 before any output, naming the id
+    for analyses, message in (
+            ([{"name": "simulate", "ensemble_id": "a"},
+              {"name": "simulate", "record_times": [1.0], "ensemble_id": "a"}],
+             "two simulate analyses build ensemble 'a'"),
+            ([{"name": "simulate", "ensemble_id": "main"},
+              {"name": "spitzer", "t_list": [0.5], "ensemble_id": "mian"}],
+             "no simulate analysis builds ensemble 'mian'")):
+        out = tmp_path / "bad"
+        doc.update(output_dir=str(out), analyses=analyses)
+        for stage in ("simulate", "verify"):
+            path = write_scenario(tmp_path, doc)
+            assert cli_main([stage, "--scenario", str(path)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_charfn_bound_accepts_integer_alpha(tmp_path):
     doc = {
         "seed": 3,

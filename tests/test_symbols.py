@@ -252,6 +252,20 @@ def test_zero_knot_panel_carries_no_mass():
     assert p.imag == 0.0
 
 
+def test_tabulated_pu_and_tail_mass_bits_pinned():
+    # p^U and the tail mass integrate the panel power laws in closed form, so
+    # their bits are a function of the panels alone: sha256 of the float64
+    # values, computed before the panels moved into TabulatedMeasure
+    import hashlib
+    from tests_support import random_tabulated_measures
+    vals = []
+    for m in random_tabulated_measures(19, 42):
+        vals += [ll.eval_pU(m, 0.0, xi) for xi in (1e-3, 0.37, 1.0, 5.5, 1e2, 3e4, 1e6)]
+        vals += [ll.tail_mass(m, 0.0, r) for r in (1e-5, 0.01, 0.3, 1.0, 7.0, 1e4)]
+    assert (hashlib.sha256(np.array(vals).tobytes()).hexdigest()
+            == "678ff1461ffd9b845a0ecfc90714925d9d5f2642d1897fab0cdbcd868d31c596")
+
+
 @pytest.mark.parametrize("measure", [
     ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(center=1.5, amplitude=0.3), coefficient=0.3),
     SYM_ATOMS,
