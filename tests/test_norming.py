@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -387,3 +388,83 @@ def test_ball_extremum_returns_python_float():
             for x in (0.0, 1.7, np.float64(-0.3)):
                 assert type(ll.ball_extremum(measure, x, 0.4, 5.0, mode)) is float
                 assert type(ll.pU_ball_extremum(measure, x, 0.1, 3, mode)) is float
+
+
+# --------------------------------------------------------------------------
+# pinned bits of the state-dependent evaluators
+# --------------------------------------------------------------------------
+
+PINNED_MEASURES = {"sin": M_SIN, "tanh": M_TANH, "local_min": M_LOCAL_MIN, "kink": M_KINK}
+
+
+def _sha256(values):
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def _norming_values(measure):
+    """Every state-dependent evaluator on fixed grids, in a fixed order."""
+    out = []
+    for x in (-0.7, 0.0, 0.4):
+        for radius in (1e-6, 1e-3, 0.05, 0.6, 3.0):
+            for xi in (0.3, 1.0, 40.0, 1e5):
+                out += [ll.ball_extremum(measure, x, radius, xi, m) for m in ("inf", "sup")]
+    for x in (0.0, 0.4):
+        out += [ll.u_of_R(measure, x, float(R)) for R in np.geomspace(1e-6, 1.0, 13)]
+        u_top = ll.u_of_R(measure, x, 1.0)
+        out += [ll.u_inverse(measure, x, u_top * float(q)) for q in np.geomspace(1e-10, 0.9, 9)]
+        out += [ll.chung_rate(measure, x, t) for t in (1e-8, 1e-6, 1e-4, 1e-2, 0.05)]
+        out += ll.kappa_estimate(measure, x, [2.0 ** -k for k in range(1, 11)]).kappa_values
+    return out
+
+
+PINNED_NORMING = {
+    "sin": "2c01b0f9ffb31fd7e59bf40d8d00e27d1bee4504255556c5e26a2c5d25e60512",
+    "tanh": "3e59e5b4a69c49f139e37daf76277d0f02f0ebfe14d095f79aadd105a87f1fe7",
+    "local_min": "66ac610fc2d803306a03c885f1a092f0d15604dd540d5c0fb2621a91cae24402",
+    "kink": "4eaa5e56d05c4c791539c9068bd20a602b4b99a3581ba8c3765698517b14aa6f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MEASURES))
+def test_norming_bits_pinned(name):
+    assert _sha256(_norming_values(PINNED_MEASURES[name])) == PINNED_NORMING[name]
+
+
+PINNED_UPPER_BLOCKS = {
+    ("sin", False): "9d974c8caddeee4ead297e9280b081654293fdc4e8b71c3b241b592f15a325c6",
+    ("sin", True): "2ba7c22213fed97974deeff050c7cdcfb9b00b599077fcd0a630e53cc0e7de0a",
+    ("tanh", False): "20fec3e61ec14deb7fb12e49830a2e572064591954dc1e6b52fc7fcd6c775c18",
+    ("tanh", True): "c928814eefc5e883b6e2b73908d208a7fa663a0c4e5a3aff3c7a08c3cb37c0bc",
+    ("local_min", False): "eb4829631d7c695737b6e815b4778325243ee8275e5993fdac11ebf982b1f18e",
+    ("local_min", True): "c109de81fd30d9454d6c7bef3e987115802137e5d721830e686e2c593d260973",
+    ("kink", False): "4b90e53f046171b085eac093f4a55df9b3a08503ceb635f52d7b32eb344402f9",
+    ("kink", True): "9b416b7d27ffff9cb727b8b44f06522ef6e3ef8b15292c451c580fec89215e77",
+}
+
+
+@pytest.mark.parametrize("name, ell_one", sorted(PINNED_UPPER_BLOCKS))
+def test_upper_function_blocks_pinned(name, ell_one):
+    v = ll.upper_function_test(PINNED_MEASURES[name], 0.2, 0.5, 1, math.exp(-2.0), 16,
+                               ell_one=ell_one)
+    assert _sha256(v.block_values) == PINNED_UPPER_BLOCKS[(name, ell_one)]
+
+
+PINNED_CHUNG = {
+    "sin": "d559de61d2e35a8426c36d746a5e17e29d3daa9074b703ff3eb91b12437ccd7a",
+    "tanh": "10bdf3fdc93c81d9f9bc134ae79e9023dfc2f30fd6bc39901f96debeb892e835",
+    "local_min": "0b6944e1212892b3e5bc09ef3b255e689f9c2e32af8fe133b9872bd9d7212b0f",
+    "kink": "3447edcfecc88a1c34fd733d8eeab50bed4933c63ef2eea752f8a63e424cacbc",
+}
+
+
+@pytest.fixture(scope="module")
+def ens_pinned():
+    return ll.simulate_ensemble(ll.SymmetricStableProcess(alpha=1.5), 0.0,
+                                ll.PathGrid(t_max=0.1, steps=1024), 9, 16)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHUNG))
+def test_chung_statistic_bits_pinned(name, ens_pinned):
+    stat = ll.chung_statistic(ens_pinned, PINNED_MEASURES[name], 0.1, 1e-3, 0.05)
+    assert _sha256([*stat.rates, *stat.values, stat.median, stat.dual_median,
+                    stat.dual_q25, stat.dual_q75]) == PINNED_CHUNG[name]
