@@ -23,7 +23,6 @@ order.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -33,7 +32,7 @@ import numpy as np
 from .errors import ClassifierError, LevyOnlyError
 from .measures import MeasureSpec
 from .norming import ball_extremum, upper_norming_v
-from .symbols import tail_mass
+from .symbols import _gauss_legendre, tail_mass
 
 DELTA_RATIO = 0.05      # geometric-decay margin below 1
 DELTA_GROWTH = 0.05     # growth margin above 1
@@ -70,26 +69,28 @@ class TestVerdict:
         return d
 
 
-@functools.cache
-def _gauss_nodes():
-    return np.polynomial.legendre.leggauss(QUAD_ORDER)
-
-
 def classify_integral_at_zero(integrand: Callable[[float], float], t_max: float,
                               levels: int) -> TestVerdict:
     """Classify int_{0+} integrand(t) dt from dyadic block integrals."""
+    return _classify_blocks(lambda ts: [float(integrand(t)) for t in ts.tolist()],
+                            t_max, levels)
+
+
+def _classify_blocks(block_integrand, t_max, levels):
+    """``classify_integral_at_zero`` with an integrand that takes the array of
+    one block's Gauss nodes and returns the values there."""
     if levels < 8:
         raise ValueError("levels must be >= 8")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    nodes, weights = _gauss_nodes()
+    nodes, weights = _gauss_legendre(QUAD_ORDER)
     blocks = []
     for k in range(levels):
         b = t_max * 2.0 ** (-k)
         a = 0.5 * b
         ts = 0.5 * (a + b) + 0.5 * (b - a) * nodes
         try:
-            vals = np.array([float(integrand(float(t))) for t in ts])
+            vals = np.asarray(block_integrand(ts), dtype=float)
         except Exception as exc:
             raise ClassifierError(f"integrand evaluation failed in block {k}: {exc}") from exc
         if np.any(vals < -1e-12 * np.max(np.abs(vals), initial=1.0)):
@@ -148,11 +149,12 @@ def upper_function_test(measure: MeasureSpec, x: float, epsilon: float, n: int,
                         t_max: float, levels: int, *, ell_one: bool = False) -> TestVerdict:
     """Convergence test for int_{0+} sup_{|y-x|<=v(x,t)} p^U(y, 1/v(x,t)) dt."""
 
-    def integrand(t):
-        v = upper_norming_v(measure, x, t, epsilon, n, ell_one=ell_one)
+    def block_integrand(ts):
+        v = np.array([upper_norming_v(measure, x, t, epsilon, n, ell_one=ell_one)
+                      for t in ts.tolist()])
         return ball_extremum(measure, x, v, 1.0 / v, "sup")
 
-    verdict = classify_integral_at_zero(integrand, t_max, levels)
+    verdict = _classify_blocks(block_integrand, t_max, levels)
     verdict.extras["test"] = "upper_function"
     verdict.extras["epsilon"] = epsilon
     verdict.extras["n"] = n

@@ -82,8 +82,10 @@ def maximal_inequality_check(ensemble: PathEnsemble, measure: MeasureSpec, x: fl
     """
     if any(R <= 0.0 for R in R_list):
         raise ValueError("R must be positive")
-    balls = {R: tuple(ball_extremum(measure, x, R, 1.0 / R, m) for m in ("sup", "inf"))
-             for R in dict.fromkeys([*R_list, *_densify_list(R_list)])}
+    radii = list(dict.fromkeys([*R_list, *_densify_list(R_list)]))
+    r = np.array(radii, dtype=float)
+    sups, infs = (ball_extremum(measure, x, r, 1.0 / r, m).tolist() for m in ("sup", "inf"))
+    balls = dict(zip(radii, zip(sups, infs)))
 
     def fitted(ts, Rs):
         c1 = c2 = 0.0
@@ -311,7 +313,7 @@ def chung_statistic(ensemble: PathEnsemble, measure: MeasureSpec, x: float,
     if probes[-1] >= math.exp(-1.0):
         raise ValueError(f"t_hi={t_hi} snaps to grid time {probes[-1]}, not below e^-1")
     if rate_exponent is None:
-        rates = [chung_rate(measure, x, tp) for tp in probes]
+        rates = chung_rate(measure, x, np.array(probes)).tolist()
     else:
         rates = [(tp / math.log(abs(math.log(tp)))) ** rate_exponent for tp in probes]
     ratios = ensemble.running_sup[:, list(idx)] / np.asarray(rates)
@@ -368,13 +370,10 @@ def resolution_drift(ensemble: PathEnsemble, statistic, stride: int = 2) -> dict
 
 def _dual_exit_statistic(ensemble, measure, x, radii):
     """sup over the radius grid of tau(a) / (u(x,a) log|log u(x,a)|) per path."""
-    usable = []
-    for a in radii:
-        if not 0.0 < a <= 1.0:
-            continue
-        u = u_of_R(measure, x, a)
-        if u < math.exp(-1.0):
-            usable.append((a, u * math.log(abs(math.log(u)))))
+    radii = [a for a in radii if 0.0 < a <= 1.0]
+    us = u_of_R(measure, x, np.array(radii, dtype=float)).tolist()
+    usable = [(a, u * math.log(abs(math.log(u)))) for a, u in zip(radii, us)
+              if u < math.exp(-1.0)]
     if not usable:
         return np.array([])
     best = np.full(ensemble.n_paths, np.nan)

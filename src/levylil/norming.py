@@ -9,9 +9,14 @@ Everything here is a pure function of its arguments.  ``u_of_R``,
 ``u_inverse``, ``chung_rate`` and ``upper_norming_v`` are the only evaluators
 of their quantities: each takes the closed form of a constant-index power law
 itself (``upper_norming_v``, which inverts p^U at x alone, that of any power
-law) and falls back to numerics otherwise.  ``build_norming_function``
-tabulates one of them on an argument grid by calling it at every point; the
-``norming_table`` analysis writes that table as CSV.
+law) and falls back to numerics otherwise.  ``ball_extremum``,
+``pU_ball_extremum``, ``u_of_R``, ``u_inverse`` and ``chung_rate`` take
+arrays of arguments, broadcast together, and run their scans and bisections
+for every element at once; each element gets the bits a call with it alone
+gets, and a scalar call returns a Python float.  Closed forms stay scalar
+float arithmetic, element by element.  ``build_norming_function`` tabulates
+one of them on an argument grid in one call, so a table equals its function
+bit for bit; the ``norming_table`` analysis writes that table as CSV.
 """
 
 from __future__ import annotations
@@ -27,101 +32,150 @@ from .measures import MeasureSpec, PowerLawMeasure
 from .symbols import eval_pU
 
 
-def ball_extremum(measure: MeasureSpec, x: float, radius: float, xi: float,
-                  mode: str) -> float:
+def _lanes(*args):
+    """The arguments broadcast together, each flattened to a float array of
+    lanes, and their common shape."""
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays):
+        arrays = np.broadcast_arrays(*arrays)
+        shape = arrays[0].shape
+    return [a.ravel() for a in arrays], shape
+
+
+def _shaped(values, shape):
+    """Lane values in the arguments' shape; a Python float for scalar arguments."""
+    values = np.asarray(values, dtype=float)
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+_SCAN_STEPS = np.arange(257.0)
+
+
+def ball_extremum(measure: MeasureSpec, x, radius, xi, mode: str):
     """Extremum of y -> p^U(y, xi) over |x - y| <= radius; ``mode`` is
-    'inf' or 'sup'.
+    'inf' or 'sup'.  ``x``, ``radius`` and ``xi`` broadcast together.
 
     Scans 257 equispaced points of a bracket, starting from the whole ball,
     keeps the best value seen and narrows the bracket to the two grid cells
     around the best point; stops once the bracket is at most 1e-12 wide or
     no longer shrinks (at large |x| the doubles are coarser than 1e-12).
+    Every ball is scanned at once, and a ball leaves the scan when it stops.
     State-independent measures short-circuit to a point value; the others
     are power-law measures, whose p^U has a closed form.
     """
     if mode not in ("inf", "sup"):
         raise ValueError(f"mode must be 'inf' or 'sup', got {mode!r}")
+    (x, radius, xi), shape = _lanes(x, radius, xi)
     if measure.is_state_independent:
-        return float(eval_pU(measure, x, xi))
+        return _shaped([eval_pU(measure, xv, xiv) for xv, xiv in zip(x.tolist(), xi.tolist())],
+                       shape)
     sign = 1.0 if mode == "sup" else -1.0
-    lo, hi = x - radius, x + radius
-    best = -math.inf
-    while True:
-        ys = np.linspace(lo, hi, 257)
-        vals = sign * (measure.pu_factor(ys) * abs(xi) ** measure.alpha(ys))
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
+    out = np.empty(x.size)
+    lanes = np.arange(x.size)
+    lo, hi, axi = x - radius, x + radius, np.abs(xi)
+    best = np.full(x.size, -np.inf)
+    while lanes.size:
+        # np.linspace(lo, hi, 257) row by row, bit for bit
+        ys = lo[:, None] + _SCAN_STEPS * ((hi - lo) / 256)[:, None]
+        ys[:, -1] = hi
+        vals = sign * (measure.pu_factor(ys) * axi[:, None] ** measure.alpha(ys))
+        rows = np.arange(lanes.size)
+        i = np.argmax(vals, axis=1)
+        v = vals[rows, i]
+        best = np.where(v > best, v, best)
         width = hi - lo
-        lo, hi = ys[max(i - 1, 0)], ys[min(i + 1, 256)]
-        if hi - lo <= 1e-12 or hi - lo >= width:
-            return sign * best
+        lo, hi = ys[rows, np.maximum(i - 1, 0)], ys[rows, np.minimum(i + 1, 256)]
+        new_width = hi - lo
+        done = (new_width <= 1e-12) | (new_width >= width)
+        if done.any():
+            out[lanes[done]] = sign * best[done]
+            keep = ~done
+            lanes, lo, hi, axi, best = lanes[keep], lo[keep], hi[keep], axi[keep], best[keep]
+    return _shaped(out, shape)
 
 
-def pU_ball_extremum(measure: MeasureSpec, x: float, R: float,
-                     radius_multiple: int, mode: str) -> float:
+def pU_ball_extremum(measure: MeasureSpec, x, R, radius_multiple: int, mode: str):
     """Extremum of y -> p^U(y, 1/R) over |x - y| <= radius_multiple * R."""
     if radius_multiple not in (2, 3, 6):
         raise ValueError("radius_multiple must be one of 2, 3, 6")
-    if not 0.0 < R <= 1.0:
-        raise ValueError("R must be in (0, 1]")
-    return ball_extremum(measure, x, radius_multiple * R, 1.0 / R, mode)
+    (x, R), shape = _lanes(x, R)
+    bad = ~((0.0 < R) & (R <= 1.0))
+    if bad.any():
+        raise ValueError(f"R must be in (0, 1], got R={R[np.argmax(bad)]}")
+    return _shaped(ball_extremum(measure, x, radius_multiple * R, 1.0 / R, mode), shape)
 
 
-def u_of_R(measure: MeasureSpec, x: float, R: float) -> float:
+def u_of_R(measure: MeasureSpec, x, R):
     """u(x, R) = 1 / inf_{|x-y| <= 3R} p^U(y, 1/R) for R in (0, 1]."""
+    (x, R), shape = _lanes(x, R)
     denom = pU_ball_extremum(measure, x, R, 3, "inf")
-    if denom <= 0.0:
-        raise DegenerateMeasureError(f"ball infimum of p^U vanished at x={x}, R={R}")
-    return 1.0 / denom
+    if np.any(denom <= 0.0):
+        i = np.argmax(denom <= 0.0)
+        raise DegenerateMeasureError(f"ball infimum of p^U vanished at x={x[i]}, R={R[i]}")
+    return _shaped(1.0 / denom, shape)
 
 
-def u_inverse(measure: MeasureSpec, x: float, rho: float) -> float:
+def u_inverse(measure: MeasureSpec, x, rho):
     """Generalized inverse inf{r : u(x, r) >= rho} for rho in (0, u(x, 1)].
 
     A constant-index power law has u(x, r) = r^alpha / pu_factor(x), inverted
     in closed form.  Otherwise an ascending geometric scan (ratio 2 from
     r = 1e-12) finds the first crossing from below, honoring non-monotone u;
-    bisection then shrinks the bracket to a relative width of 1e-10.
+    bisection then shrinks the bracket to a relative width of 1e-10.  Each
+    step evaluates u once for every (x, rho) still searching, each at its
+    own point of the scan or the bisection.
     """
-    if rho <= 0.0:
-        raise RhoOutOfRangeError("rho must be positive")
-    u_top = u_of_R(measure, x, 1.0)
-    if rho > u_top:
-        raise RhoOutOfRangeError(f"rho={rho:.3e} above u(x, 1) = {u_top:.3e}")
+    (x, rho), shape = _lanes(x, rho)
+    if not np.all(rho > 0.0):
+        raise RhoOutOfRangeError(f"rho must be positive, got rho={rho[np.argmin(rho > 0.0)]}")
+    u_top = u_of_R(measure, x, np.ones_like(x))
+    if np.any(rho > u_top):
+        i = np.argmax(rho > u_top)
+        raise RhoOutOfRangeError(f"rho={rho[i]:.3e} above u(x, 1) = {u_top[i]:.3e}")
     if isinstance(measure, PowerLawMeasure) and measure.is_state_independent:
-        return (measure.pu_factor(x) * rho) ** (1.0 / measure.alpha_at(x))
-
-    def u(r):
-        return u_of_R(measure, x, r)
-
-    r = 1e-12
-    while u(r) >= rho:
-        r *= 0.5
-        if r < 1e-300:
+        return _shaped([(measure.pu_factor(xv) * r) ** (1.0 / measure.alpha_at(xv))
+                        for xv, r in zip(x.tolist(), rho.tolist())], shape)
+    # stage 0 halves r = hi while u(r) >= rho, stage 1 steps [lo, hi] to
+    # [hi, 2 hi] while u(hi) < rho, stage 2 bisects [lo, hi]
+    out = np.empty(x.size)
+    lanes = np.arange(x.size)
+    stage = np.zeros(x.size, dtype=int)
+    lo, hi = np.zeros(x.size), np.full(x.size, 1e-12)
+    while lanes.size:
+        st, l, h = stage[lanes], lo[lanes], hi[lanes]
+        mid = 0.5 * (l + h)
+        above = u_of_R(measure, x[lanes], np.where(st == 2, mid, h)) >= rho[lanes]
+        down = (st == 0) & above
+        h[down] *= 0.5
+        if np.any(h[down] < 1e-300):
             raise RhoOutOfRangeError("rho below the resolvable range of u")
-    lo = r
-    hi = min(2.0 * r, 1.0)
-    while u(hi) < rho:
-        lo = hi
-        if hi >= 1.0:
+        up = (st < 2) & ~above
+        if np.any(h[up] >= 1.0):
             # rho <= u(x, 1) was checked; numerical corner
             raise RhoOutOfRangeError("no crossing found below r = 1")
-        hi = min(2.0 * hi, 1.0)
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if u(mid) >= rho:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        l[up] = h[up]
+        h[up] = np.minimum(2.0 * h[up], 1.0)
+        l[(st == 2) & ~above] = mid[(st == 2) & ~above]
+        h[(st == 2) & above] = mid[(st == 2) & above]
+        st[up] = 1
+        st[(st == 1) & above] = 2
+        done = (st == 2) & ~(h - l > 1e-10 * h)
+        stage[lanes], lo[lanes], hi[lanes] = st, l, h
+        out[lanes[done]] = h[done]
+        lanes = lanes[~done]
+    return _shaped(out, shape)
 
 
-def chung_rate(measure: MeasureSpec, x: float, t: float) -> float:
+def chung_rate(measure: MeasureSpec, x, t):
     """u^{-1}(x, t / log|log t|) for t in (0, e^{-1})."""
-    if not 0.0 < t < math.exp(-1.0):
-        raise ValueError(f"t={t} outside (0, e^-1); log|log t| must be positive")
-    ll = math.log(abs(math.log(t)))
-    return u_inverse(measure, x, t / ll)
+    (x, t), shape = _lanes(x, t)
+    bad = ~((0.0 < t) & (t < math.exp(-1.0)))
+    if bad.any():
+        raise ValueError(f"t={t[np.argmax(bad)]} outside (0, e^-1); "
+                         "log|log t| must be positive")
+    ll = np.array([math.log(abs(math.log(tv))) for tv in t.tolist()])
+    return _shaped(u_inverse(measure, x, t / ll), shape)
 
 
 def iterated_log_factor(t: float, epsilon: float, n: int) -> float:
@@ -202,15 +256,14 @@ class KappaEstimate:
 
 def kappa_estimate(measure: MeasureSpec, x: float, R_grid) -> KappaEstimate:
     """Per-radius ratio sup_{2R} p^U(., 1/R) / inf_{3R} p^U(., 1/R), sup over grid."""
-    values = []
-    for R in R_grid:
-        num = pU_ball_extremum(measure, x, R, 2, "sup")
-        den = pU_ball_extremum(measure, x, R, 3, "inf")
-        if den <= 0.0:
-            raise DegenerateMeasureError(f"ball infimum vanished at R={R}")
-        values.append(num / den)
-    return KappaEstimate(x=x, R_grid=tuple(float(R) for R in R_grid),
-                         kappa_values=tuple(values), kappa=max(values))
+    R = np.asarray(R_grid, dtype=float)
+    num = pU_ball_extremum(measure, x, R, 2, "sup")
+    den = pU_ball_extremum(measure, x, R, 3, "inf")
+    if np.any(den <= 0.0):
+        raise DegenerateMeasureError(f"ball infimum vanished at R={R[np.argmax(den <= 0.0)]}")
+    values = (num / den).tolist()
+    return KappaEstimate(x=x, R_grid=tuple(R.tolist()), kappa_values=tuple(values),
+                         kappa=max(values))
 
 
 def kappa_reference_bound(measure: PowerLawMeasure, x: float) -> float:
@@ -245,23 +298,22 @@ def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
     """Tabulate ``kind`` ('u', 'u_inverse', 'chung_rate' or 'upper_v') on the
     sorted ``arg_grid``.
 
-    Each value is the scalar evaluator of that quantity at its argument, so
-    the table equals ``u_of_R``, ``u_inverse``, ``chung_rate`` or
-    ``upper_norming_v`` bit for bit and fails where they fail.  ``form`` is
+    The values are one call of ``u_of_R``, ``u_inverse`` or ``chung_rate`` on
+    the whole grid, and ``upper_norming_v`` at every point, so the table equals
+    the evaluator bit for bit and fails where it fails.  ``form`` is
     'closed_form' where the evaluator takes its closed form: every kind on a
     constant-index power law, and 'upper_v' on any power law; 'numeric'
     otherwise.
     """
-    samplers = {
-        "u": lambda r: u_of_R(measure, x, r),
-        "u_inverse": lambda rho: u_inverse(measure, x, rho),
-        "chung_rate": lambda t: chung_rate(measure, x, t),
-        "upper_v": lambda t: upper_norming_v(measure, x, t, epsilon, n),
+    evaluators = {
+        "u": u_of_R, "u_inverse": u_inverse, "chung_rate": chung_rate,
+        "upper_v": lambda m, x, ts: np.array([upper_norming_v(m, x, t, epsilon, n)
+                                              for t in ts.tolist()]),
     }
-    if kind not in samplers:
+    if kind not in evaluators:
         raise ValueError(f"cannot tabulate kind {kind!r} from a measure")
     arg_grid = np.asarray(sorted(arg_grid), dtype=float)
-    values = np.array([samplers[kind](a) for a in arg_grid.tolist()])
+    values = evaluators[kind](measure, x, arg_grid)
     if np.any(values <= 0.0):
         raise DegenerateMeasureError(f"{kind} must be positive on its domain")
     closed = isinstance(measure, PowerLawMeasure) and (

@@ -168,6 +168,14 @@ def _small_jump_mean(atoms):
 
 
 @dataclass(frozen=True)
+class _CompensatedDrift(ConstantProfile):
+    """The constant drift l = -path_drift - m1 of a compound-Poisson triplet,
+    holding the path drift it came from: -(l + m1) need not round back to it."""
+
+    path_drift: float = 0.0
+
+
+@dataclass(frozen=True)
 class CompoundPoissonProcess:
     """Finite-activity jump process: atoms plus a deterministic path drift."""
 
@@ -182,8 +190,9 @@ class CompoundPoissonProcess:
     def levy_triplet(self) -> LevyTriplet:
         """(l, 0, nu) with l = -path_drift - m1: the path drift holds the
         compensation of the small jumps (``process_from_triplet`` inverts it)."""
+        m1 = _small_jump_mean(self.atoms)
         return LevyTriplet(measure=AtomicMeasure(atoms=self.atoms),
-                           drift=ConstantProfile(-self.path_drift - _small_jump_mean(self.atoms)))
+                           drift=_CompensatedDrift(-self.path_drift - m1, self.path_drift))
 
     @property
     def rate(self):
@@ -212,7 +221,8 @@ def process_from_dict(d) -> ProcessSpec:
 
 def process_from_triplet(triplet: LevyTriplet) -> ProcessSpec:
     """The one map from a triplet to a sampler, the inverse of ``levy_triplet``:
-    atoms give compound Poisson with path drift -(l + m1).  A power law
+    atoms give compound Poisson with path drift -(l + m1), or the path drift
+    that ``levy_triplet`` put in l when it gives this l.  A power law
     without drift gives the stable kernel at a constant index, or the
     stable-like one when its coefficient holds a stable index and scale,
     which come back as they are."""
@@ -220,9 +230,11 @@ def process_from_triplet(triplet: LevyTriplet) -> ProcessSpec:
     if isinstance(measure, AtomicMeasure):
         if not triplet.drift.is_constant:
             raise ValueError("state-dependent drift is not a Levy process")
-        return CompoundPoissonProcess(
-            atoms=measure.atoms,
-            path_drift=-(triplet.drift_at(0.0) + _small_jump_mean(measure.atoms)))
+        l, m1 = triplet.drift_at(0.0), _small_jump_mean(measure.atoms)
+        drift = triplet.drift
+        if isinstance(drift, _CompensatedDrift) and -drift.path_drift - m1 == l:
+            return CompoundPoissonProcess(atoms=measure.atoms, path_drift=drift.path_drift)
+        return CompoundPoissonProcess(atoms=measure.atoms, path_drift=-(l + m1))
     if not isinstance(measure, PowerLawMeasure):
         raise ValueError(f"no sampler for a {measure.to_dict()['variant']} measure")
     if not (triplet.drift.is_constant and triplet.drift_at(0.0) == 0.0):

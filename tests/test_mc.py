@@ -81,18 +81,19 @@ def test_maximal_inequality_stable(ens):
 
 
 def test_maximal_inequality_ball_extrema_once_per_radius(ens_small, monkeypatch):
-    # the ball extrema depend on R alone: 2 per distinct radius of the base
-    # and refined lists together, not 2 per (t, R) pair or per fit
-    calls = []
+    # the ball extrema depend on R alone: each mode once per distinct radius
+    # of the base and refined lists together, not per (t, R) pair or per fit
+    radii = {"sup": [], "inf": []}
 
-    def counted(*args):
-        calls.append(args)
-        return ball_extremum(*args)
+    def counted(measure, x, radius, xi, mode):
+        radii[mode] += np.atleast_1d(radius).tolist()
+        return ball_extremum(measure, x, radius, xi, mode)
 
     monkeypatch.setattr(mc, "ball_extremum", counted)
     t_list, R_list = [0.25, 0.5, 1.0], [0.5, 1.0, 2.0]
     rep = ll.maximal_inequality_check(ens_small, M_SIN, 0.0, t_list, R_list)
-    assert len(calls) == 2 * 5
+    for mode in ("sup", "inf"):
+        assert sorted(radii[mode]) == sorted(set(radii[mode])) and len(radii[mode]) == 5
     # each row is the estimate and the ball extremum of its own (t, R)
     for row in rep["rows"]:
         t, R = row["t"], row["R"]

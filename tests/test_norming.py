@@ -468,3 +468,43 @@ def test_chung_statistic_bits_pinned(name, ens_pinned):
     stat = ll.chung_statistic(ens_pinned, PINNED_MEASURES[name], 0.1, 1e-3, 0.05)
     assert _sha256([*stat.rates, *stat.values, stat.median, stat.dual_median,
                     stat.dual_q25, stat.dual_q75]) == PINNED_CHUNG[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MEASURES))
+def test_array_call_is_the_scalar_loop(name):
+    m = PINNED_MEASURES[name]
+    xs = np.array([[-0.7], [0.0], [0.4]])
+    radii = np.array([1e-6, 1e-3, 0.05, 0.6, 3.0])
+    for mode in ("inf", "sup"):
+        got = ll.ball_extremum(m, xs, radii, 40.0, mode)
+        assert got.shape == (3, 5)
+        assert got.tolist() == [[ll.ball_extremum(m, x, r, 40.0, mode) for r in radii.tolist()]
+                                for x in (-0.7, 0.0, 0.4)]
+        Rs = np.geomspace(1e-6, 1.0, 7)
+        assert (ll.pU_ball_extremum(m, 0.4, Rs, 2, mode).tolist()
+                == [ll.pU_ball_extremum(m, 0.4, R, 2, mode) for R in Rs.tolist()])
+    Rs = np.geomspace(1e-6, 1.0, 13)
+    assert ll.u_of_R(m, 0.0, Rs).tolist() == [ll.u_of_R(m, 0.0, R) for R in Rs.tolist()]
+    rhos = ll.u_of_R(m, 0.4, 1.0) * np.geomspace(1e-10, 0.9, 9)
+    assert (ll.u_inverse(m, 0.4, rhos).tolist()
+            == [ll.u_inverse(m, 0.4, r) for r in rhos.tolist()])
+    ts = np.array([1e-8, 1e-6, 1e-4, 1e-2, 0.05])
+    assert ll.chung_rate(m, 0.0, ts).tolist() == [ll.chung_rate(m, 0.0, t) for t in ts.tolist()]
+    # x broadcasts too, and a one-lane array stays an array
+    assert ll.u_of_R(m, np.array([0.0, 0.4]), 0.01).tolist() == [ll.u_of_R(m, x, 0.01)
+                                                                 for x in (0.0, 0.4)]
+    assert ll.u_inverse(m, 0.0, np.array([1e-4])).shape == (1,)
+
+
+def test_failing_lane_names_its_argument():
+    rhos = np.array([1e-6, 2.0, 1e-3])
+    with pytest.raises(ll.RhoOutOfRangeError, match=r"rho=2\.000e\+00 above u\(x, 1\)"):
+        ll.u_inverse(M_SIN, 0.0, rhos)
+    with pytest.raises(ll.RhoOutOfRangeError, match=r"rho=-1e-05"):
+        ll.u_inverse(M_SIN, 0.0, [1e-6, -1e-5])
+    with pytest.raises(ValueError, match=r"t=0\.5 outside"):
+        ll.chung_rate(M_SIN, 0.0, [1e-4, 0.5])
+    with pytest.raises(ValueError, match=r"R=1\.5"):
+        ll.pU_ball_extremum(M_SIN, 0.0, [0.1, 1.5], 3, "inf")
+    with pytest.raises(ValueError, match=r"R=1\.5"):
+        ll.kappa_estimate(M_SIN, 0.0, [0.5, 1.5])

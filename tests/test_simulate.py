@@ -525,6 +525,21 @@ def test_compound_poisson_from_triplet_drift():
         assert back.path_drift == pytest.approx(path_drift, rel=1e-15)
 
 
+def test_compound_poisson_triplet_round_trip_is_exact():
+    # -(l + m1) with l = -path_drift - m1 need not round back to path_drift:
+    # here it gives 0.29999999999999993
+    cp = ll.CompoundPoissonProcess(((0.7, 1.5), (-0.2, 0.5)), path_drift=0.3)
+    assert ll.process_from_triplet(cp.levy_triplet) == cp
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        atoms = tuple((rng.uniform(-3.0, 3.0), rng.uniform(0.01, 3.0))
+                      for _ in range(int(rng.integers(1, 6))))
+        cp = ll.CompoundPoissonProcess(atoms, path_drift=float(rng.normal(0.0, 2.0)))
+        trip = cp.levy_triplet
+        assert ll.process_from_triplet(trip) == cp
+        assert trip.to_dict()["drift"] == {"kind": "constant", "value": trip.drift_at(0.0)}
+
+
 def test_process_from_triplet_stable():
     m = ll.PowerLawMeasure(alpha=1.5)   # normalized: p^U = |xi|^1.5
     proc = ll.process_from_triplet(ll.LevyTriplet(measure=m))

@@ -162,6 +162,51 @@ def test_exponent_tabulated_asymmetric_against_mpmath():
     assert got.imag == pytest.approx(float(im_p - im_n), rel=1e-8)
 
 
+def _mp_fourier_panel(A, b, w, lo, hi):
+    """A int_lo^hi y^b e^{i w y} dy for w > 0, by the generalized incomplete
+    gamma function: the substitution u = -i w y."""
+    import mpmath
+    return A * (1j / w) ** (b + 1) * mpmath.gammainc(b + 1, -1j * w * lo, -1j * w * hi)
+
+
+def _mp_tabulated_exponent(measure, xi):
+    """p(0, xi) of a tabulated measure at 25 digits, panel by panel."""
+    import mpmath
+    sides = [(2, 1, measure.density)] if measure.is_symmetric else [
+        (1, 1, measure.density), (1, -1, measure.density_neg)]
+    with mpmath.workdps(25):
+        w = abs(mpmath.mpf(xi))
+        re = im = mpmath.mpf(0)
+        for weight, sign, dens in sides:
+            for y1, y2, d1, d2 in zip(measure.grid, measure.grid[1:], dens, dens[1:]):
+                if not (d1 > 0 and d2 > 0):
+                    continue
+                y1, y2, d1, d2 = map(mpmath.mpf, (y1, y2, d1, d2))
+                b = mpmath.log(d2 / d1) / mpmath.log(y2 / y1)
+                A = d1 / y1 ** b
+                f = _mp_fourier_panel(A, b, w, y1, y2)
+                re += weight * (A * (y2 ** (b + 1) - y1 ** (b + 1)) / (b + 1) - f.real)
+                c = min(max(mpmath.mpf(1), y1), y2)
+                im += sign * mpmath.sign(xi) * (w * A * (c ** (b + 2) - y1 ** (b + 2)) / (b + 2)
+                                                - f.imag)
+        return re, im
+
+
+def test_exponent_tabulated_imaginary_part_does_not_cancel():
+    # Im p sums xi int_{y<=1} y d(y) dy and -int sin(xi y) d(y) dy; on grids
+    # starting near 1e-4 both are large and their difference is not, so the
+    # difference is integrated as one
+    import mpmath
+    from tests_support import random_tabulated_measures
+    for m in random_tabulated_measures(11, 12):
+        if m.is_symmetric:
+            continue
+        for xi in (0.7, -3.0, 25.0):
+            re, im = _mp_tabulated_exponent(m, xi)
+            p = ll.eval_exponent(ll.LevyTriplet(measure=m), 0.0, xi)
+            assert abs(p.imag - im) <= 1e-14 * abs(mpmath.mpc(re, im)), (m.grid[0], xi)
+
+
 # --------------------------------------------------------------------------
 # maximal symbol p^U and tail mass
 # --------------------------------------------------------------------------
@@ -486,3 +531,16 @@ def test_quadrature_failure_reports_achieved_error(monkeypatch):
     with pytest.raises(ll.QuadratureError) as ei:
         ll.eval_pU(m, 0.0, 3.0, method="quadrature")
     assert ei.value.achieved_error is not None
+
+
+def test_log_panel_error_estimate_sees_a_kink():
+    # the 32- and 16-point rules agree on smooth panels and not across a kink,
+    # and the difference is what the budget holds against its tolerance
+    smooth, kinked = symbols._ErrorBudget(), symbols._ErrorBudget()
+    value = symbols._quad_log_panels(np.exp, -6.0, 1.0, smooth)
+    assert value == pytest.approx(math.exp(1.0) - math.exp(-6.0), rel=1e-14)
+    assert smooth.total < 1e-13
+    value = symbols._quad_log_panels(lambda s: np.sqrt(np.abs(s - 0.3)), -6.0, 1.0, kinked)
+    with pytest.raises(ll.QuadratureError) as ei:
+        kinked.check(value, "kinked integrand")
+    assert ei.value.achieved_error == kinked.total > 1e-6
