@@ -449,6 +449,38 @@ def test_upper_function_blocks_pinned(name, ell_one):
     assert _sha256(v.block_values) == PINNED_UPPER_BLOCKS[(name, ell_one)]
 
 
+# a constant index with a coefficient other than "normalized": pu_factor(x) != 1
+M_CONST_COEFF = ll.PowerLawMeasure(alpha=1.3, coefficient=0.8)
+UPPER_V_MEASURES = {**PINNED_MEASURES, "const_coeff": M_CONST_COEFF}
+
+
+def _upper_v_values(measure):
+    """upper_norming_v and its norming_table on fixed grids, in a fixed order."""
+    ts = np.geomspace(1e-8, 0.05, 11)
+    out = []
+    for x in (-0.7, 0.0, 0.4):
+        for eps, n in ((0.0, 1), (0.5, 1), (1.0, 2)):
+            out += [ll.upper_norming_v(measure, x, t, eps, n) for t in ts.tolist()]
+            out += ll.build_norming_function(measure, x, "upper_v", ts, epsilon=eps,
+                                             n=n).values.tolist()
+        out += [ll.upper_norming_v(measure, x, t, 0.5, 1, ell_one=True) for t in ts.tolist()]
+    return out
+
+
+PINNED_UPPER_V = {
+    "const_coeff": "0236c322bfd27533f9473ca97514ff3580c28b61f11c19a0dca3f5cf0e9521dc",
+    "kink": "1b3db2f553adfbb350280f6b0f4c1d78bd492cba0ac662604a0bef29452507b5",
+    "local_min": "5607007be7a9a5112b3e2106e964c625086590b2a74730cb7b96bc3831d2bc7b",
+    "sin": "ffb4fa968652c2e53d09811098a7e2e5bc2d539dcb7ccd05d7a9c553d6c18f0a",
+    "tanh": "ebb68d748acaf515e9ba189bc4f0504ea0895aad4e5155d240b20f3d53d0fa99",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UPPER_V_MEASURES))
+def test_upper_v_bits_pinned(name):
+    assert _sha256(_upper_v_values(UPPER_V_MEASURES[name])) == PINNED_UPPER_V[name]
+
+
 PINNED_CHUNG = {
     "sin": "d559de61d2e35a8426c36d746a5e17e29d3daa9074b703ff3eb91b12437ccd7a",
     "tanh": "10bdf3fdc93c81d9f9bc134ae79e9023dfc2f30fd6bc39901f96debeb892e835",
