@@ -8,9 +8,9 @@ by Monte Carlo.
 
 from .classifiers import (TestVerdict, classify_integral_at_zero, lower_tail_test,
                           symbol_liminf_test, upper_function_test)
-from .errors import (ClassifierError, DegenerateMeasureError, InverseUndefinedError,
-                     IteratedLogDomainError, LevyLilError, LevyOnlyError,
-                     QuadratureError, RhoOutOfRangeError, SectorViolationError)
+from .errors import (ClassifierError, DegenerateMeasureError, IteratedLogDomainError,
+                     LevyLilError, LevyOnlyError, QuadratureError, RhoOutOfRangeError,
+                     SectorViolationError)
 from .measures import (AffineClampedProfile, AtomicMeasure, ConstantProfile,
                        LevyTriplet, PowerLawMeasure, SinusoidalProfile,
                        TabulatedMeasure, TanhRampProfile, measure_from_dict,

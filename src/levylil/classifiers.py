@@ -150,8 +150,7 @@ def upper_function_test(measure: MeasureSpec, x: float, epsilon: float, n: int,
     """Convergence test for int_{0+} sup_{|y-x|<=v(x,t)} p^U(y, 1/v(x,t)) dt."""
 
     def block_integrand(ts):
-        v = np.array([upper_norming_v(measure, x, t, epsilon, n, ell_one=ell_one)
-                      for t in ts.tolist()])
+        v = upper_norming_v(measure, x, ts, epsilon, n, ell_one=ell_one)
         return ball_extremum(measure, x, v, 1.0 / v, "sup")
 
     verdict = _classify_blocks(block_integrand, t_max, levels)

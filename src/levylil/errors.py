@@ -25,10 +25,6 @@ class RhoOutOfRangeError(ValueError):
     """Requested level is outside the range of u on (0, 1]."""
 
 
-class InverseUndefinedError(LevyLilError):
-    """p^U(x, .) is not strictly increasing past xi = 1 on the probe grid."""
-
-
 class LevyOnlyError(ValueError):
     """Operation requires a state-independent (Levy) specification."""
 

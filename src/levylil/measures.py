@@ -191,7 +191,6 @@ class PowerLawMeasure:
 
     alpha: Profile
     coefficient: object = NORMALIZED   # Profile | "normalized"
-    truncation_radius: float = 1e8
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _as_profile(self.alpha))
@@ -203,8 +202,6 @@ class PowerLawMeasure:
             clo, _ = self.coefficient.bounds()
             if clo <= 0.0:
                 raise ValueError("coefficient profile must be positive")
-        if self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
 
     @property
     def is_state_independent(self):
@@ -235,8 +232,7 @@ class PowerLawMeasure:
 
     def to_dict(self):
         coeff = NORMALIZED if self.coefficient == NORMALIZED else self.coefficient.to_dict()
-        return {"variant": "power_law", "alpha": self.alpha.to_dict(),
-                "coefficient": coeff, "truncation_radius": self.truncation_radius}
+        return {"variant": "power_law", "alpha": self.alpha.to_dict(), "coefficient": coeff}
 
 
 @dataclass(frozen=True)
@@ -369,8 +365,7 @@ def measure_from_dict(d) -> MeasureSpec:
                                        profile_from_dict(coeff["scale"]))
         elif coeff != NORMALIZED:
             coeff = profile_from_dict(coeff)
-        return PowerLawMeasure(alpha=profile_from_dict(d["alpha"]), coefficient=coeff,
-                               truncation_radius=d.get("truncation_radius", 1e8))
+        return PowerLawMeasure(alpha=profile_from_dict(d["alpha"]), coefficient=coeff)
     if variant == "atomic":
         return AtomicMeasure(atoms=tuple((a[0], a[1]) for a in d["atoms"]))
     if variant == "tabulated":

@@ -3,7 +3,9 @@
 The scale function is u(x, R) = 1 / inf_{|x-y| <= 3R} p^U(y, 1/R); its
 generalized inverse u^{-1}(x, rho) = inf{r : u(x, r) >= rho} evaluated at
 t / log|log t| gives the small-time rate.  The iterated-logarithm upper
-function v(x, t) inverts xi -> p^U(x, xi) at 1/(t ell_{eps,n}(t)).
+function v(x, t) inverts xi -> p^U(x, xi) at 1/(t ell_{eps,n}(t)); where
+p^U does not depend on x, u(r) = 1/p^U(1/r), so v(x, t) = u^{-1}(x, t ell)
+and ``u_inverse`` is the one numerical inverse of the maximal symbol.
 
 Everything here is a pure function of its arguments.  ``u_of_R``,
 ``u_inverse``, ``chung_rate`` and ``upper_norming_v`` are the only evaluators
@@ -11,12 +13,13 @@ of their quantities: each takes the closed form of a constant-index power law
 itself (``upper_norming_v``, which inverts p^U at x alone, that of any power
 law) and falls back to numerics otherwise.  ``ball_extremum``,
 ``pU_ball_extremum``, ``u_of_R``, ``u_inverse`` and ``chung_rate`` take
-arrays of arguments, broadcast together, and run their scans and bisections
-for every element at once; each element gets the bits a call with it alone
-gets, and a scalar call returns a Python float.  Closed forms stay scalar
-float arithmetic, element by element.  ``build_norming_function`` tabulates
-one of them on an argument grid in one call, so a table equals its function
-bit for bit; the ``norming_table`` analysis writes that table as CSV.
+arrays of arguments, broadcast together, and ``upper_norming_v`` an array of
+t; the scans and bisections run for every element at once, each element gets
+the bits a call with it alone gets, and a scalar call returns a Python float.
+Closed forms stay scalar float arithmetic, element by element.
+``build_norming_function`` tabulates one of them on an argument grid in one
+call, so a table equals its function bit for bit; the ``norming_table``
+analysis writes that table as CSV.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateMeasureError, InverseUndefinedError,
-                     IteratedLogDomainError, RhoOutOfRangeError)
+from .errors import DegenerateMeasureError, IteratedLogDomainError, RhoOutOfRangeError
 from .measures import MeasureSpec, PowerLawMeasure
 from .symbols import eval_pU
 
@@ -122,9 +124,10 @@ def u_inverse(measure: MeasureSpec, x, rho):
     A constant-index power law has u(x, r) = r^alpha / pu_factor(x), inverted
     in closed form.  Otherwise an ascending geometric scan (ratio 2 from
     r = 1e-12) finds the first crossing from below, honoring non-monotone u;
-    bisection then shrinks the bracket to a relative width of 1e-10.  Each
-    step evaluates u once for every (x, rho) still searching, each at its
-    own point of the scan or the bisection.
+    bisection then shrinks the bracket to a relative width of 1e-10.  Where
+    u(1e-12) >= rho the scan first halves r, and fails once u stops falling.
+    Each step evaluates u once for every (x, rho) still searching, each at
+    its own point of the scan or the bisection.
     """
     (x, rho), shape = _lanes(x, rho)
     if not np.all(rho > 0.0):
@@ -142,13 +145,18 @@ def u_inverse(measure: MeasureSpec, x, rho):
     lanes = np.arange(x.size)
     stage = np.zeros(x.size, dtype=int)
     lo, hi = np.zeros(x.size), np.full(x.size, 1e-12)
+    u_prev = np.full(x.size, np.nan)
     while lanes.size:
         st, l, h = stage[lanes], lo[lanes], hi[lanes]
         mid = 0.5 * (l + h)
-        above = u_of_R(measure, x[lanes], np.where(st == 2, mid, h)) >= rho[lanes]
+        u = u_of_R(measure, x[lanes], np.where(st == 2, mid, h))
+        above = u >= rho[lanes]
         down = (st == 0) & above
+        # u flat over a halving: a finite measure's u is 1/nu(R) from there down
+        flat = down & (u == u_prev[lanes])
+        u_prev[lanes] = u
         h[down] *= 0.5
-        if np.any(h[down] < 1e-300):
+        if np.any(flat) or np.any(h[down] < 1e-300):
             raise RhoOutOfRangeError("rho below the resolvable range of u")
         up = (st < 2) & ~above
         if np.any(h[up] >= 1.0):
@@ -201,45 +209,24 @@ def iterated_log_factor(t: float, epsilon: float, n: int) -> float:
     return value * factors[-1] ** (1.0 + epsilon)
 
 
-def upper_norming_v(measure: MeasureSpec, x: float, t: float, epsilon: float,
-                    n: int, *, ell_one: bool = False) -> float:
-    """Iterated-log upper norming function v(x, t) = 1 / chi(x, 1/(t ell)).
+def upper_norming_v(measure: MeasureSpec, x: float, t, epsilon: float, n: int, *,
+                    ell_one: bool = False):
+    """Iterated-log upper norming function v(x, t) = 1 / chi(x, 1/(t ell)) for
+    an array of t.
 
     chi(x, .) is the inverse of xi -> p^U(x, xi) on [1, inf).  A power-law
     measure has p^U(x, xi) = pu_factor(x) |xi|^alpha(x), so v is
-    (pu_factor(x) t ell)^{1/alpha(x)}; other measures invert p^U by
-    bisection.  ``ell_one`` replaces ell_{eps,n} by 1 (the epsilon-skip
-    diagnostic mode).
+    (pu_factor(x) t ell)^{1/alpha(x)}; the other measures are
+    state-independent, with u(r) = 1 / p^U(1/r), so v is u^{-1}(x, t ell).
+    ``ell_one`` replaces ell_{eps,n} by 1 (the epsilon-skip diagnostic mode).
     """
-    ell = 1.0 if ell_one else iterated_log_factor(t, epsilon, n)
+    (t,), shape = _lanes(t)
+    ts = t.tolist()
+    ell = [1.0 if ell_one else iterated_log_factor(tv, epsilon, n) for tv in ts]
     if isinstance(measure, PowerLawMeasure):
-        return (measure.pu_factor(x) * t * ell) ** (1.0 / measure.alpha_at(x))
-    return 1.0 / _chi_inverse(measure, x, 1.0 / (t * ell))
-
-
-def _chi_inverse(measure, x, target):
-    """Invert xi -> p^U(x, xi) at ``target`` on [1, inf) by bisection."""
-    lo = 1.0
-    p_lo = eval_pU(measure, x, lo)
-    if target < p_lo:
-        raise InverseUndefinedError(
-            f"target {target:.3e} below p^U(x, 1) = {p_lo:.3e}; chi restricted to xi >= 1")
-    hi = 2.0
-    while eval_pU(measure, x, hi) < target:
-        hi *= 2.0
-        if hi > 2.0 ** 200:
-            raise InverseUndefinedError("p^U does not reach the target level")
-    probes = np.geomspace(lo, hi, 33)
-    vals = np.array([eval_pU(measure, x, float(p)) for p in probes])
-    if np.any(np.diff(vals) <= 0.0):
-        raise InverseUndefinedError("inverse undefined: p^U not strictly increasing past xi = 1")
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if eval_pU(measure, x, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        pf, inv_a = measure.pu_factor(x), 1.0 / measure.alpha_at(x)
+        return _shaped([(pf * tv * lv) ** inv_a for tv, lv in zip(ts, ell)], shape)
+    return _shaped(u_inverse(measure, x, t * np.array(ell)), shape)
 
 
 # --------------------------------------------------------------------------
@@ -298,17 +285,15 @@ def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
     """Tabulate ``kind`` ('u', 'u_inverse', 'chung_rate' or 'upper_v') on the
     sorted ``arg_grid``.
 
-    The values are one call of ``u_of_R``, ``u_inverse`` or ``chung_rate`` on
-    the whole grid, and ``upper_norming_v`` at every point, so the table equals
-    the evaluator bit for bit and fails where it fails.  ``form`` is
+    The values are one call of the kind's evaluator on the whole grid, so the
+    table equals the evaluator bit for bit and fails where it fails.  ``form`` is
     'closed_form' where the evaluator takes its closed form: every kind on a
     constant-index power law, and 'upper_v' on any power law; 'numeric'
     otherwise.
     """
     evaluators = {
         "u": u_of_R, "u_inverse": u_inverse, "chung_rate": chung_rate,
-        "upper_v": lambda m, x, ts: np.array([upper_norming_v(m, x, t, epsilon, n)
-                                              for t in ts.tolist()]),
+        "upper_v": lambda m, x, ts: upper_norming_v(m, x, ts, epsilon, n),
     }
     if kind not in evaluators:
         raise ValueError(f"cannot tabulate kind {kind!r} from a measure")

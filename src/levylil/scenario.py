@@ -56,18 +56,19 @@ def _profile_branch(kind, cls):
 _PROFILE_SCHEMA = {"oneOf": [{"type": "number"},
                              *(_profile_branch(k, c) for k, c in _PROFILE_KINDS.items())]}
 
+# [location, mass] pairs, of an atomic measure or a compound-Poisson process
+_ATOMS_SCHEMA = {"type": "array", "minItems": 1,
+                 "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                           "items": {"type": "number"}}}
+
 _MEASURE_SCHEMA = {
     "oneOf": [
         {"type": "object",
          "properties": {"variant": {"const": "power_law"}, "alpha": _PROFILE_SCHEMA,
-                        "coefficient": {"oneOf": [{"const": "normalized"}, _PROFILE_SCHEMA]},
-                        "truncation_radius": {"type": "number", "exclusiveMinimum": 0}},
+                        "coefficient": {"oneOf": [{"const": "normalized"}, _PROFILE_SCHEMA]}},
          "required": ["variant", "alpha"], "additionalProperties": False},
         {"type": "object",
-         "properties": {"variant": {"const": "atomic"},
-                        "atoms": {"type": "array", "minItems": 1,
-                                  "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                                            "items": {"type": "number"}}}},
+         "properties": {"variant": {"const": "atomic"}, "atoms": _ATOMS_SCHEMA},
          "required": ["variant", "atoms"], "additionalProperties": False},
         {"type": "object",
          "properties": {"variant": {"const": "tabulated"},
@@ -90,10 +91,7 @@ _PROCESS_SCHEMA = {
          "required": ["kind", "alpha"], "additionalProperties": False},
         {"type": "object",
          "properties": {"kind": {"const": "compound_poisson"},
-                        "atoms": {"type": "array", "minItems": 1,
-                                  "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                                            "items": {"type": "number"}}},
-                        "path_drift": {"type": "number"}},
+                        "atoms": _ATOMS_SCHEMA, "path_drift": {"type": "number"}},
          "required": ["kind", "atoms"], "additionalProperties": False},
     ]
 }

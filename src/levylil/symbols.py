@@ -9,7 +9,7 @@ and the maximal symbol is p^U(x, xi) = int min(|xi y|^2, 1) nu(x, dy).
 Power-law measures admit closed forms for both; the quadrature route is kept
 as an independent evaluation path (log-spaced panels with mandatory
 breakpoints at the integrand kink |y| = 1/|xi| and at the compensation cutoff
-|y| = 1, analytic tail correction beyond the truncation radius, oscillatory
+|y| = 1, analytic tail correction beyond the split radius |y| = 1e8, oscillatory
 outer integrals through cos/sin-weighted Gauss quadrature).  A tabulated
 measure is integrated over the panels it holds, the oscillatory parts of its
 exponent by quadrature of A y^b on each panel (xi y - sin(xi y) below
@@ -49,6 +49,7 @@ _REL_TOL = 1e-8
 _LIMIT = 200
 _ERROR_MARGIN = 100.0   # accept up to margin * tolerance of accumulated estimate
 _METHODS = ("auto", "closed", "quadrature")
+_SPLIT_RADIUS = 1e8   # power-law quadrature: numeric up to here, analytic tail beyond
 
 
 def stable_levy_constant(alpha):
@@ -255,8 +256,8 @@ def _pu_power_law_quadrature(measure, x, axi):
     inner = _quad_log_panels(lambda s: axi ** 2 * np.exp((2.0 - a) * s),
                              s_min, s_top, budget)
     budget.add(axi ** 2 * math.exp((2.0 - a) * s_min) / (2.0 - a))
-    # outer flat part up to the truncation radius, analytic tail beyond
-    rt = max(measure.truncation_radius, 2.0 * k)
+    # outer flat part up to the split radius, analytic tail beyond
+    rt = max(_SPLIT_RADIUS, 2.0 * k)
     outer = _quad_log_panels(lambda s: np.exp(-a * s), s_top, math.log(rt), budget)
     tail = rt ** (-a) / a
     value = 2.0 * c * (inner + outer + tail)
@@ -356,7 +357,7 @@ def _exponent_power_law_quadrature(measure, x, xi):
     mass = k ** (-a) / a
     osc_tol = max(_ABS_TOL, _REL_TOL * mass) / 10.0
     r_cap = (2.0 / (axi * osc_tol)) ** (1.0 / (1.0 + a))
-    r_eff = min(max(measure.truncation_radius, 2.0 * k), max(r_cap, 2.0 * k))
+    r_eff = min(max(_SPLIT_RADIUS, 2.0 * k), max(r_cap, 2.0 * k))
     osc = _quad_octaves(lambda y: y ** (-1.0 - a), k, r_eff, budget, weight="cos", wvar=axi)
     budget.add(2.0 * r_eff ** (-1.0 - a) / axi)
     value = 2.0 * c * (inner + mass - osc)

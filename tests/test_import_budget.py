@@ -1,6 +1,7 @@
 """Importing the package loads numpy and the standard library only; scipy and
 jsonschema load on first use, in the same interpreter, and the power-law p^U
-quadrature does not use scipy."""
+quadrature does not use scipy.  ``concurrent.futures`` loads with the first
+threaded simulation, not at import."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ import json, sys
 import levylil as ll
 heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))
 assert not heavy, heavy[:5]
+assert "concurrent.futures" not in sys.modules
 m = ll.PowerLawMeasure(alpha=1.5)
 closed = ll.eval_pU(m, 0.0, 2.0)
 quad = ll.eval_pU(m, 0.0, 2.0, method="quadrature")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import levylil as ll
-from levylil.norming import _chi_inverse
+from tests_support import random_tabulated_measures
 
 
 M_CONST_12 = ll.PowerLawMeasure(alpha=1.2)
@@ -203,15 +203,28 @@ def test_upper_norming_v_alpha_one_eps_zero():
     assert ll.upper_norming_v(M_CONST_10, 0.0, t, 0.0, 1) == pytest.approx(t * math.e, rel=1e-12)
 
 
+def _pU_root(pU, target):
+    """xi >= 1 with pU(xi) = target, for pU increasing and pU(1) <= target:
+    bisection on a doubling bracket down to a relative width of 1e-14."""
+    lo, hi = 1.0, 2.0
+    while pU(hi) < target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if pU(mid) >= target else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
 def test_upper_norming_v_numeric_matches_closed():
-    # the closed form against bisection on p^U, v = 1 / chi(x, 1/(t ell))
+    # the closed form against a root of the quadrature p^U: v = 1 / chi(x, 1/(t ell))
     rng = np.random.default_rng(5)
     for _ in range(10):
         t = 10 ** rng.uniform(-6, -1)
         eps = rng.uniform(0.1, 1.0)
         c = ll.upper_norming_v(M_SIN, 0.4, t, eps, 1)
-        n = 1.0 / _chi_inverse(M_SIN, 0.4, 1.0 / (t * ll.iterated_log_factor(t, eps, 1)))
-        assert n == pytest.approx(c, rel=1e-8)
+        xi = _pU_root(lambda xi: ll.eval_pU(M_SIN, 0.4, xi, method="quadrature"),
+                      1.0 / (t * ll.iterated_log_factor(t, eps, 1)))
+        assert 1.0 / xi == pytest.approx(c, rel=1e-8)
 
 
 @pytest.mark.parametrize("call, bad", [
@@ -229,8 +242,48 @@ def test_unknown_mode_or_method_is_rejected(call, bad):
 def test_upper_norming_v_inverse_undefined_for_atomic():
     # p^U of an atomic measure saturates at the total mass: no inverse
     at = ll.AtomicMeasure(atoms=((1.0, 1.0), (-1.0, 1.0)))
-    with pytest.raises(ll.InverseUndefinedError):
+    with pytest.raises(ll.RhoOutOfRangeError, match="rho below the resolvable range of u"):
         ll.upper_norming_v(at, 0.0, 1e-3, 0.5, 1)
+
+
+def test_u_inverse_stops_on_the_plateau_of_a_finite_measure(monkeypatch):
+    # u(r) = 1/nu(R) for r below 1/2 here: the downward scan fails once u is
+    # flat over a halving, not after halving r down to 1e-300
+    calls = []
+    u_of_R = ll.norming.u_of_R
+    monkeypatch.setattr(ll.norming, "u_of_R", lambda *a: calls.append(a) or u_of_R(*a))
+    at = ll.AtomicMeasure(atoms=((0.5, 1.0), (-0.5, 1.0)))
+    with pytest.raises(ll.RhoOutOfRangeError, match="rho below the resolvable range of u"):
+        ll.u_inverse(at, 0.0, np.full(32, 0.1))
+    assert len(calls) <= 3
+
+
+# an atomic measure whose p^U rises over xi in [1, 1e6] before it saturates
+M_ATOMS = ll.AtomicMeasure(atoms=((0.5, 1.0), (-0.5, 1.0), (0.01, 2.0), (-3e-4, 5.0),
+                                  (1e-6, 40.0)))
+
+
+def test_upper_norming_v_of_a_finite_measure_is_the_root_of_pU():
+    # v = 1/xi with p^U(xi) = 1/(t ell) for xi >= 1; where p^U(1) exceeds that
+    # level or p^U never reaches it, upper_norming_v raises
+    ts = np.geomspace(1e-8, 0.1, 15)
+    ells = np.array([ll.iterated_log_factor(t, 0.5, 1) for t in ts.tolist()])
+    checked = raised = 0
+    for m in [M_ATOMS, *random_tabulated_measures(19, 12)]:
+        p_one, p_max = ll.eval_pU(m, 0.0, 1.0), ll.eval_pU(m, 0.0, 1e300)
+        for t, ell in zip(ts.tolist(), ells.tolist()):
+            target = 1.0 / (t * ell)
+            if abs(target / p_one - 1.0) < 1e-8 or abs(target / p_max - 1.0) < 1e-8:
+                continue
+            if not p_one <= target < p_max:
+                with pytest.raises(ll.RhoOutOfRangeError):
+                    ll.upper_norming_v(m, 0.0, t, 0.5, 1)
+                raised += 1
+                continue
+            xi = _pU_root(lambda xi: ll.eval_pU(m, 0.0, xi), target)
+            assert ll.upper_norming_v(m, 0.0, t, 0.5, 1) == pytest.approx(1.0 / xi, rel=1e-9)
+            checked += 1
+    assert checked >= 40 and raised >= 40
 
 
 # --------------------------------------------------------------------------
@@ -479,6 +532,21 @@ PINNED_UPPER_V = {
 @pytest.mark.parametrize("name", sorted(UPPER_V_MEASURES))
 def test_upper_v_bits_pinned(name):
     assert _sha256(_upper_v_values(UPPER_V_MEASURES[name])) == PINNED_UPPER_V[name]
+
+
+@pytest.mark.parametrize("name", [*sorted(UPPER_V_MEASURES), "atoms", "tabulated"])
+def test_upper_norming_v_array_call_is_the_scalar_loop(name):
+    m = {**UPPER_V_MEASURES, "atoms": M_ATOMS, "tabulated": M_TAB}[name]
+    # v of a finite measure is defined for t ell > 1/nu(R) alone: 0.021 for
+    # M_ATOMS, 1.4e-5 for M_TAB (ell_one puts ell = 1)
+    ts = np.geomspace(0.025 if name == "atoms" else 2e-5, 0.06, 8)
+    for eps, n, ell_one in ((0.5, 1, False), (1.0, 2, False), (0.5, 1, True)):
+        got = ll.upper_norming_v(m, 0.4, ts.reshape(2, 4), eps, n, ell_one=ell_one)
+        assert got.shape == (2, 4)
+        assert got.ravel().tolist() == [ll.upper_norming_v(m, 0.4, t, eps, n, ell_one=ell_one)
+                                        for t in ts.tolist()]
+    assert type(ll.upper_norming_v(m, 0.4, float(ts[-1]), 0.5, 1)) is float
+    assert ll.upper_norming_v(m, 0.4, ts[-1:], 0.5, 1).shape == (1,)
 
 
 PINNED_CHUNG = {

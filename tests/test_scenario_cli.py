@@ -120,6 +120,25 @@ def test_u_inverse_below_a_tabulated_range_exits_1(tmp_path, capsys):
         "RhoOutOfRangeError: rho below the resolvable range of u"]
 
 
+def test_upper_v_past_an_atomic_measure_saturation_exits_1(tmp_path, capsys):
+    # p^U of atoms +-1 is flat at nu(R) = 2 past xi = 1: v has no inverse to take
+    doc = minimal_scenario(tmp_path / "out")
+    doc.update({"measure": {"variant": "atomic", "atoms": [[1.0, 1.0], [-1.0, 1.0]]},
+                "analyses": [{"name": "norming_table", "kind": "upper_v",
+                              "arguments": [1e-4, 1e-3]}]})
+    assert cli_main(["norming", "--scenario", str(write_scenario(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert "RhoOutOfRangeError: rho below the resolvable range of u" in err
+
+
+def test_power_law_truncation_radius_is_not_a_field(tmp_path, capsys):
+    doc = minimal_scenario(tmp_path / "out")
+    doc["measure"]["truncation_radius"] = 1e8
+    assert cli_main(["report", "--scenario", str(write_scenario(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert "truncation_radius" in err and "$.measure" in err, err
+
+
 def test_failed_analysis_is_recorded_and_the_rest_still_run(tmp_path, capsys):
     # multi_interval_decay needs 3 u(0, 1) = 1.9 > t_max = 1 and fails; the
     # analysis after it still runs, report.json records the failure, exit 1
