@@ -180,11 +180,16 @@ def _quad_log_panels(f, s_min, s_max, budget):
 # --------------------------------------------------------------------------
 
 def _power_moment(A, b, p, lo, hi):
-    """int_lo^hi A y^(b+p) dy."""
+    """int_lo^hi A y^(b+p) dy, as the power q = b + p + 1 of the larger end
+    times (1 - (lo/hi)^|q|) / q through expm1: no cancellation as q nears 0,
+    no overflow of the small factor."""
     q = b + p + 1.0
-    if abs(q) < 1e-12:
-        return A * math.log(hi / lo)
-    return A * (hi ** q - lo ** q) / q
+    L = math.log1p((hi - lo) / lo)   # log(hi/lo), to full precision for hi near lo
+    if q == 0.0:
+        return A * L
+    if q > 0.0:
+        return A * hi ** q * -math.expm1(-q * L) / q
+    return A * lo ** q * math.expm1(q * L) / q
 
 
 def _tab_moment(panels, p, lo=0.0, hi=math.inf):
