@@ -154,10 +154,7 @@ def upper_function_test(measure: MeasureSpec, x: float, epsilon: float, n: int,
         return ball_extremum(measure, x, v, 1.0 / v, "sup")
 
     verdict = _classify_blocks(block_integrand, t_max, levels)
-    verdict.extras["test"] = "upper_function"
-    verdict.extras["epsilon"] = epsilon
-    verdict.extras["n"] = n
-    verdict.extras["ell_one"] = ell_one
+    verdict.extras.update(test="upper_function", epsilon=epsilon, n=n, ell_one=ell_one)
     return verdict
 
 
@@ -173,8 +170,7 @@ def lower_tail_test(measure: MeasureSpec, v: Callable[[float], float], C: float,
         return tail_mass(measure, 0.0, 2.0 * C * v(t))
 
     verdict = classify_integral_at_zero(integrand, t_max, levels)
-    verdict.extras["test"] = "lower_tail"
-    verdict.extras["C"] = C
+    verdict.extras.update(test="lower_tail", C=C)
     return verdict
 
 

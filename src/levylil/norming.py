@@ -11,15 +11,14 @@ Everything here is a pure function of its arguments.  ``u_of_R``,
 ``u_inverse``, ``chung_rate`` and ``upper_norming_v`` are the only evaluators
 of their quantities: each takes the closed form of a constant-index power law
 itself (``upper_norming_v``, which inverts p^U at x alone, that of any power
-law) and falls back to numerics otherwise.  ``ball_extremum``,
-``pU_ball_extremum``, ``u_of_R``, ``u_inverse`` and ``chung_rate`` take
-arrays of arguments, broadcast together, and ``upper_norming_v`` an array of
-t; the scans and bisections run for every element at once, each element gets
-the bits a call with it alone gets, and a scalar call returns a Python float.
-Closed forms stay scalar float arithmetic, element by element.
-``build_norming_function`` tabulates one of them on an argument grid in one
-call, so a table equals its function bit for bit; the ``norming_table``
-analysis writes that table as CSV.
+law) and falls back to numerics otherwise.  These four, ``ball_extremum`` and
+``pU_ball_extremum`` take arrays of arguments, broadcast together
+(``upper_norming_v`` an array of t), and run their scans and bisections for
+every element at once; each element gets the bits a call with it alone gets,
+and a scalar call returns a Python float.  Closed forms stay scalar float
+arithmetic, element by element.  ``build_norming_function`` tabulates one of
+them on an argument grid in one call, so a table equals its function bit for
+bit; the ``norming_table`` analysis writes that table as CSV.
 """
 
 from __future__ import annotations
@@ -195,18 +194,14 @@ def iterated_log_factor(t: float, epsilon: float, n: int) -> float:
         raise ValueError("epsilon must be nonnegative")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    factors = []
-    cur = math.log(1.0 / t)
-    for _ in range(n):
+    value, cur = 1.0, math.log(1.0 / t)
+    for k in range(n):
         if cur <= 1.0:
             raise IteratedLogDomainError(
                 f"iterated log undefined: t={t} too large for n={n} factors")
-        factors.append(cur)
+        value *= cur ** (1.0 + epsilon) if k == n - 1 else cur
         cur = math.log(cur)
-    value = 1.0
-    for f in factors[:-1]:
-        value *= f
-    return value * factors[-1] ** (1.0 + epsilon)
+    return value
 
 
 def upper_norming_v(measure: MeasureSpec, x: float, t, epsilon: float, n: int, *,
@@ -286,15 +281,13 @@ def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
     sorted ``arg_grid``.
 
     The values are one call of the kind's evaluator on the whole grid, so the
-    table equals the evaluator bit for bit and fails where it fails.  ``form`` is
-    'closed_form' where the evaluator takes its closed form: every kind on a
-    constant-index power law, and 'upper_v' on any power law; 'numeric'
-    otherwise.
+    table equals the evaluator bit for bit and fails where it fails.
+    ``form`` is 'closed_form' where the evaluator takes its closed form: every
+    kind on a constant-index power law, and 'upper_v' on any power law;
+    'numeric' otherwise.
     """
-    evaluators = {
-        "u": u_of_R, "u_inverse": u_inverse, "chung_rate": chung_rate,
-        "upper_v": lambda m, x, ts: upper_norming_v(m, x, ts, epsilon, n),
-    }
+    evaluators = {"u": u_of_R, "u_inverse": u_inverse, "chung_rate": chung_rate,
+                  "upper_v": lambda m, x, ts: upper_norming_v(m, x, ts, epsilon, n)}
     if kind not in evaluators:
         raise ValueError(f"cannot tabulate kind {kind!r} from a measure")
     arg_grid = np.asarray(sorted(arg_grid), dtype=float)

@@ -180,16 +180,14 @@ def _quad_log_panels(f, s_min, s_max, budget):
 # --------------------------------------------------------------------------
 
 def _power_moment(A, b, p, lo, hi):
-    """int_lo^hi A y^(b+p) dy, as the power q = b + p + 1 of the larger end
-    times (1 - (lo/hi)^|q|) / q through expm1: no cancellation as q nears 0,
-    no overflow of the small factor."""
-    q = b + p + 1.0
-    L = math.log1p((hi - lo) / lo)   # log(hi/lo), to full precision for hi near lo
+    """int_lo^hi A y^(b+p) dy: with q = b + p + 1, the larger end's y^q times
+    (1 - (lo/hi)^|q|) / q by expm1, which neither cancels as q nears 0 nor
+    overflows.  log1p gives log(hi/lo) to full precision for hi near lo."""
+    q, L = b + p + 1.0, math.log1p((hi - lo) / lo)
     if q == 0.0:
         return A * L
-    if q > 0.0:
-        return A * hi ** q * -math.expm1(-q * L) / q
-    return A * lo ** q * math.expm1(q * L) / q
+    y, s = (hi, -1.0) if q > 0.0 else (lo, 1.0)
+    return A * y ** q * s * math.expm1(s * q * L) / q
 
 
 def _tab_moment(panels, p, lo=0.0, hi=math.inf):
