@@ -399,7 +399,7 @@ def _tab_odd(panels, axi, k, budget):
     """int of (axi y 1_{y <= 1} - sin(axi y)) d(y) over one side, panel by panel:
     below min(k, 1), where theta = axi y <= 1, as one quadrature of the series
     of theta - sin(theta), which would cancel; above k, where theta >= 1, the
-    two terms apart (``_power_moment`` would cancel for b near -2)."""
+    two terms apart."""
     cut = min(k, 1.0)
     total = 0.0
     for y1, y2, A, b in panels:

@@ -537,8 +537,8 @@ def test_upper_v_bits_pinned(name):
 @pytest.mark.parametrize("name", [*sorted(UPPER_V_MEASURES), "atoms", "tabulated"])
 def test_upper_norming_v_array_call_is_the_scalar_loop(name):
     m = {**UPPER_V_MEASURES, "atoms": M_ATOMS, "tabulated": M_TAB}[name]
-    # v of a finite measure is defined for t ell > 1/nu(R) alone: 0.021 for
-    # M_ATOMS, 1.4e-5 for M_TAB (ell_one puts ell = 1)
+    # v of a finite measure needs t ell > 1/nu(R): 0.021 for M_ATOMS and
+    # 1.4e-5 for M_TAB (ell_one puts ell = 1)
     ts = np.geomspace(0.025 if name == "atoms" else 2e-5, 0.06, 8)
     for eps, n, ell_one in ((0.5, 1, False), (1.0, 2, False), (0.5, 1, True)):
         got = ll.upper_norming_v(m, 0.4, ts.reshape(2, 4), eps, n, ell_one=ell_one)
