@@ -10,7 +10,7 @@ exponentials, one of each per step).  Compound Poisson draws a
 count-dependent layout: a jump count, then that many jump times, then that
 many atom choices; it is still a fixed function of the path's own stream.
 Paths are therefore reproducible bit-exactly and order-independent, in
-blocks of any size and on any number of threads.
+blocks of any size and on any number of threads or processes.
 
 Persistence follows from the same contract: an ensemble is saved as a
 one-line manifest of its spec, seed and path count plus the SHA-256 of its
@@ -28,6 +28,7 @@ import hashlib
 import json
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -351,19 +352,34 @@ def _cms(u, w, alpha, out):
     matched elementwise (state-dependent stepping).  Overwrites u and w and
     writes S into ``out``, which it returns.  ``**=`` keeps numpy's sqrt and
     square fast paths for a scalar exponent of 0.5 or 2.
+
+    The two halves can be called apart: ``_cms_prepare`` does not depend on
+    alpha, so the stable-like kernel runs it once per tile of draws.
     """
+    _cms_prepare(u, w)
+    return _cms_finish(u, w, alpha, 1.0 - alpha, (1.0 - alpha) / alpha, 1.0 / alpha, out)
+
+
+def _cms_prepare(u, w):
+    """theta = pi (u - 1/2) into u and w floored at 1e-300, in place."""
     u -= 0.5
     u *= np.pi
     np.maximum(w, 1e-300, out=w)
-    np.multiply(u, 1.0 - alpha, out=out)
+
+
+def _cms_finish(theta, w, alpha, one_minus, ratio, inverse, out):
+    """The alpha-dependent half of ``_cms`` on prepared draws, given
+    ``one_minus`` = 1 - alpha, ``ratio`` = (1 - alpha) / alpha and ``inverse``
+    = 1 / alpha; overwrites theta and w."""
+    np.multiply(theta, one_minus, out=out)
     np.cos(out, out=out)
     out /= w
-    out **= (1.0 - alpha) / alpha
-    np.multiply(u, alpha, out=w)
+    out **= ratio
+    np.multiply(theta, alpha, out=w)
     np.sin(w, out=w)
-    np.cos(u, out=u)
-    u **= 1.0 / alpha
-    w /= u
+    np.cos(theta, out=theta)
+    theta **= inverse
+    w /= theta
     out *= w
     return out
 
@@ -436,14 +452,16 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
     stable and compound-Poisson kernels take 2^17 / (grid points) paths per
     block, so a stable block buffer is 1 MiB of float64; a compound-Poisson
     block holds only its jumps and its stored columns.  The stable-like
-    step loop takes 2048 paths per block.  The stable-like
-    kernel reads each path's uniforms from word 0 of its stream and its
-    exponentials from word n, and holds the draws of one tile of
+    step loop takes n_paths / (workers) paths per block, at most 2048.  The
+    stable-like kernel reads each path's uniforms from word 0 of its stream
+    and its exponentials from word n, and holds the draws of one tile of
     ``_STEP_TILE`` steps per block in two buffers, so its memory does not
-    grow with the step count.  The stable kernel shares its blocks over one thread per CPU
-    this process may run on; the other two kernels run on one thread.
-    Neither the block size nor the thread count changes any bit of the
-    result.  A float ``master_seed``, even 1.0, raises TypeError.
+    grow with the step count.  The stable kernel shares its blocks over one
+    thread per CPU this process may run on.  On Linux the stable-like kernel
+    shares them over as many processes: this one and forked children, which
+    write their rows into one shared mapping.  Compound Poisson runs on one
+    thread.  Neither the block size nor the worker count changes any bit of
+    the result.  A float ``master_seed``, even 1.0, raises TypeError.
     """
     master_seed = operator.index(master_seed)
     times = grid.times()
@@ -482,19 +500,21 @@ def _grid_index(times, t, tol=1e-9) -> int:
 # --------------------------------------------------------------------------
 
 _BLOCK_POINTS = 2 ** 17     # grid points per block buffer (1 MiB of float64)
-_STEP_LOOP_ROWS = 2048      # paths per stable-like block: the loop costs per step
+_STEP_LOOP_ROWS = 2048      # most paths per stable-like block: the loop costs per step
 _STEP_TILE = 256            # steps per stable-like draw tile: 2 x 4 MiB at 2048 paths
 _FILL_ROWS = 64             # paths per path-major fill of a tile: 128 KiB, stays in cache
-# threads for the stable kernel (sched_getaffinity is missing on macOS and Windows)
+# workers per kernel: threads for the stable kernel, forked processes for the
+# stable-like one (sched_getaffinity is missing on macOS and Windows)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+_FORK = sys.platform.startswith("linux")
 
 
 def _simulate_into(process, x0, times, rec_idx, master_seed, positions, running_sup,
                    chunk_size=None):
     """Fill ``positions`` and ``running_sup`` (row i is path i) at the grid
     columns ``rec_idx``.  Each path reads only its own stream, so any split
-    of the rows into blocks, and of the blocks over threads, gives the same
+    of the rows into blocks, and of the blocks over workers, gives the same
     bits.
 
     Each kernel call runs on one thread and takes the Philox keys of its
@@ -502,37 +522,138 @@ def _simulate_into(process, x0, times, rec_idx, master_seed, positions, running_
     re-key one ``Generator`` from path to path, the stable-like kernel builds
     two per path of a block from ``_KeySeq``, one at each end of its draws.
 
-    Only the stable kernel spends its time in ufuncs and fills that release
-    the GIL; the other two run per-path or per-step Python that holds it,
-    and measured slower on two threads than on one.
+    Worker ``i`` of ``_WORKERS`` takes blocks i, i + workers, ...  The stable
+    kernel spends its time in whole-block ufuncs and fills that release the
+    GIL, so its workers are threads.  The stable-like kernel runs about 30
+    short ufuncs per step, whose GIL hand-offs made two threads slower than
+    one; on Linux its workers are forked processes (``_stable_like_forked``),
+    and its blocks shrink to share the paths over them.  Compound Poisson
+    runs per-path Python on one thread.
     """
+    n = positions.shape[0]
     block_rows = max(1, _BLOCK_POINTS // times.size)
+    forked = isinstance(process, StableLikeProcess)
     if isinstance(process, SymmetricStableProcess):
         kernel, workers = _stable_blocks, _WORKERS
     elif isinstance(process, CompoundPoissonProcess):
         kernel, workers = _compound_poisson_blocks, 1
-    elif isinstance(process, StableLikeProcess):
-        kernel, workers, block_rows = _stable_like_blocks, 1, _STEP_LOOP_ROWS
+    elif forked:
+        kernel, workers = _stable_like_blocks, _WORKERS if _FORK else 1
+        block_rows = max(1, min(_STEP_LOOP_ROWS, -(-n // workers)))
     else:
         raise TypeError(f"unknown process type {type(process).__name__}")
     if chunk_size is None:
         chunk_size = block_rows
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    n = positions.shape[0]
     blocks = [(b, min(b + chunk_size, n)) for b in range(0, n, chunk_size)]
     if not blocks or not rec_idx.size:
         return
     workers = min(workers, len(blocks))
     args = (process, x0, times, rec_idx, master_seed, positions, running_sup)
+    shares = [blocks[i::workers] for i in range(workers)]
     if workers == 1:
         kernel(*args, blocks)
-        return
-    from concurrent.futures import ThreadPoolExecutor   # kept off the import of levylil
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(kernel, *args, blocks[i::workers]) for i in range(workers)]
-        for future in futures:
-            future.result()
+    elif forked:
+        _stable_like_forked(args, shares)
+    else:
+        from concurrent.futures import ThreadPoolExecutor   # kept off the import of levylil
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(kernel, *args, share) for share in shares]
+            for future in futures:
+                future.result()
+
+
+def _note(exc, text):
+    """Attach ``text`` to ``exc`` as ``BaseException.add_note`` does (Python
+    3.11 prints it under the traceback; 3.10 keeps it in ``__notes__``)."""
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), text]
+    return exc
+
+
+def _stable_like_forked(args, shares):
+    """Run ``_stable_like_blocks`` on each share of blocks, the first share in
+    this process and each other one in a forked child.  Every worker writes
+    its rows into one shared anonymous mapping, from which this process fills
+    ``positions`` and ``running_sup`` once all children have exited.
+
+    A child runs its share and leaves through ``os._exit``: no atexit handler
+    runs and no stdio buffer of the parent is flushed twice.  A child that
+    raises sends the exception, pickled with its traceback text, through a
+    pipe and exits with status 1; this process raises the same exception,
+    with a note naming the kernel, the child's path rows and that traceback,
+    so a failure has the type it has on one worker.  An exception in this
+    process's own share gets the same note; its children are killed first.
+    Every child is reaped before this returns or raises.
+    """
+    import mmap
+    import pickle
+    import signal
+    import traceback
+    import warnings
+    positions, running_sup = args[-2:]
+    shared = mmap.mmap(-1, 2 * positions.nbytes)   # MAP_SHARED | MAP_ANONYMOUS
+    pos, sup = np.frombuffer(shared).reshape((2,) + positions.shape)
+    args = args[:-2] + (pos, sup)
+    rows = [", ".join(f"[{start}, {stop})" for start, stop in share) for share in shares]
+    parent, children = os.getpid(), {}   # pid -> (read end of its pipe, its share's index)
+    try:
+        for i, share in enumerate(shares[1:], 1):
+            read_end, write_end = os.pipe()
+            # Python 3.12 warns that fork() in a multi-threaded process (numpy's
+            # BLAS pool is running) may deadlock the child.  This child runs only
+            # numpy ufuncs and fills of generators it builds itself, takes no
+            # lock that another thread can hold, and exits through os._exit.
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is "
+                                            r"multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    _stable_like_blocks(*args, share, parent=parent)
+                    status = 0
+                except BaseException as exc:
+                    text = traceback.format_exc()
+                    try:   # only an exception that round-trips is sent
+                        payload = pickle.dumps((exc, text))
+                        pickle.loads(payload)
+                    except Exception:
+                        payload = pickle.dumps((None, text))
+                    os.write(write_end, payload)
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children[pid] = (read_end, i)
+        try:
+            _stable_like_blocks(*args, shares[0])
+        except Exception as exc:
+            _note(exc, f"raised in the stable-like kernel on path rows {rows[0]}")
+            raise
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        ended = []   # (share index, payload, exit status) of each child
+        for pid, (read_end, i) in children.items():
+            with os.fdopen(read_end, "rb") as pipe:
+                payload = pipe.read()
+            ended.append((i, payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for i, payload, status in ended:
+        if status:
+            exc, text = pickle.loads(payload) if payload else (None, "")   # none if killed
+            raise _note(exc if exc is not None else RuntimeError(f"exited with status {status}"),
+                        f"raised in the stable-like kernel's worker process on path rows "
+                        f"{rows[i]}\n{text}")
+    positions[...] = pos
+    running_sup[...] = sup
 
 
 def _draw_uniform_exponential(gen, master_seed, start, u, w):
@@ -652,7 +773,7 @@ def _compound_poisson_blocks(process, x0, times, rec_idx, master_seed, positions
 
 
 def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, running_sup,
-                        blocks):
+                        blocks, parent=None):
     """Frozen-coefficient Euler steps over a block of paths at once; only
     recorded steps are stored.
 
@@ -664,15 +785,20 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
     filled path by path, ``_FILL_ROWS`` paths at a time, into a scratch whose
     transpose goes to the step-major ``u`` and ``w`` while still in cache, so
     each step reads contiguous rows.  The draws held never exceed two tile
-    buffers and the scratch, whatever the step count.
+    buffers and the scratch, whatever the step count.  ``_cms_prepare`` runs
+    once per tile, and each step writes into per-block rows allocated once.
+
+    A forked worker passes the pid of its ``parent``; the worker exits at the
+    next tile once that process is gone.
     """
     n = times.size
     dts = np.diff(times, prepend=0.0)
     slot = dict(zip(rec_idx.tolist(), range(rec_idx.size)))
     rows = max(stop - start for start, stop in blocks)
     tile = min(_STEP_TILE, n)
-    fill, (u_buf, w_buf) = np.empty((_FILL_ROWS, tile)), np.empty((2, tile, rows))
-    variates = np.empty(rows)
+    fill, draw_bufs = np.empty((_FILL_ROWS, tile)), np.empty((2, tile * rows))
+    # per step: position, running sup, step factor, variate; 1 - a, (1 - a) / a, 1 / a
+    row_bufs = np.empty((7, rows))
     for start, stop in blocks:
         m = stop - start
         keys = _philox_keys(master_seed, start, m)
@@ -680,11 +806,14 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
         w_gens = [np.random.Generator(np.random.Philox(_KeySeq(k), counter=n // 4)) for k in keys]
         for gen in w_gens:
             gen.bit_generator.random_raw(n % 4)
-        xcur = np.full(m, float(x0))
-        dev = np.zeros(m)
+        x, dev, fac, var, one_minus, ratio, inverse = row_bufs[:, :m]
+        x.fill(x0)
+        dev.fill(0.0)
         for k0 in range(0, n, tile):
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
             kt = min(tile, n - k0)
-            u, w = u_buf[:kt, :m], w_buf[:kt, :m]
+            u, w = (buf[:kt * m].reshape(kt, m) for buf in draw_bufs)
             for p0 in range(0, m, _FILL_ROWS):
                 p1 = min(p0 + _FILL_ROWS, m)
                 f = fill[:p1 - p0, :kt]
@@ -694,13 +823,22 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
                 for gen, row in zip(w_gens[p0:p1], f):
                     gen.standard_exponential(out=row)
                 w[:, p0:p1] = f.T
+            _cms_prepare(u, w)
             for j, k in enumerate(range(k0, k0 + kt)):
-                a = np.asarray(process.alpha(xcur), dtype=float)
-                c = np.asarray(process.scale(xcur), dtype=float)
-                xcur = xcur + (c * dts[k]) ** (1.0 / a) * _cms(u[j], w[j], a, variates[:m])
-                dev = np.maximum(dev, np.abs(xcur - x0))
+                a = np.asarray(process.alpha(x), dtype=float)
+                c = np.asarray(process.scale(x), dtype=float)
+                np.subtract(1.0, a, out=one_minus)
+                np.divide(one_minus, a, out=ratio)
+                np.divide(1.0, a, out=inverse)
+                np.multiply(c, dts[k], out=fac)
+                fac **= inverse
+                fac *= _cms_finish(u[j], w[j], a, one_minus, ratio, inverse, var)
+                x += fac
+                np.subtract(x, x0, out=var)
+                np.abs(var, out=var)
+                np.maximum(dev, var, out=dev)
                 if k in slot:
-                    positions[start:stop, slot[k]] = xcur
+                    positions[start:stop, slot[k]] = x
                     running_sup[start:stop, slot[k]] = dev
 
 

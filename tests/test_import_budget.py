@@ -1,7 +1,8 @@
 """Importing the package loads numpy and the standard library only; scipy and
 jsonschema load on first use, in the same interpreter, and the power-law p^U
 quadrature does not use scipy.  ``concurrent.futures`` loads with the first
-threaded simulation, not at import."""
+threaded simulation, and the modules of the forked stable-like workers with
+the first forked one, not at import."""
 
 import os
 import subprocess
@@ -15,7 +16,8 @@ import json, sys
 import levylil as ll
 heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))
 assert not heavy, heavy[:5]
-assert "concurrent.futures" not in sys.modules
+late = [m for m in ("concurrent.futures", "mmap", "signal", "traceback") if m in sys.modules]
+assert not late, late
 m = ll.PowerLawMeasure(alpha=1.5)
 closed = ll.eval_pU(m, 0.0, 2.0)
 quad = ll.eval_pU(m, 0.0, 2.0, method="quadrature")

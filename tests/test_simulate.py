@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -298,6 +300,63 @@ def test_stable_threads_stress_and_empty_ensemble(monkeypatch):
         ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 4, chunk_size=0)
 
 
+def assert_no_child_left():
+    # every forked worker has been reaped: no child runs, none is a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_stable_like_processes_stress_and_empty_ensemble(monkeypatch):
+    # more worker processes than cores, one path per block: a row written by
+    # the wrong worker, or not copied back from the shared mapping, shows
+    monkeypatch.setattr(simulate, "_WORKERS", 1)
+    ref = ll.simulate_ensemble(SL_SINUSOIDAL, 0.0, GRID_256, 6, 50)
+    monkeypatch.setattr(simulate, "_WORKERS", 8)
+    for chunk in (1, None):
+        ens = ll.simulate_ensemble(SL_SINUSOIDAL, 0.0, GRID_256, 6, 50, chunk_size=chunk)
+        assert np.array_equal(ens.positions, ref.positions), chunk
+        assert np.array_equal(ens.running_sup, ref.running_sup), chunk
+        assert_no_child_left()
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for an empty ensemble"))
+    assert ll.simulate_ensemble(SL_SINUSOIDAL, 0.0, GRID_256, 6, 0).positions.shape == (0, 256)
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_stable_like_worker_failure_raises_and_leaves_no_child(failing, monkeypatch):
+    # 23 paths in blocks of 5 on two workers: this process runs rows [0, 5),
+    # [10, 15) and [20, 23), the forked child [5, 10) and [15, 20)
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    grid = ll.PathGrid(t_max=1.0, steps=64)
+    ref = ll.simulate_ensemble(SL_SINUSOIDAL, 0.2, grid, 41, 23, chunk_size=5)
+    assert_no_child_left()
+    kernel = simulate._stable_like_blocks
+    fail_at, rows = {"child": (15, "[5, 10), [15, 20)"),
+                     "parent": (10, "[0, 5), [10, 15), [20, 23)")}[failing]
+
+    def failing_kernel(*args, parent=None):
+        if any(start == fail_at for start, _ in args[-1]):
+            raise FloatingPointError(f"injected at row {fail_at}")
+        if parent is not None and failing == "parent":
+            time.sleep(60)   # a child still at work when this process fails is killed
+        kernel(*args, parent=parent)
+
+    monkeypatch.setattr(simulate, "_stable_like_blocks", failing_kernel)
+    started = time.perf_counter()
+    with pytest.raises(FloatingPointError, match=f"injected at row {fail_at}") as info:
+        ll.simulate_ensemble(SL_SINUSOIDAL, 0.2, grid, 41, 23, chunk_size=5)
+    assert time.perf_counter() - started < 30.0
+    note = "\n".join(info.value.__notes__)
+    assert "stable-like kernel" in note and f"path rows {rows}" in note
+    if failing == "child":
+        assert "worker process" in note and "injected at row 15" in note   # its traceback
+    assert_no_child_left()
+    monkeypatch.setattr(simulate, "_stable_like_blocks", kernel)
+    ens = ll.simulate_ensemble(SL_SINUSOIDAL, 0.2, grid, 41, 23, chunk_size=5)
+    assert np.array_equal(ens.positions, ref.positions)
+    assert np.array_equal(ens.running_sup, ref.running_sup)
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("grid", [GRID_256, GRID_GEOMETRIC], ids=["uniform", "geometric"])
 @pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 1.0, 1.5, 1.99])
 def test_stable_kernel_matches_cms_reference(alpha, grid, monkeypatch):
@@ -393,24 +452,49 @@ def test_compound_poisson_path_drift_applied():
                           np.maximum.accumulate(np.abs(drifting.positions - 0.5), axis=1))
 
 
+def test_stable_like_worker_exception_that_cannot_be_pickled(monkeypatch):
+    # a child's exception that does not survive pickling comes back as a
+    # RuntimeError carrying the child's traceback text
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    kernel = simulate._stable_like_blocks
+
+    class LocalError(Exception):
+        pass
+
+    def failing_kernel(*args, parent=None):
+        if parent is not None:
+            raise LocalError("raised in the child")
+        kernel(*args)
+
+    monkeypatch.setattr(simulate, "_stable_like_blocks", failing_kernel)
+    with pytest.raises(RuntimeError, match="exited with status 1") as info:
+        ll.simulate_ensemble(SL_SINUSOIDAL, 0.2, GRID_256, 41, 8)
+    note = "\n".join(info.value.__notes__)
+    assert "path rows [4, 8)" in note and "LocalError: raised in the child" in note
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("kind", ["stable", "stable_like"])
 def test_recorded_stable_ensemble_memory_stays_in_blocks(kind, monkeypatch):
     # 2048 x 4096 paths at four recorded times: block buffers only (three per
     # thread for the stable kernel; for the stable-like one, two tiles of draws
     # and a 64-path fill scratch), not the 64 MiB (paths x steps) arrays an
     # unblocked kernel would allocate, nor the 128 MiB of draws of a whole
-    # stable-like block
-    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    # stable-like block.  tracemalloc sees this process only, so the
+    # stable-like kernel also runs on one worker, which holds a whole
+    # 2048-path block here instead of sharing it with a forked child.
     grid = ll.PathGrid(t_max=1.0, steps=4096)
-    tracemalloc.start()
-    try:
-        ens = ll.simulate_ensemble(KINDS[kind], 0.0, grid, 2, 2048,
-                                   record_times=[0.125, 0.25, 0.5, 1.0])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert ens.positions.shape == (2048, 4)
-    assert peak < 32 * 2 ** 20
+    for workers in (2, 1) if kind == "stable_like" else (2,):
+        monkeypatch.setattr(simulate, "_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            ens = ll.simulate_ensemble(KINDS[kind], 0.0, grid, 2, 2048,
+                                       record_times=[0.125, 0.25, 0.5, 1.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ens.positions.shape == (2048, 4)
+        assert peak < 32 * 2 ** 20, workers
 
 
 SPARSE_256 = [GRID_256.times()[0], 0.1015625, 0.5, 0.75]
@@ -688,8 +772,9 @@ PINNED_STREAMS = {
     "stable_like_one_step": (
         (SL_SINUSOIDAL, 0.2, ll.PathGrid(t_max=0.5, steps=1), 7, 9, None),
         "f304e1ed09edf87b03af5c44b74483430d64019f6dee320d1f63d082e934f336"),
-    # at the default block size, 150 paths fill a tile in 64 + 64 + 22 rows,
-    # and the 513 grid times make step tiles of 256, 256 and 1
+    # at the default block size on two workers, 150 paths make two 75-path
+    # blocks that fill a tile in 64 + 11 rows, and the 513 grid times make step
+    # tiles of 256, 256 and 1
     "stable_like_geometric_513_150": (
         (SL_SINUSOIDAL, 0.2, GRID_GEOMETRIC_513, 41, 150, None),
         "18bc409ca5a78641c24fa9860c4aeeaf0ca1a3be7c296949b00fa8a7b24fe7b0"),
