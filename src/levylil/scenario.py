@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import classifiers, mc, norming, symbols
+from . import classifiers, mc, norming, simulate, symbols
 from .errors import LevyLilError
 from .measures import _PROFILE_KINDS, LevyTriplet, measure_from_dict, profile_from_dict
 from .simulate import (_BLOCK_POINTS, PathGrid, SymmetricStableProcess, _atomic_write,
@@ -296,24 +296,27 @@ def _symbol_liminf_test(ctx, spec, ens, tag):
     return "index,level", list(enumerate(verdict.block_values)), verdict.to_dict()
 
 
-def _per_time_summary(ens):
+def _per_time_summary(ens, pool):
     """Per stored time, the mean of ``positions - x0`` and the median of
     ``running_sup`` over the paths, bit-identical to
     ``np.mean(positions - x0, axis=0)`` and ``np.median(running_sup, axis=0)``.
 
-    The columns are walked in tiles of about ``_BLOCK_POINTS`` points, so no
-    temporary grows with the ensemble.  A tile never has one column unless
-    the ensemble has one: numpy sums a single column pairwise, and several
-    columns row by row.
+    The columns are walked in tiles of about ``_BLOCK_POINTS`` points, on
+    the threads of ``pool``, so no temporary grows with the ensemble.  A tile
+    never has one column unless the ensemble has one: numpy sums a single
+    column pairwise, and several columns row by row.
     """
     pos, rs = ens.positions, ens.running_sup
     n, cols = pos.shape
     mean, median = np.empty(cols), np.empty(cols)
     width = max(2, _BLOCK_POINTS // n)
     bounds = [0, *range(width, cols - 1, width), cols]
-    for c0, c1 in zip(bounds, bounds[1:]):
+
+    def tile(c0, c1):
         mean[c0:c1] = np.mean(pos[:, c0:c1] - ens.x0, axis=0)
         median[c0:c1] = np.median(rs[:, c0:c1], axis=0)
+
+    list(pool.map(tile, bounds[:-1], bounds[1:]))
     return mean, median
 
 
@@ -322,10 +325,17 @@ def _per_time_summary(ens):
                                     "ensemble_id": {"type": "string"}})
 def _simulate(ctx, spec, ens, tag):
     ens = ctx.need_ensemble(spec)
-    if spec.get("save") == "jsonl":
-        save_ensemble_jsonl(ens, os.path.join(ctx.outdir, f"{tag}_paths.jsonl"),
-                            {"scenario_hash": ctx.scen_hash})
-    mean, median = _per_time_summary(ens)
+    # A save's SHA-256 and the summary's tiles release the GIL, so they share a pool.
+    # Nothing forks while it runs, and the tiles call no public function: traced calls
+    # keep one stack.
+    from concurrent.futures import ThreadPoolExecutor   # kept off the import of levylil
+    with ThreadPoolExecutor(simulate._WORKERS) as pool:
+        path = os.path.join(ctx.outdir, f"{tag}_paths.jsonl")
+        saved = (spec.get("save") == "jsonl"
+                 and pool.submit(save_ensemble_jsonl, ens, path, {"scenario_hash": ctx.scen_hash}))
+        mean, median = _per_time_summary(ens, pool)
+        if saved:
+            saved.result()
     rows = list(zip(ens.times.tolist(), mean.tolist(), median.tolist()))
     return ("t,mean_displacement,median_running_sup", rows,
             {"paths": ens.n_paths, "grid_points": int(ens.times.size),

@@ -10,7 +10,7 @@ exponentials, one of each per step).  Compound Poisson draws a
 count-dependent layout: a jump count, then that many jump times, then that
 many atom choices; it is still a fixed function of the path's own stream.
 Paths are therefore reproducible bit-exactly and order-independent, in
-blocks of any size and on any number of threads or processes.
+blocks of any size and on any number of processes.
 
 Persistence follows from the same contract: an ensemble is saved as a
 one-line manifest of its spec, seed and path count plus the SHA-256 of its
@@ -456,12 +456,13 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
     stable-like kernel reads each path's uniforms from word 0 of its stream
     and its exponentials from word n, and holds the draws of one tile of
     ``_STEP_TILE`` steps per block in two buffers, so its memory does not
-    grow with the step count.  The stable kernel shares its blocks over one
-    thread per CPU this process may run on.  On Linux the stable-like kernel
-    shares them over as many processes: this one and forked children, which
-    write their rows into one shared mapping.  Compound Poisson runs on one
-    thread.  Neither the block size nor the worker count changes any bit of
-    the result.  A float ``master_seed``, even 1.0, raises TypeError.
+    grow with the step count.  On Linux the stable and stable-like kernels
+    share their blocks over one process per CPU this process may run on: this
+    one and forked children, which write their rows straight into
+    ``positions`` and ``running_sup``, the two halves of one shared anonymous
+    mapping.  Elsewhere, and always for compound Poisson, the kernel runs on
+    one worker.  Neither the block size nor the worker count changes any bit
+    of the result.  A float ``master_seed``, even 1.0, raises TypeError.
     """
     master_seed = operator.index(master_seed)
     times = grid.times()
@@ -476,8 +477,13 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
         rec_idx = np.array([_grid_index(times, t) for t in record_times], dtype=int)
         if np.any(np.diff(rec_idx) <= 0):
             raise ValueError("record_times must be strictly increasing grid times")
-    positions = np.empty((n_paths, rec_idx.size))
-    running_sup = np.empty((n_paths, rec_idx.size))
+    shape = (2, n_paths, rec_idx.size)
+    if _FORK and n_paths and rec_idx.size:
+        import mmap   # kept off the import of levylil
+        shared = mmap.mmap(-1, 8 * np.prod(shape))   # MAP_SHARED | MAP_ANONYMOUS
+        positions, running_sup = np.frombuffer(shared).reshape(shape)
+    else:
+        positions, running_sup = np.empty(shape)
     _simulate_into(process, x0, times, rec_idx, master_seed, positions, running_sup,
                    chunk_size)
     return PathEnsemble(process=process, grid=grid, x0=x0, master_seed=master_seed,
@@ -503,8 +509,8 @@ _BLOCK_POINTS = 2 ** 17     # grid points per block buffer (1 MiB of float64)
 _STEP_LOOP_ROWS = 2048      # most paths per stable-like block: the loop costs per step
 _STEP_TILE = 256            # steps per stable-like draw tile: 2 x 4 MiB at 2048 paths
 _FILL_ROWS = 64             # paths per path-major fill of a tile: 128 KiB, stays in cache
-# workers per kernel: threads for the stable kernel, forked processes for the
-# stable-like one (sched_getaffinity is missing on macOS and Windows)
+# processes per stable or stable-like ensemble on Linux: this one and forked
+# children (sched_getaffinity is missing on macOS and Windows)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _FORK = sys.platform.startswith("linux")
@@ -517,28 +523,29 @@ def _simulate_into(process, x0, times, rec_idx, master_seed, positions, running_
     of the rows into blocks, and of the blocks over workers, gives the same
     bits.
 
-    Each kernel call runs on one thread and takes the Philox keys of its
-    blocks from ``_philox_keys``: the stable and compound-Poisson kernels
-    re-key one ``Generator`` from path to path, the stable-like kernel builds
-    two per path of a block from ``_KeySeq``, one at each end of its draws.
+    Each kernel call takes the Philox keys of its blocks from
+    ``_philox_keys``: the stable and compound-Poisson kernels re-key one
+    ``Generator`` from path to path, the stable-like kernel builds two per
+    path of a block from ``_KeySeq``, one at each end of its draws.
 
-    Worker ``i`` of ``_WORKERS`` takes blocks i, i + workers, ...  The stable
-    kernel spends its time in whole-block ufuncs and fills that release the
-    GIL, so its workers are threads.  The stable-like kernel runs about 30
+    On Linux worker ``i`` of ``_WORKERS`` takes blocks i, i + workers, ...
+    of the stable and stable-like kernels, and every worker but this process
+    is a forked child (``_forked``), so both arrays must lie in a shared
+    mapping.  Processes, not threads: the stable-like kernel runs about 30
     short ufuncs per step, whose GIL hand-offs made two threads slower than
-    one; on Linux its workers are forked processes (``_stable_like_forked``),
-    and its blocks shrink to share the paths over them.  Compound Poisson
-    runs per-path Python on one thread.
+    one, and the stable kernel's 2-D cumsum, accumulate and reduceat hold the
+    GIL.  The stable-like blocks shrink to share the paths over the workers.
+    Compound Poisson runs per-path Python in this process.
     """
     n = positions.shape[0]
     block_rows = max(1, _BLOCK_POINTS // times.size)
-    forked = isinstance(process, StableLikeProcess)
+    workers = _WORKERS if _FORK else 1
     if isinstance(process, SymmetricStableProcess):
-        kernel, workers = _stable_blocks, _WORKERS
+        kernel, name = _stable_blocks, "stable"
     elif isinstance(process, CompoundPoissonProcess):
-        kernel, workers = _compound_poisson_blocks, 1
-    elif forked:
-        kernel, workers = _stable_like_blocks, _WORKERS if _FORK else 1
+        kernel, name, workers = _compound_poisson_blocks, "compound-Poisson", 1
+    elif isinstance(process, StableLikeProcess):
+        kernel, name = _stable_like_blocks, "stable-like"
         block_rows = max(1, min(_STEP_LOOP_ROWS, -(-n // workers)))
     else:
         raise TypeError(f"unknown process type {type(process).__name__}")
@@ -551,17 +558,10 @@ def _simulate_into(process, x0, times, rec_idx, master_seed, positions, running_
         return
     workers = min(workers, len(blocks))
     args = (process, x0, times, rec_idx, master_seed, positions, running_sup)
-    shares = [blocks[i::workers] for i in range(workers)]
     if workers == 1:
         kernel(*args, blocks)
-    elif forked:
-        _stable_like_forked(args, shares)
     else:
-        from concurrent.futures import ThreadPoolExecutor   # kept off the import of levylil
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(kernel, *args, share) for share in shares]
-            for future in futures:
-                future.result()
+        _forked(kernel, name, args, [blocks[i::workers] for i in range(workers)])
 
 
 def _note(exc, text):
@@ -571,11 +571,11 @@ def _note(exc, text):
     return exc
 
 
-def _stable_like_forked(args, shares):
-    """Run ``_stable_like_blocks`` on each share of blocks, the first share in
-    this process and each other one in a forked child.  Every worker writes
-    its rows into one shared anonymous mapping, from which this process fills
-    ``positions`` and ``running_sup`` once all children have exited.
+def _forked(kernel, name, args, shares):
+    """Run the block ``kernel`` (its ``name`` goes into failure notes) on each
+    share of blocks, the first share in this process and each other one in a
+    forked child.  Every worker writes its rows straight into ``positions``
+    and ``running_sup``, which must lie in a shared mapping.
 
     A child runs its share and leaves through ``os._exit``: no atexit handler
     runs and no stdio buffer of the parent is flushed twice.  A child that
@@ -586,15 +586,10 @@ def _stable_like_forked(args, shares):
     process's own share gets the same note; its children are killed first.
     Every child is reaped before this returns or raises.
     """
-    import mmap
     import pickle
     import signal
     import traceback
     import warnings
-    positions, running_sup = args[-2:]
-    shared = mmap.mmap(-1, 2 * positions.nbytes)   # MAP_SHARED | MAP_ANONYMOUS
-    pos, sup = np.frombuffer(shared).reshape((2,) + positions.shape)
-    args = args[:-2] + (pos, sup)
     rows = [", ".join(f"[{start}, {stop})" for start, stop in share) for share in shares]
     parent, children = os.getpid(), {}   # pid -> (read end of its pipe, its share's index)
     try:
@@ -617,7 +612,7 @@ def _stable_like_forked(args, shares):
                 status = 1
                 try:
                     os.close(read_end)
-                    _stable_like_blocks(*args, share, parent=parent)
+                    kernel(*args, share, parent=parent)
                     status = 0
                 except BaseException as exc:
                     text = traceback.format_exc()
@@ -632,9 +627,9 @@ def _stable_like_forked(args, shares):
             os.close(write_end)
             children[pid] = (read_end, i)
         try:
-            _stable_like_blocks(*args, shares[0])
+            kernel(*args, shares[0])
         except Exception as exc:
-            _note(exc, f"raised in the stable-like kernel on path rows {rows[0]}")
+            _note(exc, f"raised in the {name} kernel on path rows {rows[0]}")
             raise
     except BaseException:
         for pid in children:
@@ -650,10 +645,8 @@ def _stable_like_forked(args, shares):
         if status:
             exc, text = pickle.loads(payload) if payload else (None, "")   # none if killed
             raise _note(exc if exc is not None else RuntimeError(f"exited with status {status}"),
-                        f"raised in the stable-like kernel's worker process on path rows "
+                        f"raised in the {name} kernel's worker process on path rows "
                         f"{rows[i]}\n{text}")
-    positions[...] = pos
-    running_sup[...] = sup
 
 
 def _draw_uniform_exponential(gen, master_seed, start, u, w):
@@ -666,9 +659,11 @@ def _draw_uniform_exponential(gen, master_seed, start, u, w):
 
 
 def _stable_blocks(process, x0, times, rec_idx, master_seed, positions, running_sup,
-                   blocks):
-    """Stable increments (``_cms``), cumsum and running sup in place on three
-    block buffers.
+                   blocks, parent=None):
+    """Stable increments (``_cms``), cumsum and running sup in place, beside
+    two block buffers of draws: in the block's rows of ``positions`` and
+    ``running_sup`` when every grid column is stored, otherwise in a third
+    buffer, from which the stored columns are gathered.
 
     When the stored columns are at most 1/8 of the grid, the running sup at
     them is the running max of the segment maxima of |X - x0| between
@@ -676,29 +671,38 @@ def _stable_blocks(process, x0, times, rec_idx, master_seed, positions, running_
     ``np.maximum.accumulate``.  Max is exact, so both give the same bits.
     On a 32 x 4097 block, segment maxima measured even with the accumulate
     at a mean segment of 8 columns, 2-30 times faster at 12 to 315, and
-    1.4-2 times slower at 1 or 2."""
+    1.4-2 times slower at 1 or 2.
+
+    A forked worker passes the pid of its ``parent``; the worker exits at the
+    next block once that process is gone."""
     a = process.alpha
     step = (process.scale * np.diff(times, prepend=0.0)) ** (1.0 / a)
     last = rec_idx[-1] + 1
+    full = rec_idx.size == times.size
     seg_starts = (np.concatenate(([0], rec_idx[:-1] + 1))
                   if 8 * rec_idx.size <= times.size else None)
     rows = max(stop - start for start, stop in blocks)
-    bufs = [np.empty((rows, times.size)) for _ in range(3)]
+    bufs = [np.empty((rows, times.size)) for _ in range(2 if full else 3)]
     gen = np.random.Generator(np.random.Philox(0))   # re-keyed to every path
     for start, stop in blocks:
-        u, w, s = (buf[:stop - start] for buf in bufs)
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        u, w = (buf[:stop - start] for buf in bufs[:2])
+        s = positions[start:stop] if full else bufs[2][:stop - start]
         _draw_uniform_exponential(gen, master_seed, start, u, w)
         _cms(u, w, a, s)
         s *= step
         np.cumsum(s, axis=1, out=s)
         s += x0
-        positions[start:stop] = s[:, rec_idx]
-        dev = u[:, :last]
+        if not full:
+            positions[start:stop] = s[:, rec_idx]
+        dev = running_sup[start:stop] if full else u[:, :last]
         np.subtract(s[:, :last], x0, out=dev)
         np.abs(dev, out=dev)
         if seg_starts is None:
             np.maximum.accumulate(dev, axis=1, out=dev)
-            running_sup[start:stop] = dev[:, rec_idx]
+            if not full:
+                running_sup[start:stop] = dev[:, rec_idx]
         else:
             np.maximum.accumulate(np.maximum.reduceat(dev, seg_starts, axis=1), axis=1,
                                   out=running_sup[start:stop])

@@ -1,9 +1,12 @@
+import errno
 import hashlib
 import json
 import math
 import os
 import re
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 from pathlib import Path
 from types import SimpleNamespace
@@ -606,12 +609,14 @@ def test_per_time_summary_bits_match_full_array_oracle(n, cols, x0, block, monke
     pos = x0 + np.cumsum(rng.standard_normal((n, cols)) * 10.0 ** rng.uniform(-3, 3, cols),
                          axis=1)
     rs = np.maximum.accumulate(np.abs(pos - x0), axis=1)
-    for r in (rs, np.round(rs, 1)):   # and with ties
-        mean, median = scenario._per_time_summary(SimpleNamespace(positions=pos,
-                                                                  running_sup=r, x0=x0))
-        want_mean, want_median = _summary_oracle(pos, r, x0)
-        assert np.array_equal(mean, want_mean)
-        assert np.array_equal(median, want_median)
+    for workers in (1, 2, 3):   # tiles on pool threads, at times more threads than tiles
+        with ThreadPoolExecutor(workers) as pool:
+            for r in (rs, np.round(rs, 1)):   # and with ties
+                ens = SimpleNamespace(positions=pos, running_sup=r, x0=x0)
+                mean, median = scenario._per_time_summary(ens, pool)
+                want_mean, want_median = _summary_oracle(pos, r, x0)
+                assert np.array_equal(mean, want_mean), workers
+                assert np.array_equal(median, want_median), workers
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -621,8 +626,9 @@ def test_per_time_summary_nan_column_matches_oracle(n, monkeypatch):
     pos = rng.standard_normal((n, 9))
     rs = np.maximum.accumulate(np.abs(pos - 0.3), axis=1)
     pos[2, 4] = rs[n - 1, 4] = np.nan   # sorts above the middle, past a plain partition
-    mean, median = scenario._per_time_summary(SimpleNamespace(positions=pos,
-                                                              running_sup=rs, x0=0.3))
+    with ThreadPoolExecutor(2) as pool:
+        mean, median = scenario._per_time_summary(SimpleNamespace(positions=pos, running_sup=rs,
+                                                                  x0=0.3), pool)
     want_mean, want_median = _summary_oracle(pos, rs, 0.3)
     assert np.array_equal(mean, want_mean, equal_nan=True)
     assert np.array_equal(median, want_median, equal_nan=True)
@@ -630,7 +636,8 @@ def test_per_time_summary_nan_column_matches_oracle(n, monkeypatch):
 
 
 def test_simulate_analysis_memory_stays_at_the_ensemble(tmp_path, monkeypatch):
-    # one kernel thread: the kernel's block buffers do not depend on the host
+    # one worker: the kernel's block buffers and the summary's tiles in flight
+    # do not depend on the host
     monkeypatch.setattr(simulate, "_WORKERS", 1)
     n, steps = 2000, 1024
     doc = {"seed": 3, "process": {"kind": "stable", "alpha": 1.5},
@@ -644,8 +651,36 @@ def test_simulate_analysis_memory_stays_at_the_ensemble(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ensemble_bytes = 2 * n * steps * 8   # positions and running_sup
+    # positions and running_sup; on Linux they lie in a shared mapping, which
+    # tracemalloc does not see, so any copy of them would show
+    ensemble_bytes = 0 if simulate._FORK else 2 * n * steps * 8
     assert peak < ensemble_bytes + 8 * 2 ** 20, (peak, ensemble_bytes)
+
+
+def test_failing_save_propagates_and_leaves_no_pool_thread(tmp_path, monkeypatch):
+    # the save runs on a pool thread beside the summary; its OSError leaves
+    # run_scenario as it was raised (an OSError is not a per-analysis
+    # failure), once every pool thread has ended
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    raised = []
+
+    def failing_save(*args, **kwargs):
+        raised.append(OSError(errno.ENOSPC, "No space left on device"))
+        raise raised[-1]
+
+    monkeypatch.setattr(scenario, "save_ensemble_jsonl", failing_save)
+    threads = set(threading.enumerate())
+    doc = {"seed": 3, "process": {"kind": "stable", "alpha": 1.5},
+           "grid": {"t_max": 1.0, "steps": 64}, "paths": 3000,
+           "output_dir": str(tmp_path / "out"),
+           "analyses": [{"name": "simulate", "save": "jsonl"},
+                        {"name": "sup_probability", "t": 0.5, "R": 1.0}]}
+    with pytest.raises(OSError) as info:
+        run_scenario(doc, canonical=True)
+    assert len(raised) == 1 and info.value is raised[0]
+    assert not getattr(info.value, "__notes__", None)
+    assert set(threading.enumerate()) == threads
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_verify_runs_simulation(tmp_path):

@@ -1,9 +1,9 @@
 import hashlib
 import json
 import math
+import mmap
 import os
 import re
-import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -281,34 +281,31 @@ def test_ensemble_bits_independent_of_blocks_and_workers(kind, record, monkeypat
         assert np.array_equal(ens.running_sup, ref.running_sup), key
 
 
-def test_stable_threads_stress_and_empty_ensemble(monkeypatch):
-    # more threads than cores, one path per block, switching as often as the
-    # interpreter allows: a row written by the wrong thread or twice shows
-    monkeypatch.setattr(simulate, "_WORKERS", 1)
-    ref = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 50)
-    monkeypatch.setattr(simulate, "_WORKERS", 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        ens = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 50, chunk_size=1)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(ens.positions, ref.positions)
-    assert np.array_equal(ens.running_sup, ref.running_sup)
-    assert ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 0).positions.shape == (0, 256)
-    with pytest.raises(ValueError):
-        ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 4, chunk_size=0)
-
-
 def assert_no_child_left():
     # every forked worker has been reaped: no child runs, none is a zombie
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_stable_processes_stress_and_empty_ensemble(monkeypatch):
+    # more worker processes than cores, one path per block: a row written by
+    # the wrong worker, or twice, or not at all, shows
+    monkeypatch.setattr(simulate, "_WORKERS", 1)
+    ref = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 50)
+    monkeypatch.setattr(simulate, "_WORKERS", 8)
+    ens = ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 50, chunk_size=1)
+    assert np.array_equal(ens.positions, ref.positions)
+    assert np.array_equal(ens.running_sup, ref.running_sup)
+    assert_no_child_left()
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for an empty ensemble"))
+    assert ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 0).positions.shape == (0, 256)
+    with pytest.raises(ValueError):
+        ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 6, 4, chunk_size=0)
+
+
 def test_stable_like_processes_stress_and_empty_ensemble(monkeypatch):
     # more worker processes than cores, one path per block: a row written by
-    # the wrong worker, or not copied back from the shared mapping, shows
+    # the wrong worker, or lost outside the shared mapping, shows
     monkeypatch.setattr(simulate, "_WORKERS", 1)
     ref = ll.simulate_ensemble(SL_SINUSOIDAL, 0.0, GRID_256, 6, 50)
     monkeypatch.setattr(simulate, "_WORKERS", 8)
@@ -321,15 +318,23 @@ def test_stable_like_processes_stress_and_empty_ensemble(monkeypatch):
     assert ll.simulate_ensemble(SL_SINUSOIDAL, 0.0, GRID_256, 6, 0).positions.shape == (0, 256)
 
 
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_stable_like_worker_failure_raises_and_leaves_no_child(failing, monkeypatch):
+# the kernels that fork: their names in simulate and in failure notes
+FORKED_KERNELS = {"stable": ("_stable_blocks", "stable kernel"),
+                  "stable_like": ("_stable_like_blocks", "stable-like kernel")}
+
+
+@pytest.mark.parametrize("kind, failing", [("stable_like", "child"), ("stable_like", "parent"),
+                                           ("stable", "child"), ("stable", "parent")],
+                         ids=["child", "parent", "stable-child", "stable-parent"])
+def test_stable_like_worker_failure_raises_and_leaves_no_child(kind, failing, monkeypatch):
     # 23 paths in blocks of 5 on two workers: this process runs rows [0, 5),
     # [10, 15) and [20, 23), the forked child [5, 10) and [15, 20)
     monkeypatch.setattr(simulate, "_WORKERS", 2)
     grid = ll.PathGrid(t_max=1.0, steps=64)
-    ref = ll.simulate_ensemble(SL_SINUSOIDAL, 0.2, grid, 41, 23, chunk_size=5)
+    proc, (attr, name) = KINDS[kind], FORKED_KERNELS[kind]
+    ref = ll.simulate_ensemble(proc, 0.2, grid, 41, 23, chunk_size=5)
     assert_no_child_left()
-    kernel = simulate._stable_like_blocks
+    kernel = getattr(simulate, attr)
     fail_at, rows = {"child": (15, "[5, 10), [15, 20)"),
                      "parent": (10, "[0, 5), [10, 15), [20, 23)")}[failing]
 
@@ -340,18 +345,18 @@ def test_stable_like_worker_failure_raises_and_leaves_no_child(failing, monkeypa
             time.sleep(60)   # a child still at work when this process fails is killed
         kernel(*args, parent=parent)
 
-    monkeypatch.setattr(simulate, "_stable_like_blocks", failing_kernel)
+    monkeypatch.setattr(simulate, attr, failing_kernel)
     started = time.perf_counter()
     with pytest.raises(FloatingPointError, match=f"injected at row {fail_at}") as info:
-        ll.simulate_ensemble(SL_SINUSOIDAL, 0.2, grid, 41, 23, chunk_size=5)
+        ll.simulate_ensemble(proc, 0.2, grid, 41, 23, chunk_size=5)
     assert time.perf_counter() - started < 30.0
     note = "\n".join(info.value.__notes__)
-    assert "stable-like kernel" in note and f"path rows {rows}" in note
+    assert f"the {name}" in note and f"path rows {rows}" in note
     if failing == "child":
         assert "worker process" in note and "injected at row 15" in note   # its traceback
     assert_no_child_left()
-    monkeypatch.setattr(simulate, "_stable_like_blocks", kernel)
-    ens = ll.simulate_ensemble(SL_SINUSOIDAL, 0.2, grid, 41, 23, chunk_size=5)
+    monkeypatch.setattr(simulate, attr, kernel)
+    ens = ll.simulate_ensemble(proc, 0.2, grid, 41, 23, chunk_size=5)
     assert np.array_equal(ens.positions, ref.positions)
     assert np.array_equal(ens.running_sup, ref.running_sup)
     assert_no_child_left()
@@ -454,37 +459,42 @@ def test_compound_poisson_path_drift_applied():
 
 def test_stable_like_worker_exception_that_cannot_be_pickled(monkeypatch):
     # a child's exception that does not survive pickling comes back as a
-    # RuntimeError carrying the child's traceback text
+    # RuntimeError carrying the child's traceback text; 8 paths in blocks of
+    # 4, of either forked kernel
     monkeypatch.setattr(simulate, "_WORKERS", 2)
-    kernel = simulate._stable_like_blocks
 
     class LocalError(Exception):
         pass
 
-    def failing_kernel(*args, parent=None):
-        if parent is not None:
-            raise LocalError("raised in the child")
-        kernel(*args)
+    for kind, (attr, name) in FORKED_KERNELS.items():
+        kernel = getattr(simulate, attr)
 
-    monkeypatch.setattr(simulate, "_stable_like_blocks", failing_kernel)
-    with pytest.raises(RuntimeError, match="exited with status 1") as info:
-        ll.simulate_ensemble(SL_SINUSOIDAL, 0.2, GRID_256, 41, 8)
-    note = "\n".join(info.value.__notes__)
-    assert "path rows [4, 8)" in note and "LocalError: raised in the child" in note
-    assert_no_child_left()
+        def failing_kernel(*args, parent=None, kernel=kernel):
+            if parent is not None:
+                raise LocalError("raised in the child")
+            kernel(*args)
+
+        monkeypatch.setattr(simulate, attr, failing_kernel)
+        with pytest.raises(RuntimeError, match="exited with status 1") as info:
+            ll.simulate_ensemble(KINDS[kind], 0.2, GRID_256, 41, 8, chunk_size=4)
+        note = "\n".join(info.value.__notes__)
+        assert f"the {name}'s worker process on path rows [4, 8)" in note, note
+        assert "LocalError: raised in the child" in note
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("kind", ["stable", "stable_like"])
 def test_recorded_stable_ensemble_memory_stays_in_blocks(kind, monkeypatch):
     # 2048 x 4096 paths at four recorded times: block buffers only (three per
-    # thread for the stable kernel; for the stable-like one, two tiles of draws
+    # worker for the stable kernel; for the stable-like one, two tiles of draws
     # and a 64-path fill scratch), not the 64 MiB (paths x steps) arrays an
     # unblocked kernel would allocate, nor the 128 MiB of draws of a whole
-    # stable-like block.  tracemalloc sees this process only, so the
-    # stable-like kernel also runs on one worker, which holds a whole
-    # 2048-path block here instead of sharing it with a forked child.
+    # stable-like block.  tracemalloc sees this process only, so each kernel
+    # also runs on one worker, which does every block itself (the stable-like
+    # one in a whole 2048-path block) instead of sharing them with a forked
+    # child.
     grid = ll.PathGrid(t_max=1.0, steps=4096)
-    for workers in (2, 1) if kind == "stable_like" else (2,):
+    for workers in (2, 1):
         monkeypatch.setattr(simulate, "_WORKERS", workers)
         tracemalloc.start()
         try:
@@ -515,6 +525,44 @@ def test_record_times_subset():
             assert np.array_equal(part.running_sup, full.running_sup[:, idx]), (kind, len(rec))
     with pytest.raises(ValueError):
         ll.simulate_ensemble(STABLE_15, 0.0, GRID_256, 9, 2, record_times=[0.123456789])
+
+
+def _mapping_of(arr):
+    """The object whose buffer holds ``arr``: the end of its chain of bases."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+@pytest.mark.skipif(not simulate._FORK, reason="forked workers run on Linux only")
+@pytest.mark.parametrize("record", [None, [0.125, 0.5, 1.0], EVERY_2ND_64],
+                         ids=["full", "sparse", "every_2nd"])
+@pytest.mark.parametrize("kind", ["stable", "stable_like"])
+def test_forked_workers_write_into_the_ensembles_mapping(kind, record, monkeypatch):
+    # the children write their rows into the arrays the ensemble holds, the
+    # two halves of one shared mapping: no copy comes back
+    grid = ll.PathGrid(t_max=1.0, steps=64)
+    forked, calls = simulate._forked, []
+
+    def spy(kernel, name, args, shares):
+        calls.append(args[-2:])
+        forked(kernel, name, args, shares)
+
+    monkeypatch.setattr(simulate, "_forked", spy)
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(simulate, "_WORKERS", workers)
+        runs[workers] = ens = ll.simulate_ensemble(KINDS[kind], 0.3, grid, 5, 23,
+                                                   record_times=record, chunk_size=4)
+        mapping = _mapping_of(ens.positions)
+        assert isinstance(mapping, mmap.mmap) and _mapping_of(ens.running_sup) is mapping
+        assert ens.running_sup.ctypes.data == ens.positions.ctypes.data + ens.positions.nbytes
+        assert len(mapping) == 2 * ens.positions.nbytes
+    ((pos, sup),) = calls   # only the two-worker run forks
+    assert pos is runs[2].positions and sup is runs[2].running_sup
+    assert np.array_equal(runs[2].positions, runs[1].positions)
+    assert np.array_equal(runs[2].running_sup, runs[1].running_sup)
+    assert_no_child_left()
 
 
 def _cp_jump_times(proc, t_max, seed, i):
