@@ -615,6 +615,24 @@ def test_stable_like_constant_alpha_matches_stable_in_distribution():
     assert ks.statistic < 0.02
 
 
+@pytest.mark.parametrize("alpha, scale", [(1.5, 1.0), (0.8, 2.0), (1.9, 0.7)])
+def test_stable_like_at_constant_profiles_is_the_stable_kernel(alpha, scale, monkeypatch):
+    # the stable kernel is the stable-like Euler recursion at constant
+    # profiles, bit for bit, when the paths start at 0: the stable kernel adds
+    # x0 after its cumsum, the stable-like step starts from x0
+    stable = ll.SymmetricStableProcess(alpha=alpha, scale=scale)
+    like = ll.StableLikeProcess(alpha=ll.ConstantProfile(alpha), scale=ll.ConstantProfile(scale))
+    for grid in (GRID_256, GRID_GEOMETRIC):
+        for record in (None, [0.125, 0.5, 1.0]):
+            for workers in (1, 2):
+                monkeypatch.setattr(simulate, "_WORKERS", workers)
+                a, b = (ll.simulate_ensemble(proc, 0.0, grid, 12, 40, record_times=record,
+                                             chunk_size=16) for proc in (stable, like))
+                key = (grid.layout, record is None, workers)
+                assert np.array_equal(a.positions, b.positions), key
+                assert np.array_equal(a.running_sup, b.running_sup), key
+
+
 def test_running_sup_self_similar_scaling():
     # median sup at t over median sup at t/16 = 16^{1/alpha} within 10%
     grid = ll.PathGrid(t_max=1.0, steps=4096)
