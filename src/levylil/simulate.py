@@ -19,7 +19,8 @@ arrays, and loading regenerates it and checks that hash.
 Stable marginals use the Chambers-Mallows-Stuck transform, standardized so a
 unit-scale variate S satisfies E e^{i xi S} = e^{-|xi|^alpha}.  Stable-like
 paths use frozen-coefficient Euler stepping: the displacement over a step of
-length h started at X is (scale(X) h)^{1/alpha(X)} S.
+length h started at X is (scale(X) h)^{1/alpha(X)} S.  numpy picks its float64
+tan and power code by CPU: these bits are those of its AVX-512 code.
 """
 
 from __future__ import annotations
@@ -341,7 +342,7 @@ class _KeySeq(np.random.bit_generator.ISeedSequence):
         return self.key
 
 
-def _cms(u, w, alpha, out):
+def _cms(u, w, alpha, out, tmp=None):
     """Chambers-Mallows-Stuck transform for symmetric stable variates, in place:
     with theta = pi (u - 1/2),
 
@@ -349,37 +350,57 @@ def _cms(u, w, alpha, out):
             * (cos((1 - alpha) theta) / w)^((1 - alpha) / alpha).
 
     u uniform on [0,1), w standard exponential; alpha a scalar or an array
-    matched elementwise (state-dependent stepping).  Overwrites u and w and
-    writes S into ``out``, which it returns.  ``**=`` keeps numpy's sqrt and
-    square fast paths for a scalar exponent of 0.5 or 2.
+    matched elementwise (state-dependent stepping).  Overwrites u, w and
+    ``tmp`` (new if not given); S goes into ``out``, which it returns.
+    ``**=`` keeps numpy's sqrt and square fast paths for a scalar exponent of
+    0.5 or 2.
 
     The two halves can be called apart: ``_cms_prepare`` does not depend on
     alpha, so the stable-like kernel runs it once per tile of draws.
     """
     _cms_prepare(u, w)
-    return _cms_finish(u, w, alpha, 1.0 - alpha, (1.0 - alpha) / alpha, 1.0 / alpha, out)
+    one_minus = 1.0 - alpha
+    return _cms_finish(u, w, alpha * (np.pi / 2), one_minus * (np.pi / 2), one_minus / alpha,
+                       1.0 / alpha, out, np.empty_like(out) if tmp is None else tmp)
 
 
 def _cms_prepare(u, w):
-    """theta = pi (u - 1/2) into u and w floored at 1e-300, in place."""
+    """u - 1/2 into u (exact) and w floored at 1e-300, in place."""
     u -= 0.5
-    u *= np.pi
     np.maximum(w, 1e-300, out=w)
 
 
-def _cms_finish(theta, w, alpha, one_minus, ratio, inverse, out):
-    """The alpha-dependent half of ``_cms`` on prepared draws, given
-    ``one_minus`` = 1 - alpha, ``ratio`` = (1 - alpha) / alpha and ``inverse``
-    = 1 / alpha; overwrites theta and w."""
-    np.multiply(theta, one_minus, out=out)
-    np.cos(out, out=out)
+def _cms_finish(v, w, half_alpha, half_one_minus, ratio, inverse, out, tmp):
+    """The alpha-dependent half of ``_cms`` on prepared draws v = u - 1/2 and
+    w, given pi alpha / 2, pi (1 - alpha) / 2, (1 - alpha) / alpha and
+    1 / alpha; overwrites v, w and ``tmp``.  Under AVX-512 numpy's float64 tan
+    is SIMD, its sin and cos scalar libm, so each factor is a function of the
+    tangent t of half its angle: sin(alpha theta) = 2t / (1 + t^2), and so is
+    cos(theta) = sin(pi delta); cos((1 - alpha) theta) = (1 - t)(1 + t) /
+    (1 + t^2).  delta = 1/2 - |v| = min(u, 1 - u) is exact, so cos(theta)
+    keeps its relative accuracy as u nears 0 or 1."""
+    np.multiply(v, half_one_minus, out=out)
+    np.tan(out, out=out)
+    np.multiply(out, out, out=tmp)
+    tmp += 1.0
+    w *= tmp
+    np.subtract(1.0, out, out=tmp)
+    out += 1.0
+    out *= tmp
     out /= w
     out **= ratio
-    np.multiply(theta, alpha, out=w)
-    np.sin(w, out=w)
-    np.cos(theta, out=theta)
-    theta **= inverse
-    w /= theta
+    np.multiply(v, half_alpha, out=w)
+    np.abs(v, out=v)
+    np.subtract(0.5, v, out=v)
+    v *= np.pi / 2
+    for t in (w, v):   # sin(alpha theta), then cos(theta)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=tmp)
+        tmp += 1.0
+        t += t
+        t /= tmp
+    v **= inverse
+    w /= v
     out *= w
     return out
 
@@ -660,10 +681,10 @@ def _draw_uniform_exponential(gen, master_seed, start, u, w):
 
 def _stable_blocks(process, x0, times, rec_idx, master_seed, positions, running_sup,
                    blocks, parent=None):
-    """Stable increments (``_cms``), cumsum and running sup in place, beside
-    two block buffers of draws: in the block's rows of ``positions`` and
-    ``running_sup`` when every grid column is stored, otherwise in a third
-    buffer, from which the stored columns are gathered.
+    """Stable increments (``_cms``, with a scratch block), cumsum and running
+    sup in place, beside two block buffers of draws: in the block's rows of
+    ``positions`` and ``running_sup`` when every grid column is stored,
+    otherwise in a fourth buffer, from which the stored columns are gathered.
 
     When the stored columns are at most 1/8 of the grid, the running sup at
     them is the running max of the segment maxima of |X - x0| between
@@ -682,15 +703,15 @@ def _stable_blocks(process, x0, times, rec_idx, master_seed, positions, running_
     seg_starts = (np.concatenate(([0], rec_idx[:-1] + 1))
                   if 8 * rec_idx.size <= times.size else None)
     rows = max(stop - start for start, stop in blocks)
-    bufs = [np.empty((rows, times.size)) for _ in range(2 if full else 3)]
+    bufs = [np.empty((rows, times.size)) for _ in range(3 if full else 4)]
     gen = np.random.Generator(np.random.Philox(0))   # re-keyed to every path
     for start, stop in blocks:
         if parent is not None and os.getppid() != parent:
             os._exit(1)
-        u, w = (buf[:stop - start] for buf in bufs[:2])
-        s = positions[start:stop] if full else bufs[2][:stop - start]
+        u, w, tmp = (buf[:stop - start] for buf in bufs[:3])
+        s = positions[start:stop] if full else bufs[3][:stop - start]
         _draw_uniform_exponential(gen, master_seed, start, u, w)
-        _cms(u, w, a, s)
+        _cms(u, w, a, s, tmp)
         s *= step
         np.cumsum(s, axis=1, out=s)
         s += x0
@@ -801,8 +822,9 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
     rows = max(stop - start for start, stop in blocks)
     tile = min(_STEP_TILE, n)
     fill, draw_bufs = np.empty((_FILL_ROWS, tile)), np.empty((2, tile * rows))
-    # per step: position, running sup, step factor, variate; 1 - a, (1 - a) / a, 1 / a
-    row_bufs = np.empty((7, rows))
+    # per step: position, running sup, step factor (first the CMS scratch),
+    # variate; pi a / 2, pi (1 - a) / 2, (1 - a) / a, 1 / a
+    row_bufs = np.empty((8, rows))
     for start, stop in blocks:
         m = stop - start
         keys = _philox_keys(master_seed, start, m)
@@ -810,7 +832,7 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
         w_gens = [np.random.Generator(np.random.Philox(_KeySeq(k), counter=n // 4)) for k in keys]
         for gen in w_gens:
             gen.bit_generator.random_raw(n % 4)
-        x, dev, fac, var, one_minus, ratio, inverse = row_bufs[:, :m]
+        x, dev, fac, var, half_a, half_one_minus, ratio, inverse = row_bufs[:, :m]
         x.fill(x0)
         dev.fill(0.0)
         for k0 in range(0, n, tile):
@@ -831,12 +853,15 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
             for j, k in enumerate(range(k0, k0 + kt)):
                 a = np.asarray(process.alpha(x), dtype=float)
                 c = np.asarray(process.scale(x), dtype=float)
-                np.subtract(1.0, a, out=one_minus)
-                np.divide(one_minus, a, out=ratio)
+                np.multiply(a, np.pi / 2, out=half_a)
+                np.subtract(1.0, a, out=half_one_minus)
+                np.divide(half_one_minus, a, out=ratio)
+                half_one_minus *= np.pi / 2
                 np.divide(1.0, a, out=inverse)
+                _cms_finish(u[j], w[j], half_a, half_one_minus, ratio, inverse, var, fac)
                 np.multiply(c, dts[k], out=fac)
                 fac **= inverse
-                fac *= _cms_finish(u[j], w[j], a, one_minus, ratio, inverse, var)
+                fac *= var
                 x += fac
                 np.subtract(x, x0, out=var)
                 np.abs(var, out=var)

@@ -550,10 +550,10 @@ def test_upper_norming_v_array_call_is_the_scalar_loop(name):
 
 
 PINNED_CHUNG = {
-    "sin": "d559de61d2e35a8426c36d746a5e17e29d3daa9074b703ff3eb91b12437ccd7a",
-    "tanh": "10bdf3fdc93c81d9f9bc134ae79e9023dfc2f30fd6bc39901f96debeb892e835",
-    "local_min": "0b6944e1212892b3e5bc09ef3b255e689f9c2e32af8fe133b9872bd9d7212b0f",
-    "kink": "3447edcfecc88a1c34fd733d8eeab50bed4933c63ef2eea752f8a63e424cacbc",
+    "sin": "38fb1e8dca814feedea2af0aa79bf0045cc570da605ee2ebb0645dd0a419ce2f",
+    "tanh": "bbdff6190396add75ff3328071d38f054e34bf959604d487c611e73a22f0854d",
+    "local_min": "36aba549716c4811dd692776cdf64645933143b16ca14fbc98c05c116a414c9a",
+    "kink": "771d71641a702b2d1db9b1493cbc12e25fcfcb74ed93d8bc5d6cd79d2772234b",
 }
 
 

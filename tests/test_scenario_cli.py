@@ -234,15 +234,15 @@ EXAMPLE_SHA256 = {
     "05_upper_function_test.csv": "fca486f46dcd0669e8374a7d57c20662fc4f613fb58bb21e80d4ad454dc00197",
     "06_lower_tail_test.csv": "2f66ed0e68c707325f4dc2efa931a75cc0a993deeb15c0537e1e23ef5c6a4c6b",
     "07_symbol_liminf_test.csv": "7854308c28adb1c6ad238510d232429c50f93815df2943de46826bd937cfd402",
-    "08_simulate.csv": "7434b5fd9c35826f12054bd99723ac846031a89096f18f23f179e4945baa00f9",
-    "08_simulate_paths.jsonl": "e3d786d9c27615e87e681aa09e22635920d07c06ea7ecce9498d1c00524c3b2e",
+    "08_simulate.csv": "8df9ff2f19c96adf6325515b7bc030bc916d72f692d314eb18a9258cdc2b3bab",
+    "08_simulate_paths.jsonl": "1a81d5bae6a97c60ca103dff093dcd3babbc0bd0aef64b29ec82d5b30ff7351c",
     "09_sup_probability.csv": "daffc2245240bd8af4e4a01b2f5f48bb99c41c642703a05ba0d9fde4498d4c3c",
     "10_maximal_inequality.csv": "64903eb6d8bbd29a3d86cf669a911e35ed6977ed25a38fb0444949bb2939ce60",
     "11_spitzer.csv": "5ae45d4a5752d4b1218b8c8e6b587efa7efcbef28ea5013fbab483dd7b30233c",
     "12_etemadi.csv": "49e131eaa0cec2cc053cd248f320454984aa3ededbf08dd63b56e1379fa666c4",
-    "13_charfn_bound.csv": "bfb6f2daf57352522fa78b345697fcb66d93539d5c89ba4e4bf947adb9dadf8d",
+    "13_charfn_bound.csv": "d1af255e3ecd49ee69bb505fc2a2c0d2c9f7d3494790fcb7e6ce13a412013688",
     "14_chung_statistic.csv": "a8a5458e683ee22240af85c8ed19b641513f1eaf9e88c83561cc1a3b8a5900b0",
-    "report.json": "c0be8e60b25dbbd5cf6b741ce4ecdcb0f0126c8860ba89b07424831e9bb725db",
+    "report.json": "60be37ad9583305a721df927f0571c1fdd951d086c12d27fff7f774a350ece0d",
 }
 
 

@@ -4,6 +4,8 @@ import math
 import mmap
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -66,12 +68,17 @@ def test_grid_validation():
 # --------------------------------------------------------------------------
 
 def _cms_reference(u, w, alpha):
-    """The textbook Chambers-Mallows-Stuck formula, allocating every term."""
-    theta = np.pi * (u - 0.5)
+    """The Chambers-Mallows-Stuck formula with each trigonometric factor from
+    the tangent of half its angle, allocating every term."""
+    v = u - 0.5
     w = np.maximum(w, 1e-300)
-    t1 = np.sin(alpha * theta) / np.cos(theta) ** (1.0 / alpha)
-    t2 = (np.cos((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha)
-    return t1 * t2
+    t = np.tan(v * ((1.0 - alpha) * (np.pi / 2)))
+    cos_one_minus = (1.0 - t) * (1.0 + t) / ((1.0 + t * t) * w)   # over w
+    t = np.tan(v * (alpha * (np.pi / 2)))
+    sin_alpha = 2.0 * t / (1.0 + t * t)
+    t = np.tan(np.pi / 2 * np.minimum(u, 1.0 - u))
+    cos_theta = 2.0 * t / (1.0 + t * t)
+    return sin_alpha / cos_theta ** (1.0 / alpha) * cos_one_minus ** ((1.0 - alpha) / alpha)
 
 
 def _stable_sample(alpha, gen, n):
@@ -123,6 +130,32 @@ def test_cms_in_place_matches_textbook_formula(alpha):
     assert np.array_equal(out, want)
     alphas = np.linspace(alpha, 1.0, 1000)
     assert np.array_equal(_cms(u.copy(), w.copy(), alphas, out), _cms_reference(u, w, alphas))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 1.0, 1.5, 1.99])
+def test_cms_against_mpmath_at_the_exact_angle(alpha):
+    # the variate against the transform at the exact angle pi (u - 1/2),
+    # evaluated to 50 digits.  Bound, set before the first run: relative
+    # error at most 1e-12 at every draw, median at most 2 ulp.  u goes within
+    # 2^-20 ... 2^-45 of 0 and of 1, where cos(theta) of a rounded theta
+    # loses its relative accuracy; w reaches the 1e-300 floor.
+    import mpmath
+    gen = path_generator(11, 3)
+    u, w = gen.random(2000), gen.standard_exponential(2000)
+    tiny = 2.0 ** -np.arange(20, 46)
+    u[:26], u[26:52] = tiny, 1.0 - tiny
+    w[52:56] = [0.0, 1e-310, 1e-300, 2e-300]
+    got = _cms(u.copy(), w.copy(), alpha, np.empty(u.size))
+    a = mpmath.mpf(alpha)
+    want = np.empty(u.size)
+    with mpmath.workdps(50):
+        for i, (ui, wi) in enumerate(zip(u.tolist(), np.maximum(w, 1e-300).tolist())):
+            theta = mpmath.pi * (mpmath.mpf(ui) - 0.5)
+            want[i] = (mpmath.sin(a * theta) / mpmath.cos(theta) ** (1 / a)
+                       * (mpmath.cos((1 - a) * theta) / wi) ** ((1 - a) / a))
+    err = np.abs(got - want)
+    assert np.max(err / np.abs(want)) <= 1e-12
+    assert np.median(err / np.spacing(np.abs(want))) <= 2.0
 
 
 # --------------------------------------------------------------------------
@@ -799,15 +832,15 @@ GRID_GEOMETRIC_513 = ll.PathGrid(t_max=1.0, steps=512, layout="geometric", level
 # _ensemble_sha256 of ensembles made with one SeedSequence-built generator per path
 PINNED_STREAMS = {
     "stable_geometric": ((STABLE_15, 0.2, GRID_GEOMETRIC, 41, 23, None),
-                         "ce8cd34f3ae805d355d577ac86d4df100ebbfce835d9e874460d29b671f4bc48"),
+                         "cbf3840224afbd7d28a4243f8da3575f085557869105d52f16d2ee28712c78f0"),
     "stable_one_step": ((ll.SymmetricStableProcess(alpha=0.8, scale=2.0), 0.0,
                          ll.PathGrid(t_max=0.5, steps=1), 7, 9, None),
-                        "d0d4c1e2ee9b4aa2aaa496abd5187b9ad5c51634cf6aa0e1854216b19630be54"),
+                        "6465a861d14aac75a439d8a8268ef2547d3ac4cc6bc026a2a65bba041eacbae1"),
     "stable_recorded": ((STABLE_15, 0.0, ll.PathGrid(t_max=1.0, steps=64), 2 ** 64 + 1, 12,
                          [0.125, 0.5, 1.0]),
-                        "585a34a411f4aecd08f4c9ce840e1d959052ff28123a58765a33c79014133d21"),
+                        "aed79d1f92652040be467e76a4ce33de7010bfc5267e45c650e44709ad12369c"),
     "stable_seed_2^128": ((STABLE_15, 0.0, ll.PathGrid(t_max=1.0, steps=64), 2 ** 128, 5, None),
-                          "083ad4827cce5b9e41ef22802d84f53f3a93e4b62e6d0ab918259f87a77f155b"),
+                          "04ab0adbaf1034bb0fc44f3059019ea32079f83fcdf2ee337ad8b44da417ccea"),
     "compound_poisson": ((KINDS["compound_poisson"], 0.2, ll.PathGrid(t_max=1.0, steps=64),
                           41, 23, None),
                          "62cbe625a9404203b222d18ed2bbb276493049530ad46ab5c4618bf8fb6904b0"),
@@ -825,25 +858,25 @@ PINNED_STREAMS = {
     # the stable kernel's two running-sup branches: row-wise accumulate and
     # segment maxima
     "stable_every_2nd": ((STABLE_15, 0.3, ll.PathGrid(t_max=1.0, steps=64), 5, 23, EVERY_2ND_64),
-                         "1b5397433202e70fc03457e2fa8aeb53ece1f7f69c5e0576b9a5daaf7285e762"),
+                         "c26ed187dc2914689e359850fd94cfd9ada66c986f240dc550ddd541e31b05bf"),
     "stable_sparse_x0": ((STABLE_15, 0.3, GRID_256, 5, 23, SPARSE_256),
-                         "0f6e4f3a887365106c732453c2263f4292e56f82b4e2a95e005f704dc898c3d9"),
+                         "1b0ad4c838fff64ce76fc3295dfcbe7c85517fb695a39cec63745b2d3613de3c"),
     # exponentials from word n = 64, 513 and 1: n % 4 is 0, 1 and 1
     "stable_like_uniform_64": (
         (SL_SINUSOIDAL, 0.2, ll.PathGrid(t_max=1.0, steps=64), 41, 23, None),
-        "24ad61d6ae5a97244a3dd020ff8239cd61b274f65a9548359812b0a39a1593b2"),
+        "fabf610a01dabbbd4f5efd51787eb5d90471df07d20e707aa25aa08e51491e2f"),
     "stable_like_geometric_513": (
         (SL_SINUSOIDAL, 0.2, GRID_GEOMETRIC_513, 41, 9, None),
-        "05c25d5da107060b411bbe87c48e9d2be971073b74604e36d5598c89039ee272"),
+        "2ee11c3e9153f5a427991bdf92ec803983a95a6d668911d5688f87a39ce8b6ab"),
     "stable_like_one_step": (
         (SL_SINUSOIDAL, 0.2, ll.PathGrid(t_max=0.5, steps=1), 7, 9, None),
-        "f304e1ed09edf87b03af5c44b74483430d64019f6dee320d1f63d082e934f336"),
+        "f19b48f4e875ea0609c91eeb7ab4c6fb8e01edbea0bc1eded96538cd9693c685"),
     # at the default block size on two workers, 150 paths make two 75-path
     # blocks that fill a tile in 64 + 11 rows, and the 513 grid times make step
     # tiles of 256, 256 and 1
     "stable_like_geometric_513_150": (
         (SL_SINUSOIDAL, 0.2, GRID_GEOMETRIC_513, 41, 150, None),
-        "18bc409ca5a78641c24fa9860c4aeeaf0ca1a3be7c296949b00fa8a7b24fe7b0"),
+        "6b7bae9688c05030437c78bfb8a5890c2129b7084289d3cef64d75de2c7ef2ca"),
 }
 
 
@@ -855,6 +888,51 @@ def test_stream_bits_pinned(name, monkeypatch):
         ens = ll.simulate_ensemble(proc, x0, grid, seed, n, record_times=record,
                                    chunk_size=chunk_size)
         assert simulate._ensemble_sha256(ens) == digest
+
+
+WITHOUT_AVX512 = """
+import numpy as np
+import levylil as ll
+from levylil import simulate
+from numpy._core._multiarray_umath import __cpu_features__
+assert not __cpu_features__["X86_V4"]
+grid = ll.PathGrid(t_max=1.0, steps=64)
+sl = ll.StableLikeProcess(alpha=ll.SinusoidalProfile(center=1.4, amplitude=0.3),
+                          scale=ll.SinusoidalProfile(center=1.0, amplitude=0.5, frequency=3.0))
+for proc in (ll.SymmetricStableProcess(alpha=1.5), sl):
+    for record in (None, [0.125, 0.5, 1.0]):
+        digests = set()
+        for workers in (1, 2):
+            simulate._WORKERS = workers
+            for chunk in (1, 7, None):
+                ens = ll.simulate_ensemble(proc, 0.2, grid, 41, 23, record_times=record,
+                                           chunk_size=chunk)
+                digests.add(simulate._ensemble_sha256(ens))
+        assert len(digests) == 1, (proc, record)
+for alpha, scale in ((1.5, 1.0), (0.8, 2.0), (1.9, 0.7)):
+    for workers in (1, 2):
+        simulate._WORKERS = workers
+        a, b = (ll.simulate_ensemble(proc, 0.0, grid, 12, 40, chunk_size=16)
+                for proc in (ll.SymmetricStableProcess(alpha=alpha, scale=scale),
+                             ll.StableLikeProcess(alpha=ll.ConstantProfile(alpha),
+                                                  scale=ll.ConstantProfile(scale))))
+        assert np.array_equal(a.positions, b.positions), (alpha, workers)
+        assert np.array_equal(a.running_sup, b.running_sup), (alpha, workers)
+print("ok")
+"""
+
+
+def test_stream_bits_independent_of_blocks_and_workers_without_avx512():
+    # with AVX-512 dispatch off, numpy's float64 tan and power run on other
+    # code, so the pinned digests do not hold; blocks, workers and the
+    # kernel equality at x0 = 0 still must
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", WITHOUT_AVX512], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "ok"
 
 
 def test_low_rate_compound_poisson_paths_leave_odd_words():
@@ -875,7 +953,7 @@ def test_example_manifest_hash_pinned(tmp_path):
                  out=str(tmp_path))
     (manifest,) = tmp_path.glob("*_simulate_paths.jsonl")
     assert (json.loads(manifest.read_text())["sha256"]
-            == "1c91995d4c2c92d63f667b122e38d9737a6bc72ceb9ce6a56c5b3c84501e03c9")
+            == "4edd843cda1510e40da13cd57f33140726d588d05ec528f402a19782ceb80706")
 
 
 # --------------------------------------------------------------------------
