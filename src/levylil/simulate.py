@@ -342,7 +342,7 @@ class _KeySeq(np.random.bit_generator.ISeedSequence):
         return self.key
 
 
-def _cms(u, w, alpha, out, tmp=None):
+def _cms(u, w, alpha, out, tmp):
     """Chambers-Mallows-Stuck transform for symmetric stable variates, in place:
     with theta = pi (u - 1/2),
 
@@ -350,10 +350,9 @@ def _cms(u, w, alpha, out, tmp=None):
             * (cos((1 - alpha) theta) / w)^((1 - alpha) / alpha).
 
     u uniform on [0,1), w standard exponential; alpha a scalar or an array
-    matched elementwise (state-dependent stepping).  Overwrites u, w and
-    ``tmp`` (new if not given); S goes into ``out``, which it returns.
-    ``**=`` keeps numpy's sqrt and square fast paths for a scalar exponent of
-    0.5 or 2.
+    matched elementwise (state-dependent stepping).  Overwrites u, w and the
+    scratch ``tmp``; S goes into ``out``, which it returns.  ``**=`` keeps
+    numpy's sqrt and square fast paths for a scalar exponent of 0.5 or 2.
 
     The two halves can be called apart: ``_cms_prepare`` does not depend on
     alpha, so the stable-like kernel runs it once per tile of draws.
@@ -361,7 +360,7 @@ def _cms(u, w, alpha, out, tmp=None):
     _cms_prepare(u, w)
     one_minus = 1.0 - alpha
     return _cms_finish(u, w, alpha * (np.pi / 2), one_minus * (np.pi / 2), one_minus / alpha,
-                       1.0 / alpha, out, np.empty_like(out) if tmp is None else tmp)
+                       1.0 / alpha, out, tmp)
 
 
 def _cms_prepare(u, w):

@@ -82,7 +82,7 @@ def _cms_reference(u, w, alpha):
 
 
 def _stable_sample(alpha, gen, n):
-    return _cms(gen.random(n), gen.standard_exponential(n), alpha, np.empty(n))
+    return _cms(gen.random(n), gen.standard_exponential(n), alpha, np.empty(n), np.empty(n))
 
 
 def test_stable_sampler_median_symmetric():
@@ -125,11 +125,12 @@ def test_cms_in_place_matches_textbook_formula(alpha):
     u, w = gen.random(1000), gen.standard_exponential(1000)
     w[:3] = 0.0    # the 1e-300 floor
     want = _cms_reference(u, w, alpha)
-    out = np.empty(1000)
-    assert _cms(u.copy(), w.copy(), alpha, out) is out
+    out, tmp = np.empty(1000), np.empty(1000)
+    assert _cms(u.copy(), w.copy(), alpha, out, tmp) is out
     assert np.array_equal(out, want)
     alphas = np.linspace(alpha, 1.0, 1000)
-    assert np.array_equal(_cms(u.copy(), w.copy(), alphas, out), _cms_reference(u, w, alphas))
+    assert np.array_equal(_cms(u.copy(), w.copy(), alphas, out, tmp),
+                          _cms_reference(u, w, alphas))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 1.0, 1.5, 1.99])
@@ -145,7 +146,7 @@ def test_cms_against_mpmath_at_the_exact_angle(alpha):
     tiny = 2.0 ** -np.arange(20, 46)
     u[:26], u[26:52] = tiny, 1.0 - tiny
     w[52:56] = [0.0, 1e-310, 1e-300, 2e-300]
-    got = _cms(u.copy(), w.copy(), alpha, np.empty(u.size))
+    got = _cms(u.copy(), w.copy(), alpha, np.empty(u.size), np.empty(u.size))
     a = mpmath.mpf(alpha)
     want = np.empty(u.size)
     with mpmath.workdps(50):
