@@ -28,7 +28,7 @@ from .simulate import (CompoundPoissonProcess, PathEnsemble, PathGrid, StableLik
                        SymmetricStableProcess, load_ensemble_jsonl, process_from_dict,
                        process_from_triplet, save_ensemble_jsonl, simulate_ensemble)
 from .symbols import (SectorEstimate, SymbolFamily, build_lower_envelope,
-                      build_symbol_family, check_integrability, eval_exponent, eval_pU,
-                      sector_estimate, stable_levy_constant, tail_mass)
+                      build_symbol_family, eval_exponent, eval_pU, sector_estimate,
+                      stable_levy_constant, tail_mass)
 
 __version__ = "0.1.0"

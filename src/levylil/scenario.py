@@ -41,20 +41,22 @@ class SchemaError(ValueError):
     """Scenario violates the published schema (CLI exit code 2)."""
 
 
-def _profile_branch(kind, cls):
-    """A profile object: its kind plus its dataclass fields, all numbers; the
-    fields without a default are required."""
+def _kind_branch(kind, cls, field_schemas):
+    """An object of a registered kind (a profile or a process): its kind plus
+    its dataclass fields, each with the schema of its annotated type in
+    ``field_schemas``; the fields without a default are required."""
     fields = dataclasses.fields(cls)
     return {"type": "object",
             "properties": {"kind": {"const": kind},
-                           **{f.name: {"type": "number"} for f in fields}},
+                           **{f.name: field_schemas[f.type] for f in fields}},
             "required": ["kind", *(f.name for f in fields
                                    if f.default is dataclasses.MISSING)],
             "additionalProperties": False}
 
 
-_PROFILE_SCHEMA = {"oneOf": [{"type": "number"},
-                             *(_profile_branch(k, c) for k, c in _PROFILE_KINDS.items())]}
+_NUMBER = {"type": "number"}
+_PROFILE_SCHEMA = {"oneOf": [_NUMBER, *(_kind_branch(k, c, {"float": _NUMBER})
+                                        for k, c in _PROFILE_KINDS.items())]}
 
 # [location, mass] pairs, of an atomic measure or a compound-Poisson process
 _ATOMS_SCHEMA = {"type": "array", "minItems": 1,
@@ -79,22 +81,9 @@ _MEASURE_SCHEMA = {
     ]
 }
 
-_PROCESS_SCHEMA = {
-    "oneOf": [
-        {"type": "object",
-         "properties": {"kind": {"const": "stable"},
-                        "alpha": {"type": "number"}, "scale": {"type": "number"}},
-         "required": ["kind", "alpha"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"kind": {"const": "stable_like"}, "alpha": _PROFILE_SCHEMA,
-                        "scale": _PROFILE_SCHEMA},
-         "required": ["kind", "alpha"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"kind": {"const": "compound_poisson"},
-                        "atoms": _ATOMS_SCHEMA, "path_drift": {"type": "number"}},
-         "required": ["kind", "atoms"], "additionalProperties": False},
-    ]
-}
+_PROCESS_SCHEMA = {"oneOf": [
+    _kind_branch(k, cls, {"float": _NUMBER, "Profile": _PROFILE_SCHEMA, "tuple": _ATOMS_SCHEMA})
+    for k, (cls, *_) in simulate._PROCESS_KINDS.items()]}
 
 _GRID_SCHEMA = {
     "type": "object",

@@ -1,5 +1,7 @@
 """Path simulation for symmetric stable, compound Poisson and stable-like
-processes, with running suprema and first exit times.
+processes, with running suprema and first exit times.  Each process kind is
+declared once, in ``_PROCESS_KINDS``: its class, whose typed fields give its
+dict form, and its block kernel with that kernel's fork and block-size rules.
 
 Randomness contract: every path owns a counter-based Philox stream keyed by
 (master seed, path index) through numpy's SeedSequence spawn keys.
@@ -30,8 +32,8 @@ import json
 import operator
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -117,8 +119,23 @@ class PathGrid:
 # processes
 # --------------------------------------------------------------------------
 
+# the dict form of a process field, by its annotated type: (reader, writer)
+_FIELD_FORMS = {"float": (float, float),
+                "Profile": (profile_from_dict, lambda profile: profile.to_dict()),
+                "tuple": (tuple, lambda atoms: [list(atom) for atom in atoms])}
+
+
+class ProcessSpec:
+    """A process of a kind in ``_PROCESS_KINDS``."""
+
+    def to_dict(self):
+        """Its ``kind``, then each dataclass field in the form its type names."""
+        return {"kind": _KIND_OF[type(self)],
+                **{f.name: _FIELD_FORMS[f.type][1](getattr(self, f.name)) for f in fields(self)}}
+
+
 @dataclass(frozen=True)
-class SymmetricStableProcess:
+class SymmetricStableProcess(ProcessSpec):
     """Levy process with characteristic exponent scale * |xi|^alpha."""
 
     alpha: float
@@ -135,12 +152,9 @@ class SymmetricStableProcess:
         return StableLikeProcess(ConstantProfile(self.alpha),
                                  ConstantProfile(self.scale)).levy_triplet
 
-    def to_dict(self):
-        return {"kind": "stable", "alpha": self.alpha, "scale": self.scale}
-
 
 @dataclass(frozen=True)
-class StableLikeProcess:
+class StableLikeProcess(ProcessSpec):
     """Feller process with local exponent scale(x) |xi|^alpha(x)."""
 
     alpha: Profile
@@ -159,10 +173,6 @@ class StableLikeProcess:
         return LevyTriplet(measure=PowerLawMeasure(
             alpha=self.alpha, coefficient=_StableCoefficient(self.alpha, self.scale)))
 
-    def to_dict(self):
-        return {"kind": "stable_like", "alpha": self.alpha.to_dict(),
-                "scale": self.scale.to_dict()}
-
 
 def _small_jump_mean(atoms):
     """m1 = int_{|y|<=1} y nu(dy), the mean of the compensated small jumps."""
@@ -178,7 +188,7 @@ class _CompensatedDrift(ConstantProfile):
 
 
 @dataclass(frozen=True)
-class CompoundPoissonProcess:
+class CompoundPoissonProcess(ProcessSpec):
     """Finite-activity jump process: atoms plus a deterministic path drift."""
 
     atoms: tuple
@@ -200,25 +210,13 @@ class CompoundPoissonProcess:
     def rate(self):
         return sum(m for _, m in self.atoms)
 
-    def to_dict(self):
-        return {"kind": "compound_poisson", "atoms": [[l, m] for l, m in self.atoms],
-                "path_drift": self.path_drift}
-
-
-ProcessSpec = Union[SymmetricStableProcess, StableLikeProcess, CompoundPoissonProcess]
-
 
 def process_from_dict(d) -> ProcessSpec:
-    kind = d.get("kind")
-    if kind == "stable":
-        return SymmetricStableProcess(alpha=float(d["alpha"]), scale=float(d.get("scale", 1.0)))
-    if kind == "stable_like":
-        scale = profile_from_dict(d["scale"]) if "scale" in d else ConstantProfile(1.0)
-        return StableLikeProcess(alpha=profile_from_dict(d["alpha"]), scale=scale)
-    if kind == "compound_poisson":
-        return CompoundPoissonProcess(atoms=tuple((a[0], a[1]) for a in d["atoms"]),
-                                      path_drift=d.get("path_drift", 0.0))
-    raise ValueError(f"unknown process kind {kind!r}")
+    """The inverse of ``to_dict``; a field left out takes its default."""
+    if d.get("kind") not in _PROCESS_KINDS:
+        raise ValueError(f"unknown process kind {d.get('kind')!r}")
+    cls = _PROCESS_KINDS[d["kind"]][0]
+    return cls(**{f.name: _FIELD_FORMS[f.type][0](d[f.name]) for f in fields(cls) if f.name in d})
 
 
 def process_from_triplet(triplet: LevyTriplet) -> ProcessSpec:
@@ -481,8 +479,9 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
     one and forked children, which write their rows straight into
     ``positions`` and ``running_sup``, the two halves of one shared anonymous
     mapping.  Elsewhere, and always for compound Poisson, the kernel runs on
-    one worker.  Neither the block size nor the worker count changes any bit
-    of the result.  A float ``master_seed``, even 1.0, raises TypeError.
+    one worker.  An ensemble that no child writes lies in private memory.
+    Neither the block size nor the worker count changes any bit of the
+    result.  A float ``master_seed``, even 1.0, raises TypeError.
     """
     master_seed = operator.index(master_seed)
     times = grid.times()
@@ -497,15 +496,8 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
         rec_idx = np.array([_grid_index(times, t) for t in record_times], dtype=int)
         if np.any(np.diff(rec_idx) <= 0):
             raise ValueError("record_times must be strictly increasing grid times")
-    shape = (2, n_paths, rec_idx.size)
-    if _FORK and n_paths and rec_idx.size:
-        import mmap   # kept off the import of levylil
-        shared = mmap.mmap(-1, 8 * np.prod(shape))   # MAP_SHARED | MAP_ANONYMOUS
-        positions, running_sup = np.frombuffer(shared).reshape(shape)
-    else:
-        positions, running_sup = np.empty(shape)
-    _simulate_into(process, x0, times, rec_idx, master_seed, positions, running_sup,
-                   chunk_size)
+    positions, running_sup = _simulate_into(process, x0, times, rec_idx, master_seed, n_paths,
+                                            chunk_size)
     return PathEnsemble(process=process, grid=grid, x0=x0, master_seed=master_seed,
                         times=times[rec_idx], positions=positions, running_sup=running_sup,
                         recorded=rec_idx.size != times.size)
@@ -536,52 +528,47 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _FORK = sys.platform.startswith("linux")
 
 
-def _simulate_into(process, x0, times, rec_idx, master_seed, positions, running_sup,
-                   chunk_size=None):
-    """Fill ``positions`` and ``running_sup`` (row i is path i) at the grid
-    columns ``rec_idx``.  Each path reads only its own stream, so any split
+def _simulate_into(process, x0, times, rec_idx, master_seed, n, chunk_size=None):
+    """``positions`` and ``running_sup`` of n paths (row i is path i) at the
+    grid columns ``rec_idx``, from the block kernel of the process's kind in
+    ``_PROCESS_KINDS``.  Each path reads only its own stream, so any split
     of the rows into blocks, and of the blocks over workers, gives the same
     bits.
 
-    Each kernel call takes the Philox keys of its blocks from
-    ``_philox_keys``: the stable and compound-Poisson kernels re-key one
-    ``Generator`` from path to path, the stable-like kernel builds two per
-    path of a block from ``_KeySeq``, one at each end of its draws.
-
     On Linux worker ``i`` of ``_WORKERS`` takes blocks i, i + workers, ...
-    of the stable and stable-like kernels, and every worker but this process
-    is a forked child (``_forked``), so both arrays must lie in a shared
-    mapping.  Processes, not threads: the stable-like kernel runs about 30
-    short ufuncs per step, whose GIL hand-offs made two threads slower than
-    one, and the stable kernel's 2-D cumsum, accumulate and reduceat hold the
-    GIL.  The stable-like blocks shrink to share the paths over the workers.
-    Compound Poisson runs per-path Python in this process.
+    of a kind whose kernel forks, and every worker but this process is a
+    forked child (``_forked``), so the arrays are then allocated in one
+    shared mapping, else in private memory.  Processes, not threads: the
+    stable-like kernel runs about 30 short ufuncs per step, whose GIL
+    hand-offs made two threads slower than one, and the stable kernel's 2-D
+    cumsum, accumulate and reduceat hold the GIL.  The stable-like blocks
+    shrink to share the paths over the workers.  Compound Poisson runs
+    per-path Python in this process.
     """
-    n = positions.shape[0]
-    block_rows = max(1, _BLOCK_POINTS // times.size)
-    workers = _WORKERS if _FORK else 1
-    if isinstance(process, SymmetricStableProcess):
-        kernel, name = _stable_blocks, "stable"
-    elif isinstance(process, CompoundPoissonProcess):
-        kernel, name, workers = _compound_poisson_blocks, "compound-Poisson", 1
-    elif isinstance(process, StableLikeProcess):
-        kernel, name = _stable_like_blocks, "stable-like"
-        block_rows = max(1, min(_STEP_LOOP_ROWS, -(-n // workers)))
-    else:
+    kind = _KIND_OF.get(type(process))
+    if kind is None:
         raise TypeError(f"unknown process type {type(process).__name__}")
+    _, kernel, forks, rows = _PROCESS_KINDS[kind]
+    workers = _WORKERS if _FORK and forks else 1
     if chunk_size is None:
-        chunk_size = block_rows
+        chunk_size = rows(n, times.size, workers)
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     blocks = [(b, min(b + chunk_size, n)) for b in range(0, n, chunk_size)]
-    if not blocks or not rec_idx.size:
-        return
-    workers = min(workers, len(blocks))
+    workers = min(workers, len(blocks)) if rec_idx.size else 0
+    shape = (2, n, rec_idx.size)
+    if workers > 1:
+        import mmap   # kept off the import of levylil; mmap(-1, size) is shared, anonymous
+        positions, running_sup = np.frombuffer(mmap.mmap(-1, 8 * np.prod(shape))).reshape(shape)
+    else:
+        positions, running_sup = np.empty(shape)
     args = (process, x0, times, rec_idx, master_seed, positions, running_sup)
     if workers == 1:
         kernel(*args, blocks)
-    else:
-        _forked(kernel, name, args, [blocks[i::workers] for i in range(workers)])
+    elif workers:
+        _forked(kernel, kind.replace("_", "-"), args,
+                [blocks[i::workers] for i in range(workers)])
+    return positions, running_sup
 
 
 def _note(exc, text):
@@ -868,6 +855,21 @@ def _stable_like_blocks(process, x0, times, rec_idx, master_seed, positions, run
                 if k in slot:
                     positions[start:stop, slot[k]] = x
                     running_sup[start:stop, slot[k]] = dev
+
+
+def _grid_rows(n, points, workers):
+    return max(1, _BLOCK_POINTS // points)
+
+
+# every process kind by its dict ``kind``, in schema order: (class, block kernel,
+# whether the kernel forks, default paths per block rows(n_paths, grid_points, workers))
+_PROCESS_KINDS = {
+    "stable": (SymmetricStableProcess, _stable_blocks, True, _grid_rows),
+    "stable_like": (StableLikeProcess, _stable_like_blocks, True,
+                    lambda n, points, workers: max(1, min(_STEP_LOOP_ROWS, -(-n // workers)))),
+    "compound_poisson": (CompoundPoissonProcess, _compound_poisson_blocks, False, _grid_rows),
+}
+_KIND_OF = {cls: kind for kind, (cls, *_) in _PROCESS_KINDS.items()}
 
 
 # --------------------------------------------------------------------------

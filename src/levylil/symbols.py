@@ -243,11 +243,6 @@ def eval_pU(measure: MeasureSpec, x: float, xi: float, *, method: str = "auto") 
     return float(total)
 
 
-def check_integrability(measure: MeasureSpec, x: float = 0.0) -> float:
-    """int min(1, y^2) nu(x, dy), which is p^U(x, 1) and must be finite."""
-    return eval_pU(measure, x, 1.0)
-
-
 def _pu_power_law_quadrature(measure, x, axi):
     a = measure.alpha_at(x)
     c = measure.coeff_at(x)

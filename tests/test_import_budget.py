@@ -1,9 +1,9 @@
 """Importing the package loads numpy and the standard library only; scipy and
 jsonschema load on first use, in the same interpreter, and the power-law p^U
 quadrature does not use scipy.  ``concurrent.futures`` loads with the first
-per-time summary of a simulate analysis, ``mmap`` with the first simulation
-on Linux, and the other modules of the forked workers with the first forked
-simulation, not at import."""
+per-time summary of a simulate analysis, and ``mmap`` and the other modules
+of the forked workers with the first forked simulation (on Linux), not at
+import."""
 
 import os
 import subprocess

@@ -651,9 +651,9 @@ def test_simulate_analysis_memory_stays_at_the_ensemble(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # positions and running_sup; on Linux they lie in a shared mapping, which
-    # tracemalloc does not see, so any copy of them would show
-    ensemble_bytes = 0 if simulate._FORK else 2 * n * steps * 8
+    # positions and running_sup: one worker forks no child, so they are
+    # private memory, which tracemalloc sees; any copy of them would show
+    ensemble_bytes = 2 * n * steps * 8
     assert peak < ensemble_bytes + 8 * 2 ** 20, (peak, ensemble_bytes)
 
 

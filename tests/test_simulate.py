@@ -352,9 +352,14 @@ def test_stable_like_processes_stress_and_empty_ensemble(monkeypatch):
     assert ll.simulate_ensemble(SL_SINUSOIDAL, 0.0, GRID_256, 6, 0).positions.shape == (0, 256)
 
 
-# the kernels that fork: their names in simulate and in failure notes
-FORKED_KERNELS = {"stable": ("_stable_blocks", "stable kernel"),
-                  "stable_like": ("_stable_like_blocks", "stable-like kernel")}
+# the kinds whose kernels fork, and their kernels' names in failure notes
+FORKED_KERNELS = {"stable": "stable kernel", "stable_like": "stable-like kernel"}
+
+
+def _with_kernel(kind, kernel):
+    """The registry entry of ``kind`` with its block kernel replaced."""
+    cls, _, *rest = simulate._PROCESS_KINDS[kind]
+    return (cls, kernel, *rest)
 
 
 @pytest.mark.parametrize("kind, failing", [("stable_like", "child"), ("stable_like", "parent"),
@@ -365,10 +370,11 @@ def test_stable_like_worker_failure_raises_and_leaves_no_child(kind, failing, mo
     # [10, 15) and [20, 23), the forked child [5, 10) and [15, 20)
     monkeypatch.setattr(simulate, "_WORKERS", 2)
     grid = ll.PathGrid(t_max=1.0, steps=64)
-    proc, (attr, name) = KINDS[kind], FORKED_KERNELS[kind]
+    proc, name = KINDS[kind], FORKED_KERNELS[kind]
     ref = ll.simulate_ensemble(proc, 0.2, grid, 41, 23, chunk_size=5)
     assert_no_child_left()
-    kernel = getattr(simulate, attr)
+    entry = simulate._PROCESS_KINDS[kind]
+    kernel = entry[1]
     fail_at, rows = {"child": (15, "[5, 10), [15, 20)"),
                      "parent": (10, "[0, 5), [10, 15), [20, 23)")}[failing]
 
@@ -379,7 +385,7 @@ def test_stable_like_worker_failure_raises_and_leaves_no_child(kind, failing, mo
             time.sleep(60)   # a child still at work when this process fails is killed
         kernel(*args, parent=parent)
 
-    monkeypatch.setattr(simulate, attr, failing_kernel)
+    monkeypatch.setitem(simulate._PROCESS_KINDS, kind, _with_kernel(kind, failing_kernel))
     started = time.perf_counter()
     with pytest.raises(FloatingPointError, match=f"injected at row {fail_at}") as info:
         ll.simulate_ensemble(proc, 0.2, grid, 41, 23, chunk_size=5)
@@ -389,7 +395,7 @@ def test_stable_like_worker_failure_raises_and_leaves_no_child(kind, failing, mo
     if failing == "child":
         assert "worker process" in note and "injected at row 15" in note   # its traceback
     assert_no_child_left()
-    monkeypatch.setattr(simulate, attr, kernel)
+    monkeypatch.setitem(simulate._PROCESS_KINDS, kind, entry)
     ens = ll.simulate_ensemble(proc, 0.2, grid, 41, 23, chunk_size=5)
     assert np.array_equal(ens.positions, ref.positions)
     assert np.array_equal(ens.running_sup, ref.running_sup)
@@ -500,15 +506,15 @@ def test_stable_like_worker_exception_that_cannot_be_pickled(monkeypatch):
     class LocalError(Exception):
         pass
 
-    for kind, (attr, name) in FORKED_KERNELS.items():
-        kernel = getattr(simulate, attr)
+    for kind, name in FORKED_KERNELS.items():
+        kernel = simulate._PROCESS_KINDS[kind][1]
 
         def failing_kernel(*args, parent=None, kernel=kernel):
             if parent is not None:
                 raise LocalError("raised in the child")
             kernel(*args)
 
-        monkeypatch.setattr(simulate, attr, failing_kernel)
+        monkeypatch.setitem(simulate._PROCESS_KINDS, kind, _with_kernel(kind, failing_kernel))
         with pytest.raises(RuntimeError, match="exited with status 1") as info:
             ll.simulate_ensemble(KINDS[kind], 0.2, GRID_256, 41, 8, chunk_size=4)
         note = "\n".join(info.value.__notes__)
@@ -574,7 +580,8 @@ def _mapping_of(arr):
 @pytest.mark.parametrize("kind", ["stable", "stable_like"])
 def test_forked_workers_write_into_the_ensembles_mapping(kind, record, monkeypatch):
     # the children write their rows into the arrays the ensemble holds, the
-    # two halves of one shared mapping: no copy comes back
+    # two halves of one shared mapping: no copy comes back.  One worker forks
+    # no child, so its arrays are private memory.
     grid = ll.PathGrid(t_max=1.0, steps=64)
     forked, calls = simulate._forked, []
 
@@ -589,6 +596,9 @@ def test_forked_workers_write_into_the_ensembles_mapping(kind, record, monkeypat
         runs[workers] = ens = ll.simulate_ensemble(KINDS[kind], 0.3, grid, 5, 23,
                                                    record_times=record, chunk_size=4)
         mapping = _mapping_of(ens.positions)
+        if workers == 1:
+            assert mapping is None and _mapping_of(ens.running_sup) is None
+            continue
         assert isinstance(mapping, mmap.mmap) and _mapping_of(ens.running_sup) is mapping
         assert ens.running_sup.ctypes.data == ens.positions.ctypes.data + ens.positions.nbytes
         assert len(mapping) == 2 * ens.positions.nbytes
@@ -756,21 +766,32 @@ def test_process_from_triplet_stable():
 M_SIN_STATE = ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(center=1.5, amplitude=0.3))
 
 
-def test_process_dict_roundtrip():
-    for proc in (STABLE_15,
-                 ll.CompoundPoissonProcess(atoms=((1.0, 1.0),), path_drift=-0.5),
-                 ll.StableLikeProcess(alpha=ll.TanhRampProfile(center=1.2, amplitude=0.2))):
-        q = ll.process_from_dict(proc.to_dict())
-        assert q.to_dict() == proc.to_dict()
+@pytest.mark.parametrize("kind", list(simulate._PROCESS_KINDS))
+def test_process_dict_roundtrip(kind):
+    proc = KINDS[kind]
+    q = ll.process_from_dict(proc.to_dict())
+    assert q.to_dict() == proc.to_dict()
+    assert q == proc and proc.to_dict()["kind"] == kind
+
+
+# every registered kind, with each number of its dict form an integer
+INTEGER_SPELLED = {
+    "stable": {"kind": "stable", "alpha": 1, "scale": 2},
+    "stable_like": {"kind": "stable_like", "alpha": 1, "scale": 2},
+    "compound_poisson": {"kind": "compound_poisson", "atoms": [[1, 3], [-2, 1]], "path_drift": 1},
+}
 
 
 def test_integer_stable_alpha_hashes_like_float():
+    # a law spelled with integers is the law spelled with floats: one spec
+    # hash, the same paths
+    assert list(INTEGER_SPELLED) == list(simulate._PROCESS_KINDS)
     grid = ll.PathGrid(t_max=0.5, steps=16)
-    ens = [ll.simulate_ensemble(ll.process_from_dict({"kind": "stable", "alpha": a, "scale": s}),
-                                0.0, grid, 5, 3)
-           for a, s in ((1, 2), (1.0, 2.0))]
-    assert ens[0].metadata()["spec_hash"] == ens[1].metadata()["spec_hash"]
-    assert np.array_equal(ens[0].positions, ens[1].positions)
+    for kind, spelled in INTEGER_SPELLED.items():
+        ens = [ll.simulate_ensemble(ll.process_from_dict(d), 0.0, grid, 5, 3)
+               for d in (spelled, json.loads(json.dumps(spelled), parse_int=float))]
+        assert ens[0].metadata()["spec_hash"] == ens[1].metadata()["spec_hash"], kind
+        assert np.array_equal(ens[0].positions, ens[1].positions), kind
 
 
 # --------------------------------------------------------------------------
@@ -984,8 +1005,11 @@ def test_jsonl_roundtrip(tmp_path):
         ll.simulate_ensemble(ll.CompoundPoissonProcess(atoms=((1.0, 2.0), (-0.5, 1.0)),
                                                        path_drift=0.1),
                              -1.0, ll.PathGrid(t_max=2.0, steps=64), 3, 4),
+        # an integer scale: the manifest holds 2.0, the float the reload reads
+        ll.simulate_ensemble(ll.SymmetricStableProcess(1.5, 2), 0.0,
+                             ll.PathGrid(t_max=0.5, steps=16), 4, 3),
     ]
-    assert [e.recorded for e in cases] == [False, True, False]
+    assert [e.recorded for e in cases] == [False, True, False, False]
     for i, ens in enumerate(cases):
         path = tmp_path / f"{i}_paths.jsonl"
         ll.save_ensemble_jsonl(ens, path, {"scenario_hash": "abc"})
