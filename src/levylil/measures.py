@@ -13,23 +13,73 @@ R \\ {0}.  Three variants are supported:
 Coefficients that vary with x are expressed through a small set of named
 profiles (constant, affine-clamped, sinusoidal, tanh-ramp); there is no
 general expression parser.
+
+Profiles, measure variants and processes share one dict form: a class
+declared under its tag in its family's registry (``_PROFILE_KINDS``,
+``_MEASURE_VARIANTS``, ``simulate._PROCESS_KINDS``) writes and reads each
+field in the form ``_FIELD_FORMS`` gives its annotated type.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+# the declared field types besides float and Profile, keys of _FIELD_FORMS
+Atoms = tuple          # ((location, mass), ...)
+Samples = tuple        # one float per grid knot
+Coefficient = object   # a Profile, "normalized" or a process's _StableCoefficient
+
+_TAG_OF = {}   # each declared class -> its tag in its family's registry
+
+
+def _declare(registry):
+    """Enter ``registry`` (tag -> class, in schema order) in ``_TAG_OF``."""
+    _TAG_OF.update({cls: tag for tag, cls in registry.items()})
+    return registry
+
+
+class _Declared:
+    """A frozen dataclass declared in a registry, its tag under ``_key``."""
+
+    _key = "kind"
+
+    def to_dict(self):
+        """Its tag, then each field not None in the form of its type; a
+        subclass of a declared class writes as that class."""
+        cls = next(c for c in type(self).__mro__ if c in _TAG_OF)
+        return {self._key: _TAG_OF[cls],
+                **{f.name: _FIELD_FORMS[f.type][1](v) for f in fields(cls)
+                   if (v := getattr(self, f.name)) is not None}}
+
+
+def _from_dict(registry, d, what):
+    """The inverse of ``to_dict`` over ``registry``, whose classes derive from
+    ``what``; a field left out takes its default.  ValueError naming an
+    unknown tag or field."""
+    key = what._key
+    tag = d.get(key)
+    if tag not in registry:
+        raise ValueError(f"unknown {what.__name__} {key} {tag!r}")
+    forms = {f.name: _FIELD_FORMS[f.type][0] for f in fields(registry[tag])}
+    unknown = sorted(d.keys() - forms.keys() - {key})
+    if unknown:
+        raise ValueError(f"{what.__name__} {key} {tag!r} has no field {unknown[0]!r}")
+    return registry[tag](**{k: forms[k](v) for k, v in d.items() if k != key})
 
 
 # --------------------------------------------------------------------------
 # coefficient profiles
 # --------------------------------------------------------------------------
 
+class Profile(_Declared):
+    """A coefficient profile of a kind in ``_PROFILE_KINDS``."""
+
+
 @dataclass(frozen=True)
-class ConstantProfile:
+class ConstantProfile(Profile):
     value: float
 
     def __call__(self, x):
@@ -45,12 +95,9 @@ class ConstantProfile:
     def is_constant(self):
         return True
 
-    def to_dict(self):
-        return {"kind": "constant", "value": self.value}
-
 
 @dataclass(frozen=True)
-class AffineClampedProfile:
+class AffineClampedProfile(Profile):
     """clip(intercept + slope * x, lo, hi)."""
 
     intercept: float
@@ -78,13 +125,21 @@ class AffineClampedProfile:
     def is_constant(self):
         return self.slope == 0.0 or self.lo == self.hi
 
-    def to_dict(self):
-        return {"kind": "affine_clamped", "intercept": self.intercept,
-                "slope": self.slope, "lo": self.lo, "hi": self.hi}
+
+class _WaveProfile(Profile):
+    """center + amplitude * w(x) with w in [-1, 1]."""
+
+    def bounds(self):
+        a = abs(self.amplitude)
+        return (self.center - a, self.center + a)
+
+    @property
+    def is_constant(self):
+        return self.amplitude == 0.0
 
 
 @dataclass(frozen=True)
-class SinusoidalProfile:
+class SinusoidalProfile(_WaveProfile):
     """center + amplitude * sin(frequency * x + phase)."""
 
     center: float
@@ -100,21 +155,9 @@ class SinusoidalProfile:
         x = np.asarray(x, dtype=float)
         return self.amplitude * self.frequency * np.cos(self.frequency * x + self.phase)
 
-    def bounds(self):
-        a = abs(self.amplitude)
-        return (self.center - a, self.center + a)
-
-    @property
-    def is_constant(self):
-        return self.amplitude == 0.0
-
-    def to_dict(self):
-        return {"kind": "sinusoidal", "center": self.center, "amplitude": self.amplitude,
-                "frequency": self.frequency, "phase": self.phase}
-
 
 @dataclass(frozen=True)
-class TanhRampProfile:
+class TanhRampProfile(_WaveProfile):
     """center + amplitude * tanh(rate * (x - x0))."""
 
     center: float
@@ -131,46 +174,20 @@ class TanhRampProfile:
         sech2 = 1.0 / np.cosh(self.rate * (x - self.x0)) ** 2
         return self.amplitude * self.rate * sech2
 
-    def bounds(self):
-        a = abs(self.amplitude)
-        return (self.center - a, self.center + a)
 
-    @property
-    def is_constant(self):
-        return self.amplitude == 0.0
-
-    def to_dict(self):
-        d = {"kind": "tanh_ramp", "center": self.center, "amplitude": self.amplitude,
-             "rate": self.rate}
-        if self.x0 != 0.0:
-            d["x0"] = self.x0
-        return d
-
-
-Profile = Union[ConstantProfile, AffineClampedProfile, SinusoidalProfile, TanhRampProfile]
-
-_PROFILE_KINDS = {
+_PROFILE_KINDS = _declare({
     "constant": ConstantProfile,
     "affine_clamped": AffineClampedProfile,
     "sinusoidal": SinusoidalProfile,
     "tanh_ramp": TanhRampProfile,
-}
+})
 
 
 def profile_from_dict(d) -> Profile:
+    """The inverse of ``to_dict``; a number is a constant profile, a profile itself."""
     if isinstance(d, (int, float)):
         return ConstantProfile(float(d))
-    kind = d.get("kind")
-    if kind not in _PROFILE_KINDS:
-        raise ValueError(f"unknown profile kind {kind!r}")
-    kwargs = {k: v for k, v in d.items() if k != "kind"}
-    return _PROFILE_KINDS[kind](**kwargs)
-
-
-def _as_profile(p) -> Profile:
-    if isinstance(p, (int, float)):
-        return ConstantProfile(float(p))
-    return p
+    return _from_dict(_PROFILE_KINDS, d, Profile) if isinstance(d, dict) else d
 
 
 # --------------------------------------------------------------------------
@@ -180,8 +197,16 @@ def _as_profile(p) -> Profile:
 NORMALIZED = "normalized"
 
 
+class MeasureSpec(_Declared):
+    """A Levy measure of a variant in ``_MEASURE_VARIANTS``; unless its
+    variant says otherwise, it does not depend on x and is symmetric."""
+
+    _key = "variant"
+    is_state_independent = is_symmetric = True
+
+
 @dataclass(frozen=True)
-class PowerLawMeasure:
+class PowerLawMeasure(MeasureSpec):
     """nu(x, dy) = c(x) |y|^(-1-alpha(x)) dy on R \\ {0}.
 
     ``coefficient`` is either a positive profile or the sentinel
@@ -190,15 +215,15 @@ class PowerLawMeasure:
     """
 
     alpha: Profile
-    coefficient: object = NORMALIZED   # Profile | "normalized"
+    coefficient: Coefficient = NORMALIZED
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_profile(self.alpha))
+        object.__setattr__(self, "alpha", profile_from_dict(self.alpha))
         lo, hi = self.alpha.bounds()
         if not (0.0 < lo <= hi < 2.0):
             raise ValueError(f"alpha profile range [{lo}, {hi}] must be inside (0, 2)")
         if self.coefficient != NORMALIZED:
-            object.__setattr__(self, "coefficient", _as_profile(self.coefficient))
+            object.__setattr__(self, "coefficient", profile_from_dict(self.coefficient))
             clo, _ = self.coefficient.bounds()
             if clo <= 0.0:
                 raise ValueError("coefficient profile must be positive")
@@ -208,10 +233,6 @@ class PowerLawMeasure:
         if not self.alpha.is_constant:
             return False
         return self.coefficient == NORMALIZED or self.coefficient.is_constant
-
-    @property
-    def is_symmetric(self):
-        return True
 
     def alpha_at(self, x):
         return float(self.alpha(x))
@@ -230,16 +251,12 @@ class PowerLawMeasure:
         out = self.coefficient(x) * 4.0 / (a * (2.0 - a))
         return float(out) if np.ndim(out) == 0 else out
 
-    def to_dict(self):
-        coeff = NORMALIZED if self.coefficient == NORMALIZED else self.coefficient.to_dict()
-        return {"variant": "power_law", "alpha": self.alpha.to_dict(), "coefficient": coeff}
-
 
 @dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(MeasureSpec):
     """Finitely many atoms: nu = sum_j mass_j * delta_{loc_j}, loc_j != 0."""
 
-    atoms: tuple      # ((location, mass), ...)
+    atoms: Atoms
 
     def __post_init__(self):
         atoms = tuple((float(loc), float(mass)) for loc, mass in self.atoms)
@@ -251,10 +268,6 @@ class AtomicMeasure:
             if mass <= 0.0:
                 raise ValueError("atom masses must be positive")
         object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def is_state_independent(self):
-        return True
 
     @property
     def is_symmetric(self):
@@ -269,9 +282,6 @@ class AtomicMeasure:
 
     def masses(self):
         return np.array([m for _, m in self.atoms])
-
-    def to_dict(self):
-        return {"variant": "atomic", "atoms": [[loc, m] for loc, m in self.atoms]}
 
 
 def _panels(grid, dens):
@@ -293,7 +303,7 @@ def _panels(grid, dens):
 
 
 @dataclass(frozen=True)
-class TabulatedMeasure:
+class TabulatedMeasure(MeasureSpec):
     """Density samples on a strictly increasing log-spaced |y| grid.
 
     The samples are held as panels ``(y1, y2, A, b)``, which every integral
@@ -305,9 +315,9 @@ class TabulatedMeasure:
     symmetric, the samples describing both half-lines.
     """
 
-    grid: tuple
-    density: tuple
-    density_neg: tuple = None
+    grid: Samples
+    density: Samples
+    density_neg: Samples = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -333,10 +343,6 @@ class TabulatedMeasure:
         object.__setattr__(self, "_sides", sides)
 
     @property
-    def is_state_independent(self):
-        return True
-
-    @property
     def is_symmetric(self):
         return self.density_neg is None
 
@@ -345,33 +351,35 @@ class TabulatedMeasure:
         carries weight 2."""
         return self._sides
 
-    def to_dict(self):
-        d = {"variant": "tabulated", "grid": list(self.grid), "density": list(self.density)}
-        if self.density_neg is not None:
-            d["density_neg"] = list(self.density_neg)
-        return d
 
-
-MeasureSpec = Union[PowerLawMeasure, AtomicMeasure, TabulatedMeasure]
+_MEASURE_VARIANTS = _declare({
+    "power_law": PowerLawMeasure,
+    "atomic": AtomicMeasure,
+    "tabulated": TabulatedMeasure,
+})
 
 
 def measure_from_dict(d) -> MeasureSpec:
-    variant = d.get("variant")
-    if variant == "power_law":
-        coeff = d.get("coefficient", NORMALIZED)
-        if isinstance(coeff, dict) and coeff.get("kind") == "stable_coefficient":
-            from .symbols import _StableCoefficient   # a process's; no scenario names one
-            coeff = _StableCoefficient(profile_from_dict(coeff["alpha"]),
-                                       profile_from_dict(coeff["scale"]))
-        elif coeff != NORMALIZED:
-            coeff = profile_from_dict(coeff)
-        return PowerLawMeasure(alpha=profile_from_dict(d["alpha"]), coefficient=coeff)
-    if variant == "atomic":
-        return AtomicMeasure(atoms=tuple((a[0], a[1]) for a in d["atoms"]))
-    if variant == "tabulated":
-        return TabulatedMeasure(grid=tuple(d["grid"]), density=tuple(d["density"]),
-                                density_neg=tuple(d["density_neg"]) if "density_neg" in d else None)
-    raise ValueError(f"unknown measure variant {variant!r}")
+    """The inverse of ``to_dict``."""
+    return _from_dict(_MEASURE_VARIANTS, d, MeasureSpec)
+
+
+def _coefficient_from_dict(c):
+    """A power law's coefficient: "normalized", a stable one or a profile."""
+    if isinstance(c, dict) and c.get("kind") == "stable_coefficient":
+        from .symbols import _StableCoefficient   # a process's; no scenario names one
+        return _StableCoefficient(profile_from_dict(c["alpha"]), profile_from_dict(c["scale"]))
+    return c if c == NORMALIZED else profile_from_dict(c)
+
+
+# the dict form of a declared field, by its annotated type: (reader, writer)
+_FIELD_FORMS = {
+    "float": (float, float),
+    "Profile": (profile_from_dict, _Declared.to_dict),
+    "Atoms": (tuple, lambda atoms: [list(atom) for atom in atoms]),
+    "Samples": (tuple, list),
+    "Coefficient": (_coefficient_from_dict, lambda c: c if c == NORMALIZED else c.to_dict()),
+}
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +395,7 @@ class LevyTriplet:
     gaussian: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "drift", _as_profile(self.drift))
+        object.__setattr__(self, "drift", profile_from_dict(self.drift))
         if self.gaussian != 0.0:
             raise ValueError("diffusion part must be zero for this process class")
 

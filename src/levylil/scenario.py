@@ -2,7 +2,9 @@
 
 A scenario names one law (a ``process``, or a ``measure`` with an optional
 ``drift``; giving both exits 2 before any output), a grid, a master seed and
-a list of analyses.  Analyses execute in the fixed dependency order
+a list of analyses; the law's schema is derived from the registries of its
+profiles, measure variants and process kinds.  Analyses execute in the
+fixed dependency order
 
     symbol -> norming -> classify -> simulate -> verify
 
@@ -29,9 +31,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import classifiers, mc, norming, simulate, symbols
+from . import classifiers, mc, measures, norming, simulate, symbols
 from .errors import LevyLilError
-from .measures import _PROFILE_KINDS, LevyTriplet, measure_from_dict, profile_from_dict
+from .measures import LevyTriplet, measure_from_dict, profile_from_dict
 from .simulate import (_BLOCK_POINTS, PathGrid, SymmetricStableProcess, _atomic_write,
                        process_from_dict, process_from_triplet, save_ensemble_jsonl,
                        simulate_ensemble, spec_hash)
@@ -41,49 +43,35 @@ class SchemaError(ValueError):
     """Scenario violates the published schema (CLI exit code 2)."""
 
 
-def _kind_branch(kind, cls, field_schemas):
-    """An object of a registered kind (a profile or a process): its kind plus
-    its dataclass fields, each with the schema of its annotated type in
-    ``field_schemas``; the fields without a default are required."""
-    fields = dataclasses.fields(cls)
-    return {"type": "object",
-            "properties": {"kind": {"const": kind},
-                           **{f.name: field_schemas[f.type] for f in fields}},
-            "required": ["kind", *(f.name for f in fields
-                                   if f.default is dataclasses.MISSING)],
-            "additionalProperties": False}
+def _one_of(registry, *first):
+    """A family's schema: ``first``, then per class of ``registry`` (tag ->
+    class) an object of its tag plus its dataclass fields, each with the
+    schema of its annotated type in ``_FIELD_SCHEMAS``; the fields without a
+    default are required."""
+    branches = []
+    for tag, cls in registry.items():
+        fields = dataclasses.fields(cls)
+        branches.append({
+            "type": "object",
+            "properties": {cls._key: {"const": tag},
+                           **{f.name: _FIELD_SCHEMAS[f.type] for f in fields}},
+            "required": [cls._key, *(f.name for f in fields if f.default is dataclasses.MISSING)],
+            "additionalProperties": False})
+    return {"oneOf": [*first, *branches]}
 
 
 _NUMBER = {"type": "number"}
-_PROFILE_SCHEMA = {"oneOf": [_NUMBER, *(_kind_branch(k, c, {"float": _NUMBER})
-                                        for k, c in _PROFILE_KINDS.items())]}
-
-# [location, mass] pairs, of an atomic measure or a compound-Poisson process
-_ATOMS_SCHEMA = {"type": "array", "minItems": 1,
-                 "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                           "items": {"type": "number"}}}
-
-_MEASURE_SCHEMA = {
-    "oneOf": [
-        {"type": "object",
-         "properties": {"variant": {"const": "power_law"}, "alpha": _PROFILE_SCHEMA,
-                        "coefficient": {"oneOf": [{"const": "normalized"}, _PROFILE_SCHEMA]}},
-         "required": ["variant", "alpha"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"variant": {"const": "atomic"}, "atoms": _ATOMS_SCHEMA},
-         "required": ["variant", "atoms"], "additionalProperties": False},
-        {"type": "object",
-         "properties": {"variant": {"const": "tabulated"},
-                        "grid": {"type": "array", "items": {"type": "number"}},
-                        "density": {"type": "array", "items": {"type": "number"}},
-                        "density_neg": {"type": "array", "items": {"type": "number"}}},
-         "required": ["variant", "grid", "density"], "additionalProperties": False},
-    ]
-}
-
-_PROCESS_SCHEMA = {"oneOf": [
-    _kind_branch(k, cls, {"float": _NUMBER, "Profile": _PROFILE_SCHEMA, "tuple": _ATOMS_SCHEMA})
-    for k, (cls, *_) in simulate._PROCESS_KINDS.items()]}
+# the schema of a declared field, by its annotated type (measures._FIELD_FORMS)
+_FIELD_SCHEMAS = {"float": _NUMBER,
+                  "Samples": {"type": "array", "items": _NUMBER},
+                  # [location, mass] pairs, of an atomic measure or a compound-Poisson process
+                  "Atoms": {"type": "array", "minItems": 1,
+                            "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                                      "items": _NUMBER}}}
+_FIELD_SCHEMAS["Profile"] = _PROFILE_SCHEMA = _one_of(measures._PROFILE_KINDS, _NUMBER)
+_FIELD_SCHEMAS["Coefficient"] = {"oneOf": [{"const": measures.NORMALIZED}, _PROFILE_SCHEMA]}
+_MEASURE_SCHEMA = _one_of(measures._MEASURE_VARIANTS)
+_PROCESS_SCHEMA = _one_of(simulate._PROCESS_CLASSES)
 
 _GRID_SCHEMA = {
     "type": "object",

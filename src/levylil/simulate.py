@@ -1,7 +1,8 @@
 """Path simulation for symmetric stable, compound Poisson and stable-like
 processes, with running suprema and first exit times.  Each process kind is
 declared once, in ``_PROCESS_KINDS``: its class, whose typed fields give its
-dict form, and its block kernel with that kernel's fork and block-size rules.
+dict form (``measures._Declared``), and its block kernel with that kernel's
+fork and block-size rules.
 
 Randomness contract: every path owns a counter-based Philox stream keyed by
 (master seed, path index) through numpy's SeedSequence spawn keys.
@@ -32,13 +33,13 @@ import json
 import operator
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .measures import (AtomicMeasure, ConstantProfile, LevyTriplet, PowerLawMeasure,
-                       Profile, profile_from_dict)
+from .measures import (_TAG_OF, AtomicMeasure, Atoms, ConstantProfile, LevyTriplet,
+                       PowerLawMeasure, Profile, _declare, _Declared, _from_dict)
 from .symbols import _StableCoefficient, stable_levy_constant
 
 _MAX_POINTS = 2 ** 26
@@ -81,6 +82,7 @@ class PathGrid:
     points_per_level: Optional[int] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "t_max", float(self.t_max))
         if self.t_max <= 0.0:
             raise ValueError("t_max must be positive")
         if self.steps < 1 or (self.steps & (self.steps - 1)) != 0:
@@ -119,19 +121,8 @@ class PathGrid:
 # processes
 # --------------------------------------------------------------------------
 
-# the dict form of a process field, by its annotated type: (reader, writer)
-_FIELD_FORMS = {"float": (float, float),
-                "Profile": (profile_from_dict, lambda profile: profile.to_dict()),
-                "tuple": (tuple, lambda atoms: [list(atom) for atom in atoms])}
-
-
-class ProcessSpec:
+class ProcessSpec(_Declared):
     """A process of a kind in ``_PROCESS_KINDS``."""
-
-    def to_dict(self):
-        """Its ``kind``, then each dataclass field in the form its type names."""
-        return {"kind": _KIND_OF[type(self)],
-                **{f.name: _FIELD_FORMS[f.type][1](getattr(self, f.name)) for f in fields(self)}}
 
 
 @dataclass(frozen=True)
@@ -191,7 +182,7 @@ class _CompensatedDrift(ConstantProfile):
 class CompoundPoissonProcess(ProcessSpec):
     """Finite-activity jump process: atoms plus a deterministic path drift."""
 
-    atoms: tuple
+    atoms: Atoms
     path_drift: float = 0.0
 
     def __post_init__(self):
@@ -212,11 +203,8 @@ class CompoundPoissonProcess(ProcessSpec):
 
 
 def process_from_dict(d) -> ProcessSpec:
-    """The inverse of ``to_dict``; a field left out takes its default."""
-    if d.get("kind") not in _PROCESS_KINDS:
-        raise ValueError(f"unknown process kind {d.get('kind')!r}")
-    cls = _PROCESS_KINDS[d["kind"]][0]
-    return cls(**{f.name: _FIELD_FORMS[f.type][0](d[f.name]) for f in fields(cls) if f.name in d})
+    """The inverse of ``to_dict``."""
+    return _from_dict(_PROCESS_CLASSES, d, ProcessSpec)
 
 
 def process_from_triplet(triplet: LevyTriplet) -> ProcessSpec:
@@ -236,7 +224,7 @@ def process_from_triplet(triplet: LevyTriplet) -> ProcessSpec:
             return CompoundPoissonProcess(atoms=measure.atoms, path_drift=drift.path_drift)
         return CompoundPoissonProcess(atoms=measure.atoms, path_drift=-(l + m1))
     if not isinstance(measure, PowerLawMeasure):
-        raise ValueError(f"no sampler for a {measure.to_dict()['variant']} measure")
+        raise ValueError(f"no sampler for a {_TAG_OF[type(measure)]} measure")
     if not (triplet.drift.is_constant and triplet.drift_at(0.0) == 0.0):
         raise ValueError("power-law triplets are simulated without drift")
     coeff = measure.coefficient
@@ -481,9 +469,9 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
     mapping.  Elsewhere, and always for compound Poisson, the kernel runs on
     one worker.  An ensemble that no child writes lies in private memory.
     Neither the block size nor the worker count changes any bit of the
-    result.  A float ``master_seed``, even 1.0, raises TypeError.
-    """
-    master_seed = operator.index(master_seed)
+    result.  A float ``master_seed``, even 1.0, raises TypeError; ``x0`` is a
+    float, so 0 and 0.0 give one spec hash."""
+    master_seed, x0 = operator.index(master_seed), float(x0)
     times = grid.times()
     if times.size > _MAX_POINTS:
         raise ValueError("step count overflow")
@@ -545,8 +533,8 @@ def _simulate_into(process, x0, times, rec_idx, master_seed, n, chunk_size=None)
     shrink to share the paths over the workers.  Compound Poisson runs
     per-path Python in this process.
     """
-    kind = _KIND_OF.get(type(process))
-    if kind is None:
+    kind = _TAG_OF.get(type(process))
+    if kind not in _PROCESS_KINDS:
         raise TypeError(f"unknown process type {type(process).__name__}")
     _, kernel, forks, rows = _PROCESS_KINDS[kind]
     workers = _WORKERS if _FORK and forks else 1
@@ -869,7 +857,7 @@ _PROCESS_KINDS = {
                     lambda n, points, workers: max(1, min(_STEP_LOOP_ROWS, -(-n // workers)))),
     "compound_poisson": (CompoundPoissonProcess, _compound_poisson_blocks, False, _grid_rows),
 }
-_KIND_OF = {cls: kind for kind, (cls, *_) in _PROCESS_KINDS.items()}
+_PROCESS_CLASSES = _declare({kind: cls for kind, (cls, *_) in _PROCESS_KINDS.items()})
 
 
 # --------------------------------------------------------------------------

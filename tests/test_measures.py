@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import levylil as ll
+from levylil import measures
 
 
 def test_constant_profile():
@@ -45,13 +48,25 @@ def test_tanh_ramp_profile():
     assert np.allclose(p.derivative(xs), fd, atol=1e-8)
 
 
-def test_profile_roundtrip():
-    for p in (ll.ConstantProfile(1.2),
-              ll.AffineClampedProfile(1.0, 0.2, 0.5, 1.5),
-              ll.SinusoidalProfile(1.5, 0.3, 2.0, 0.1),
-              ll.TanhRampProfile(1.0, 0.25, 2.0, 0.5)):
-        q = ll.profile_from_dict(p.to_dict())
-        assert q == p
+# every registered profile kind, a tanh ramp with its default x0 included
+PROFILES = {
+    "constant": [ll.ConstantProfile(1.2)],
+    "affine_clamped": [ll.AffineClampedProfile(1.0, 0.2, 0.5, 1.5)],
+    "sinusoidal": [ll.SinusoidalProfile(1.5, 0.3, 2.0, 0.1)],
+    "tanh_ramp": [ll.TanhRampProfile(1.0, 0.25, 2.0, 0.5), ll.TanhRampProfile(1.0, 0.25)],
+}
+
+
+@pytest.mark.parametrize("kind", list(measures._PROFILE_KINDS))
+def test_profile_roundtrip(kind):
+    assert list(PROFILES) == list(measures._PROFILE_KINDS)
+    for p in PROFILES[kind]:
+        d = p.to_dict()
+        # its kind, then every field, defaults included
+        assert list(d) == ["kind", *(f.name for f in dataclasses.fields(p))]
+        assert d["kind"] == kind
+        q = ll.profile_from_dict(json.loads(json.dumps(d)))
+        assert q == p and q.to_dict() == d
 
 
 def test_power_law_alpha_range_validated():
@@ -123,18 +138,48 @@ def test_triplet_rejects_gaussian_part():
     assert t.gaussian == 0.0
 
 
-def test_measure_dict_roundtrip():
-    # and the measure of each process kind, a stable one's coefficient included
-    processes = (ll.SymmetricStableProcess(alpha=1.5, scale=0.7),
-                 ll.StableLikeProcess(alpha=ll.SinusoidalProfile(1.4, 0.3),
-                                      scale=ll.SinusoidalProfile(1.0, 0.5, 3.0)),
-                 ll.CompoundPoissonProcess(atoms=((0.7, 1.5), (-0.2, 0.5)), path_drift=0.3))
-    for m in (ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(1.5, 0.3)),
-              ll.AtomicMeasure(atoms=((1.0, 2.0), (-0.5, 1.0))),
-              ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(1.0, 0.1, 0.01)),
-              *(p.levy_triplet.measure for p in processes)):
-        m2 = ll.measure_from_dict(m.to_dict())
-        assert m2.to_dict() == m.to_dict()
+# every registered measure variant, with the measure of each process kind (a
+# stable one's coefficient included) and tabulated data with and without
+# density_neg
+MEASURES = {
+    "power_law": [ll.PowerLawMeasure(alpha=ll.SinusoidalProfile(1.5, 0.3)),
+                  ll.PowerLawMeasure(alpha=1.5, coefficient=0.1875),
+                  ll.SymmetricStableProcess(alpha=1.5, scale=0.7).levy_triplet.measure,
+                  ll.StableLikeProcess(alpha=ll.SinusoidalProfile(1.4, 0.3),
+                                       scale=ll.SinusoidalProfile(1.0, 0.5, 3.0))
+                  .levy_triplet.measure],
+    "atomic": [ll.AtomicMeasure(atoms=((1.0, 2.0), (-0.5, 1.0))),
+               ll.CompoundPoissonProcess(atoms=((0.7, 1.5), (-0.2, 0.5)), path_drift=0.3)
+               .levy_triplet.measure],
+    "tabulated": [ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(1.0, 0.1, 0.01)),
+                  ll.TabulatedMeasure(grid=(0.1, 1.0, 10.0), density=(1.0, 0.1, 0.01),
+                                      density_neg=(0.5, 0.05, 0.0))],
+}
+
+
+@pytest.mark.parametrize("variant", list(measures._MEASURE_VARIANTS))
+def test_measure_dict_roundtrip(variant):
+    assert list(MEASURES) == list(measures._MEASURE_VARIANTS)
+    for m in MEASURES[variant]:
+        d = m.to_dict()
+        assert d["variant"] == variant
+        m2 = ll.measure_from_dict(json.loads(json.dumps(d)))
+        assert m2.to_dict() == d and m2.is_symmetric == m.is_symmetric
+    # unset density_neg is left out of the dict form
+    assert [("density_neg" in m.to_dict()) for m in MEASURES["tabulated"]] == [False, True]
+
+
+# a misspelt field of each family: named in a ValueError, never dropped
+MISSPELT = [(ll.profile_from_dict, {"kind": "constant", "value": 1.0, "valeu": 2.0}, "valeu"),
+            (ll.measure_from_dict, {"variant": "power_law", "alpha": 1.5, "coefficent": 0.3},
+             "coefficent"),
+            (ll.process_from_dict, {"kind": "stable", "alpha": 1.5, "sacle": 2.0}, "sacle")]
+
+
+@pytest.mark.parametrize("read, d, field", MISSPELT, ids=["profile", "measure", "process"])
+def test_unknown_field_raises_naming_it(read, d, field):
+    with pytest.raises(ValueError, match=f"has no field '{field}'"):
+        read(d)
 
 
 def test_integrability_check():

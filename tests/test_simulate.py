@@ -783,15 +783,21 @@ INTEGER_SPELLED = {
 
 
 def test_integer_stable_alpha_hashes_like_float():
-    # a law spelled with integers is the law spelled with floats: one spec
-    # hash, the same paths
+    # a law, grid or start point spelled with integers is the one spelled with
+    # floats: one spec hash, the same paths
     assert list(INTEGER_SPELLED) == list(simulate._PROCESS_KINDS)
     grid = ll.PathGrid(t_max=0.5, steps=16)
-    for kind, spelled in INTEGER_SPELLED.items():
+    constant = {"kind": "stable_like", "alpha": {"kind": "constant", "value": 1}}
+    for kind, spelled in {**INTEGER_SPELLED, "constant_profile": constant}.items():
         ens = [ll.simulate_ensemble(ll.process_from_dict(d), 0.0, grid, 5, 3)
                for d in (spelled, json.loads(json.dumps(spelled), parse_int=float))]
         assert ens[0].metadata()["spec_hash"] == ens[1].metadata()["spec_hash"], kind
         assert np.array_equal(ens[0].positions, ens[1].positions), kind
+    grids = [ll.PathGrid.from_dict({"t_max": t_max, "steps": 64}) for t_max in (1, 1.0)]
+    for name, ens in (("t_max", [ll.simulate_ensemble(STABLE_15, 0.0, g, 5, 3) for g in grids]),
+                      ("x0", [ll.simulate_ensemble(STABLE_15, x0, grid, 5, 3) for x0 in (0, 0.0)])):
+        assert ens[0].metadata()["spec_hash"] == ens[1].metadata()["spec_hash"], name
+        assert np.array_equal(ens[0].positions, ens[1].positions), name
 
 
 # --------------------------------------------------------------------------
