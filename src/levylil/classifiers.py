@@ -42,6 +42,7 @@ DELTA_ZERO = 1e-3       # absolute floor for the liminf zero verdict
 DELTA_TREND = 0.15      # relative growth/decay over the last half of levels
 SPREAD_MAX = 0.10       # relative spread for liminf stabilization
 QUAD_ORDER = 32
+MIN_LEVELS = 8          # fewest dyadic levels a verdict is read from
 
 
 @dataclass
@@ -79,8 +80,8 @@ def classify_integral_at_zero(integrand: Callable[[float], float], t_max: float,
 def _classify_blocks(block_integrand, t_max, levels):
     """``classify_integral_at_zero`` with an integrand that takes the array of
     one block's Gauss nodes and returns the values there."""
-    if levels < 8:
-        raise ValueError("levels must be >= 8")
+    if levels < MIN_LEVELS:
+        raise ValueError(f"levels must be >= {MIN_LEVELS}")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     nodes, weights = _gauss_legendre(QUAD_ORDER)
@@ -182,8 +183,8 @@ def symbol_liminf_test(g: Callable[[float], float], w: Callable[[float], float],
     from the suffix minima (the liminf proxies from each level) together with
     the trend of the raw sequence over the last half of the levels.
     """
-    if levels < 8:
-        raise ValueError("levels must be >= 8")
+    if levels < MIN_LEVELS:
+        raise ValueError(f"levels must be >= {MIN_LEVELS}")
     ts = t_max * 2.0 ** (-np.arange(levels + 1, dtype=float))
     ws = np.array([float(w(float(t))) for t in ts])
     if np.any(ws <= 0.0):

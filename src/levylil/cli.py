@@ -13,17 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import LevyLilError
-from .scenario import SchemaError, run_scenario
+from .errors import FAILURES
+from .scenario import STAGES, SchemaError, run_scenario
 
-_STAGE_SETS = {
-    "symbol": ("symbol",),
-    "norming": ("norming",),
-    "classify": ("classify",),
-    "simulate": ("simulate",),
-    "verify": ("simulate", "verify"),
-    "report": None,
-}
+# each stage runs alone, but verify also runs the simulate stage it reads
+_STAGE_SETS = {**{stage: (stage,) for stage in STAGES}, "verify": STAGES[-2:], "report": None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,13 +46,10 @@ def main(argv=None) -> int:
         run_scenario(args.scenario, stages=_STAGE_SETS[args.command], seed=args.seed,
                      paths=args.paths, steps=args.steps, out=args.out,
                      canonical=args.canonical_output)
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:   # a path it cannot use is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LevyLilError, ValueError, OverflowError, MemoryError) as exc:
+    except FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

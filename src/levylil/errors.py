@@ -35,3 +35,7 @@ class IteratedLogDomainError(ValueError):
 
 class ClassifierError(LevyLilError):
     """Integrand evaluation failed inside the dyadic-block classifier."""
+
+
+# numeric failures: a run records an analysis that raises one and goes on; the CLI exits 1
+FAILURES = (LevyLilError, ValueError, ArithmeticError, MemoryError)

@@ -45,13 +45,16 @@ class ProbabilityEstimate:
                 "sample_size": self.sample_size}
 
 
+_DIRECTIONS = ("ge", "lt")
+
+
 def estimate_sup_probability(ensemble: PathEnsemble, t: float, R: float,
                              direction: str = "ge") -> ProbabilityEstimate:
     """P^x(sup_{s<=t} |X_s - x| >= R) or (< R) as a sample proportion."""
     if R <= 0.0:
         raise ValueError("R must be positive")
-    if direction not in ("ge", "lt"):
-        raise ValueError("direction must be 'ge' or 'lt'")
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"direction must be one of {_DIRECTIONS}")
     rs = ensemble.running_sup[:, ensemble.time_index(t)]
     return ProbabilityEstimate.of(rs >= R if direction == "ge" else rs < R)
 

@@ -30,7 +30,7 @@ import numpy as np
 # the declared field types besides float and Profile, keys of _FIELD_FORMS
 Atoms = tuple          # ((location, mass), ...)
 Samples = tuple        # one float per grid knot
-Coefficient = object   # a Profile, "normalized" or a process's _StableCoefficient
+Coefficient = object   # "normalized" or a Profile, such as a process's _StableCoefficient
 
 _TAG_OF = {}   # each declared class -> its tag in its family's registry
 
@@ -57,9 +57,11 @@ class _Declared:
 
 def _from_dict(registry, d, what):
     """The inverse of ``to_dict`` over ``registry``, whose classes derive from
-    ``what``; a field left out takes its default.  ValueError naming an
-    unknown tag or field."""
+    ``what``; a field left out takes its default.  ValueError naming the
+    family for a value that is not a mapping, or naming an unknown tag or field."""
     key = what._key
+    if not isinstance(d, dict):
+        raise ValueError(f"a {what.__name__} is a mapping, not {d!r}")
     tag = d.get(key)
     if tag not in registry:
         raise ValueError(f"unknown {what.__name__} {key} {tag!r}")
@@ -75,7 +77,8 @@ def _from_dict(registry, d, what):
 # --------------------------------------------------------------------------
 
 class Profile(_Declared):
-    """A coefficient profile of a kind in ``_PROFILE_KINDS``."""
+    """A coefficient profile of a kind in ``_PROFILE_KINDS``, or a process's
+    coefficient (``symbols._StableCoefficient``, which writes its own dict)."""
 
 
 @dataclass(frozen=True)
@@ -184,10 +187,11 @@ _PROFILE_KINDS = _declare({
 
 
 def profile_from_dict(d) -> Profile:
-    """The inverse of ``to_dict``; a number is a constant profile, a profile itself."""
+    """The inverse of ``to_dict``; a number is a constant profile, a profile
+    (a process's coefficient among them) itself."""
     if isinstance(d, (int, float)):
         return ConstantProfile(float(d))
-    return _from_dict(_PROFILE_KINDS, d, Profile) if isinstance(d, dict) else d
+    return d if isinstance(d, Profile) else _from_dict(_PROFILE_KINDS, d, Profile)
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +405,3 @@ class LevyTriplet:
 
     def drift_at(self, x):
         return float(self.drift(x))
-
-    def to_dict(self):
-        return {"drift": self.drift.to_dict(), "measure": self.measure.to_dict()}
-

@@ -275,10 +275,12 @@ class NormingFunction:
         return self.arg_grid, self.values
 
 
+_KINDS = ("u", "u_inverse", "chung_rate", "upper_v")   # what build_norming_function tabulates
+
+
 def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
                            *, epsilon: float = 0.5, n: int = 1) -> NormingFunction:
-    """Tabulate ``kind`` ('u', 'u_inverse', 'chung_rate' or 'upper_v') on the
-    sorted ``arg_grid``.
+    """Tabulate ``kind``, one of ``_KINDS``, on the sorted ``arg_grid``.
 
     The values are one call of the kind's evaluator on the whole grid, so the
     table equals the evaluator bit for bit and fails where it fails.
@@ -286,8 +288,9 @@ def build_norming_function(measure: MeasureSpec, x: float, kind: str, arg_grid,
     kind on a constant-index power law, and 'upper_v' on any power law;
     'numeric' otherwise.
     """
-    evaluators = {"u": u_of_R, "u_inverse": u_inverse, "chung_rate": chung_rate,
-                  "upper_v": lambda m, x, ts: upper_norming_v(m, x, ts, epsilon, n)}
+    # looked up per call, so that a name rebound in this module (a tracer) is the one called
+    evaluators = dict(zip(_KINDS, (u_of_R, u_inverse, chung_rate,
+                                   lambda m, x, ts: upper_norming_v(m, x, ts, epsilon, n))))
     if kind not in evaluators:
         raise ValueError(f"cannot tabulate kind {kind!r} from a measure")
     arg_grid = np.asarray(sorted(arg_grid), dtype=float)

@@ -12,10 +12,9 @@ fixed dependency order
 nothing else; no analysis reads another's output files).  Each run writes one
 JSON report plus one CSV per successful analysis, every file embedding the
 scenario hash and the master seed; a failed analysis is recorded in the
-report and does not stop the others.  Runs are idempotent: identical scenario and seed give
-byte-identical outputs under --canonical-output (timestamps omitted).
-
-Exit codes (CLI): 0 success, 1 numeric failure, 2 schema/usage error.
+report and does not stop the others (``cli`` gives the exit codes).  Runs
+are idempotent: identical scenario and seed give byte-identical outputs
+under --canonical-output (timestamps omitted).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import classifiers, mc, measures, norming, simulate, symbols
-from .errors import LevyLilError
+from .errors import FAILURES, LevyLilError
 from .measures import LevyTriplet, measure_from_dict, profile_from_dict
 from .simulate import (_BLOCK_POINTS, PathGrid, SymmetricStableProcess, _atomic_write,
                        process_from_dict, process_from_triplet, save_ensemble_jsonl,
@@ -77,7 +76,7 @@ _GRID_SCHEMA = {
     "type": "object",
     "properties": {"t_max": {"type": "number", "exclusiveMinimum": 0},
                    "steps": {"type": "integer", "minimum": 1},
-                   "layout": {"enum": ["uniform", "geometric"]},
+                   "layout": {"enum": list(simulate._LAYOUTS)},
                    "levels": {"type": "integer", "minimum": 1},
                    "points_per_level": {"type": "integer", "minimum": 1}},
     "required": ["t_max", "steps"],
@@ -86,8 +85,10 @@ _GRID_SCHEMA = {
 
 
 _NUM_LIST = {"type": "array", "minItems": 1, "items": {"type": "number"}}
+_LEVELS = {"type": "integer", "minimum": classifiers.MIN_LEVELS}
 
 STAGES = ("symbol", "norming", "classify", "simulate", "verify")
+_MAIN_ENSEMBLE = "main"   # the ensemble of a simulate or verify analysis without an id
 
 
 class _Analysis(NamedTuple):
@@ -112,7 +113,19 @@ def _analysis(name, stage, properties, required=()):
     return register
 
 
-def _power_log_family(a, b=0.0, c=0.0):
+def _given(spec, *options):
+    """The ``options`` that ``spec`` sets, as keywords: one it leaves out
+    takes the default of the library function it feeds."""
+    return {k: spec[k] for k in options if k in spec}
+
+
+def _power_log(spec, name):
+    """t^a |log t|^b (log|log t|)^c, a the ``<name>_exponent`` of ``spec``, b
+    and c its ``<name>_log_exponent`` and ``<name>_loglog_exponent`` or 0."""
+    a = spec[f"{name}_exponent"]
+    b = spec.get(f"{name}_log_exponent", 0.0)
+    c = spec.get(f"{name}_loglog_exponent", 0.0)
+
     def f(t):
         out = t ** a
         if b:
@@ -147,10 +160,10 @@ class _Context:
                 self.process = process_from_triplet(self.triplet)
         self.simulations = {}   # ensemble id -> its simulate spec
         for spec in doc["analyses"]:
-            eid = spec.get("ensemble_id", "main")
+            eid = spec.get("ensemble_id", _MAIN_ENSEMBLE)
             if spec["name"] == "simulate" and self.simulations.setdefault(eid, spec) is not spec:
                 raise SchemaError(f"two simulate analyses build ensemble {eid!r}")
-        unbuilt = {spec.get("ensemble_id", "main") for spec in doc["analyses"]
+        unbuilt = {spec.get("ensemble_id", _MAIN_ENSEMBLE) for spec in doc["analyses"]
                    if _ANALYSES[spec["name"]].stage == "verify"} - set(self.simulations)
         if self.simulations and unbuilt:   # with no simulate analysis, the full grid
             raise SchemaError(f"no simulate analysis builds ensemble {min(unbuilt)!r}")
@@ -161,12 +174,12 @@ class _Context:
 
     def need_ensemble(self, spec):
         """The ensemble of ``spec``'s id, built once from that id's simulate spec."""
-        eid = spec.get("ensemble_id", "main")
+        eid = spec.get("ensemble_id", _MAIN_ENSEMBLE)
         if eid not in self.ensembles:
             self.ensembles[eid] = None   # if it fails, no later analysis builds another
             self.ensembles[eid] = simulate_ensemble(
                 self.need_process(), self.x, self.grid, self.seed, self.paths,
-                record_times=self.simulations.get(eid, {}).get("record_times"))
+                **_given(self.simulations.get(eid, {}), "record_times"))
         if self.ensembles[eid] is None:
             raise LevyLilError(f"ensemble {eid!r} was not built: its simulate analysis failed")
         return self.ensembles[eid]
@@ -177,12 +190,11 @@ class _Context:
 # --------------------------------------------------------------------------
 
 @_analysis("pu_grid", "symbol", {"x_values": _NUM_LIST, "xi_values": _NUM_LIST,
-                                 "method": {"enum": ["auto", "closed", "quadrature"]}},
+                                 "method": {"enum": list(symbols._METHODS)}},
            required=["x_values", "xi_values"])
 def _pu_grid(ctx, spec, ens, tag):
-    m = ctx.triplet.measure
-    rows = [(float(xv), float(xiv),
-             symbols.eval_pU(m, float(xv), float(xiv), method=spec.get("method", "auto")))
+    m, given = ctx.triplet.measure, _given(spec, "method")
+    rows = [(float(xv), float(xiv), symbols.eval_pU(m, float(xv), float(xiv), **given))
             for xv in spec["x_values"] for xiv in spec["xi_values"]]
     return "x,xi,pu", rows, {"rows": len(rows), "csv": f"{tag}.csv"}
 
@@ -213,14 +225,13 @@ def _sector(ctx, spec, ens, tag):
 
 
 @_analysis("norming_table", "norming",
-           {"kind": {"enum": ["u", "u_inverse", "chung_rate", "upper_v"]},
+           {"kind": {"enum": list(norming._KINDS)},
             "arguments": _NUM_LIST, "epsilon": {"type": "number"},
             "n": {"type": "integer", "minimum": 1}},
            required=["kind", "arguments"])
 def _norming_table(ctx, spec, ens, tag):
     nf = norming.build_norming_function(ctx.triplet.measure, ctx.x, spec["kind"],
-                                        spec["arguments"], epsilon=spec.get("epsilon", 0.5),
-                                        n=spec.get("n", 1))
+                                        spec["arguments"], **_given(spec, "epsilon", "n"))
     args, vals = nf.table()
     return ("argument,value", list(zip(args.tolist(), vals.tolist())),
             {"kind": spec["kind"], "form": nf.form, "csv": f"{tag}.csv"})
@@ -235,24 +246,21 @@ def _kappa(ctx, spec, ens, tag):
 
 @_analysis("upper_function_test", "classify",
            {"epsilon": {"type": "number"}, "n": {"type": "integer", "minimum": 1},
-            "t_max": {"type": "number"}, "levels": {"type": "integer", "minimum": 8},
-            "ell_one": {"type": "boolean"}},
+            "t_max": {"type": "number"}, "levels": _LEVELS, "ell_one": {"type": "boolean"}},
            required=["epsilon", "t_max", "levels"])
 def _upper_function_test(ctx, spec, ens, tag):
     verdict = classifiers.upper_function_test(
         ctx.triplet.measure, ctx.x, spec["epsilon"], spec.get("n", 1),
-        spec["t_max"], spec["levels"], ell_one=spec.get("ell_one", False))
+        spec["t_max"], spec["levels"], **_given(spec, "ell_one"))
     return "index,block", list(enumerate(verdict.block_values)), verdict.to_dict()
 
 
 @_analysis("lower_tail_test", "classify",
            {"v_exponent": {"type": "number"}, "v_log_exponent": {"type": "number"},
-            "C": {"type": "number"}, "t_max": {"type": "number"},
-            "levels": {"type": "integer", "minimum": 8}},
+            "C": {"type": "number"}, "t_max": {"type": "number"}, "levels": _LEVELS},
            required=["v_exponent", "C", "t_max", "levels"])
 def _lower_tail_test(ctx, spec, ens, tag):
-    v = _power_log_family(spec["v_exponent"], spec.get("v_log_exponent", 0.0))
-    verdict = classifiers.lower_tail_test(ctx.triplet.measure, v, spec["C"],
+    verdict = classifiers.lower_tail_test(ctx.triplet.measure, _power_log(spec, "v"), spec["C"],
                                           spec["t_max"], spec["levels"])
     return "index,block", list(enumerate(verdict.block_values)), verdict.to_dict()
 
@@ -261,14 +269,12 @@ def _lower_tail_test(ctx, spec, ens, tag):
            {"g_exponent": {"type": "number"}, "g_scale": {"type": "number"},
             "w_exponent": {"type": "number"}, "w_log_exponent": {"type": "number"},
             "w_loglog_exponent": {"type": "number"}, "t_max": {"type": "number"},
-            "levels": {"type": "integer", "minimum": 8}},
+            "levels": _LEVELS},
            required=["g_exponent", "w_exponent", "t_max", "levels"])
 def _symbol_liminf_test(ctx, spec, ens, tag):
     scale = spec.get("g_scale", 1.0)
     expo = spec["g_exponent"]
-    w = _power_log_family(spec["w_exponent"], spec.get("w_log_exponent", 0.0),
-                          spec.get("w_loglog_exponent", 0.0))
-    verdict = classifiers.symbol_liminf_test(lambda xi: scale * xi ** expo, w,
+    verdict = classifiers.symbol_liminf_test(lambda xi: scale * xi ** expo, _power_log(spec, "w"),
                                              spec["t_max"], spec["levels"])
     return "index,level", list(enumerate(verdict.block_values)), verdict.to_dict()
 
@@ -297,9 +303,7 @@ def _per_time_summary(ens, pool):
     return mean, median
 
 
-@_analysis("simulate", "simulate", {"record_times": _NUM_LIST,
-                                    "save": {"enum": ["jsonl"]},
-                                    "ensemble_id": {"type": "string"}})
+@_analysis("simulate", "simulate", {"record_times": _NUM_LIST, "save": {"enum": ["jsonl"]}})
 def _simulate(ctx, spec, ens, tag):
     ens = ctx.need_ensemble(spec)
     # A save's SHA-256 and the summary's tiles release the GIL, so they share a pool.
@@ -321,11 +325,11 @@ def _simulate(ctx, spec, ens, tag):
 
 
 @_analysis("sup_probability", "verify", {"t": {"type": "number"}, "R": {"type": "number"},
-                                         "direction": {"enum": ["ge", "lt"]}},
+                                         "direction": {"enum": list(mc._DIRECTIONS)}},
            required=["t", "R"])
 def _sup_probability(ctx, spec, ens, tag):
     t = ens.nearest_time(spec["t"])
-    est = mc.estimate_sup_probability(ens, t, spec["R"], spec.get("direction", "ge"))
+    est = mc.estimate_sup_probability(ens, t, spec["R"], **_given(spec, "direction"))
     return ("t,R,p_hat,standard_error",
             [(t, spec["R"], est.p_hat, est.standard_error)], est.to_dict())
 
@@ -358,8 +362,7 @@ def _spitzer(ctx, spec, ens, tag):
                                  "v_log_exponent": {"type": "number"}, "t_list": _NUM_LIST},
            required=["C", "v_exponent", "t_list"])
 def _etemadi(ctx, spec, ens, tag):
-    v = _power_log_family(spec["v_exponent"], spec.get("v_log_exponent", 0.0))
-    rep = mc.etemadi_check(ens, v, spec["C"], spec["t_list"])
+    rep = mc.etemadi_check(ens, _power_log(spec, "v"), spec["C"], spec["t_list"])
     return ("t,v,p_marginal,p_sup,tail_lower_bound",
             [(r["t"], r["v"], r["marginal"]["p_hat"], r["sup"]["p_hat"], r["tail_lower_bound"])
              for r in rep["rows"]], rep)
@@ -372,7 +375,7 @@ def _charfn_bound(ctx, spec, ens, tag):
     proc = ens.process   # stable: run_scenario checks it
     family = symbols.SymbolFamily.from_stable(proc.alpha, proc.scale)
     rep = mc.empirical_charfn_bound(ens, family, spec["xi_list"], spec["t_list"],
-                                    epsilon=spec.get("epsilon"))
+                                    **_given(spec, "epsilon"))
     rows = [(r["t"], r["xi"], r["modulus"], r["bound"], int(r["violated"]))
             for r in rep.pop("rows")]
     return "t,xi,modulus,bound,violated", rows, rep
@@ -384,14 +387,14 @@ def _charfn_bound(ctx, spec, ens, tag):
            required=["t_lo", "t_hi"])
 def _chung_statistic(ctx, spec, ens, tag):
     stat = mc.chung_statistic(ens, ctx.triplet.measure, ctx.x, spec["t_lo"], spec["t_hi"],
-                              rate_exponent=spec.get("rate_exponent"))
+                              **_given(spec, "rate_exponent"))
     return "probe_time,rate", list(zip(stat.probe_times, stat.rates)), stat.summary()
 
 
 def _analysis_schema(a: _Analysis) -> dict:
     props = {"name": {"const": a.name},
              "label": {"type": "string", "pattern": "^[A-Za-z0-9_.-]+$"}, **a.properties}
-    if a.stage == "verify":
+    if a.stage in ("simulate", "verify"):   # a simulate analysis builds what a verify one reads
         props["ensemble_id"] = {"type": "string"}
     return {"type": "object", "properties": props,
             "required": ["name", *a.required], "additionalProperties": False}
@@ -472,7 +475,7 @@ def load_scenario(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or bytes that are not UTF-8
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
     validate_scenario(doc)
     return doc
@@ -499,12 +502,12 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
     A usage error raises ``SchemaError`` before the output directory is
     made: an analysis without a law (all but ``symbol_liminf_test`` read
     one), a simulation without a grid, or ``charfn_bound`` on a law whose
-    sampler is not stable.  A numeric failure of one analysis
-    (``LevyLilError``, ``ValueError``, ``OverflowError`` or ``MemoryError``;
-    a law with no sampler fails so at its simulation) is recorded as its
-    result, ``{"status": "failed", "analysis", "arguments", "error"}``, and
-    writes no CSV; the later analyses still run and ``report.json`` is
-    written.  Then a ``LevyLilError`` names every failed analysis.
+    sampler is not stable.  A numeric failure of one analysis (one of
+    ``errors.FAILURES``; a law with no sampler fails so at its simulation)
+    is recorded as its result, ``{"status": "failed", "analysis",
+    "arguments", "error"}``, and writes no CSV; the later analyses still run
+    and ``report.json`` is written.  Then a ``LevyLilError`` names every
+    failed analysis.
     """
     if isinstance(scenario, (str, os.PathLike)):
         doc = load_scenario(scenario)
@@ -550,7 +553,7 @@ def run_scenario(scenario, *, stages=None, seed: Optional[int] = None,
         tag = f"{i:02d}_{spec.get('label', spec['name'])}"
         try:
             results[tag] = _run_analysis(ctx, spec, tag)
-        except (LevyLilError, ValueError, OverflowError, MemoryError) as exc:
+        except FAILURES as exc:
             error = f"{type(exc).__name__}: {exc}"
             failed.append(f"{tag}: {error}")
             results[tag] = {"status": "failed", "analysis": spec["name"],

@@ -65,6 +65,9 @@ def _atomic_write(path, text):
 # grids
 # --------------------------------------------------------------------------
 
+_LAYOUTS = ("uniform", "geometric")
+
+
 @dataclass(frozen=True)
 class PathGrid:
     """Simulation time grid on (0, t_max].
@@ -87,13 +90,13 @@ class PathGrid:
             raise ValueError("t_max must be positive")
         if self.steps < 1 or (self.steps & (self.steps - 1)) != 0:
             raise ValueError("steps must be a positive power of two")
+        if self.layout not in _LAYOUTS:
+            raise ValueError(f"unknown layout {self.layout!r}")
         if self.layout == "geometric":
             if not self.levels or not self.points_per_level:
                 raise ValueError("geometric layout needs levels and points_per_level")
             if self.levels * self.points_per_level != self.steps:
                 raise ValueError("steps must equal levels * points_per_level")
-        elif self.layout != "uniform":
-            raise ValueError(f"unknown layout {self.layout!r}")
 
     def times(self) -> np.ndarray:
         if self.layout == "uniform":
@@ -417,9 +420,9 @@ class PathEnsemble:
     def n_paths(self):
         return self.positions.shape[0]
 
-    def time_index(self, t: float, *, tol: float = 1e-9) -> int:
+    def time_index(self, t: float) -> int:
         """Column of the stored time t; ValueError unless t is a stored time."""
-        return _grid_index(self.times, t, tol)
+        return _grid_index(self.times, t)
 
     def nearest_index(self, t: float) -> int:
         """Column of the stored time nearest to t."""
@@ -454,7 +457,8 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
     ``record_times`` restricts storage to a subset of grid times while the
     stepping and the running supremum still use the full grid.
 
-    Paths are simulated in blocks of ``chunk_size`` paths.  By default the
+    Paths are simulated in blocks of ``chunk_size`` paths by the block
+    kernel of the process's kind in ``_PROCESS_KINDS``.  By default the
     stable and compound-Poisson kernels take 2^17 / (grid points) paths per
     block, so a stable block buffer is 1 MiB of float64; a compound-Poisson
     block holds only its jumps and its stored columns.  The stable-like
@@ -463,14 +467,19 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
     and its exponentials from word n, and holds the draws of one tile of
     ``_STEP_TILE`` steps per block in two buffers, so its memory does not
     grow with the step count.  On Linux the stable and stable-like kernels
-    share their blocks over one process per CPU this process may run on: this
-    one and forked children, which write their rows straight into
-    ``positions`` and ``running_sup``, the two halves of one shared anonymous
-    mapping.  Elsewhere, and always for compound Poisson, the kernel runs on
-    one worker.  An ensemble that no child writes lies in private memory.
-    Neither the block size nor the worker count changes any bit of the
-    result.  A float ``master_seed``, even 1.0, raises TypeError; ``x0`` is a
-    float, so 0 and 0.0 give one spec hash."""
+    share their blocks over one process per CPU this process may run on:
+    worker i of ``_WORKERS`` takes blocks i, i + workers, ..., and every
+    worker but this process is a forked child (``_forked``) that writes its
+    rows straight into ``positions`` and ``running_sup``, the two halves of
+    one shared anonymous mapping.  Processes, not threads: the stable-like
+    kernel runs about 30 short ufuncs per step, whose GIL hand-offs made two
+    threads slower than one, and the stable kernel's 2-D cumsum, accumulate
+    and reduceat hold the GIL.  Elsewhere, and always for compound Poisson
+    (per-path Python), the kernel runs in this process.  An ensemble that no
+    child writes lies in private memory.  Each path reads only its own
+    stream, so neither the block size nor the worker count changes any bit
+    of the result.  A float ``master_seed``, even 1.0, raises TypeError;
+    ``x0`` is a float, so 0 and 0.0 give one spec hash."""
     master_seed, x0 = operator.index(master_seed), float(x0)
     times = grid.times()
     if times.size > _MAX_POINTS:
@@ -484,8 +493,29 @@ def simulate_ensemble(process: ProcessSpec, x0: float, grid: PathGrid,
         rec_idx = np.array([_grid_index(times, t) for t in record_times], dtype=int)
         if np.any(np.diff(rec_idx) <= 0):
             raise ValueError("record_times must be strictly increasing grid times")
-    positions, running_sup = _simulate_into(process, x0, times, rec_idx, master_seed, n_paths,
-                                            chunk_size)
+    kind = _TAG_OF.get(type(process))
+    if kind not in _PROCESS_KINDS:
+        raise TypeError(f"unknown process type {type(process).__name__}")
+    _, kernel, forks, rows = _PROCESS_KINDS[kind]
+    workers = _WORKERS if _FORK and forks else 1
+    if chunk_size is None:
+        chunk_size = rows(n_paths, times.size, workers)
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    blocks = [(b, min(b + chunk_size, n_paths)) for b in range(0, n_paths, chunk_size)]
+    workers = min(workers, len(blocks)) if rec_idx.size else 0
+    shape = (2, n_paths, rec_idx.size)
+    if workers > 1:
+        import mmap   # kept off the import of levylil; mmap(-1, size) is shared, anonymous
+        positions, running_sup = np.frombuffer(mmap.mmap(-1, 8 * np.prod(shape))).reshape(shape)
+    else:
+        positions, running_sup = np.empty(shape)
+    args = (process, x0, times, rec_idx, master_seed, positions, running_sup)
+    if workers == 1:
+        kernel(*args, blocks)
+    elif workers:
+        _forked(kernel, kind.replace("_", "-"), args,
+                [blocks[i::workers] for i in range(workers)])
     return PathEnsemble(process=process, grid=grid, x0=x0, master_seed=master_seed,
                         times=times[rec_idx], positions=positions, running_sup=running_sup,
                         recorded=rec_idx.size != times.size)
@@ -514,49 +544,6 @@ _FILL_ROWS = 64             # paths per path-major fill of a tile: 128 KiB, stay
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _FORK = sys.platform.startswith("linux")
-
-
-def _simulate_into(process, x0, times, rec_idx, master_seed, n, chunk_size=None):
-    """``positions`` and ``running_sup`` of n paths (row i is path i) at the
-    grid columns ``rec_idx``, from the block kernel of the process's kind in
-    ``_PROCESS_KINDS``.  Each path reads only its own stream, so any split
-    of the rows into blocks, and of the blocks over workers, gives the same
-    bits.
-
-    On Linux worker ``i`` of ``_WORKERS`` takes blocks i, i + workers, ...
-    of a kind whose kernel forks, and every worker but this process is a
-    forked child (``_forked``), so the arrays are then allocated in one
-    shared mapping, else in private memory.  Processes, not threads: the
-    stable-like kernel runs about 30 short ufuncs per step, whose GIL
-    hand-offs made two threads slower than one, and the stable kernel's 2-D
-    cumsum, accumulate and reduceat hold the GIL.  The stable-like blocks
-    shrink to share the paths over the workers.  Compound Poisson runs
-    per-path Python in this process.
-    """
-    kind = _TAG_OF.get(type(process))
-    if kind not in _PROCESS_KINDS:
-        raise TypeError(f"unknown process type {type(process).__name__}")
-    _, kernel, forks, rows = _PROCESS_KINDS[kind]
-    workers = _WORKERS if _FORK and forks else 1
-    if chunk_size is None:
-        chunk_size = rows(n, times.size, workers)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    blocks = [(b, min(b + chunk_size, n)) for b in range(0, n, chunk_size)]
-    workers = min(workers, len(blocks)) if rec_idx.size else 0
-    shape = (2, n, rec_idx.size)
-    if workers > 1:
-        import mmap   # kept off the import of levylil; mmap(-1, size) is shared, anonymous
-        positions, running_sup = np.frombuffer(mmap.mmap(-1, 8 * np.prod(shape))).reshape(shape)
-    else:
-        positions, running_sup = np.empty(shape)
-    args = (process, x0, times, rec_idx, master_seed, positions, running_sup)
-    if workers == 1:
-        kernel(*args, blocks)
-    elif workers:
-        _forked(kernel, kind.replace("_", "-"), args,
-                [blocks[i::workers] for i in range(workers)])
-    return positions, running_sup
 
 
 def _note(exc, text):

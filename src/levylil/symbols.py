@@ -74,7 +74,7 @@ def _stable_levy_constant(alpha: float) -> float:
     return float(stable_levy_constant(np.array([alpha]))[0])
 
 
-class _StableCoefficient:
+class _StableCoefficient(Profile):
     """Coefficient profile c(x) = scale(x) / (2 C(alpha(x))), C the constant
     ``stable_levy_constant``: the power law c(x) |y|^(-1-alpha(x)) has the
     exponent scale(x) |xi|^alpha(x).  The one place this relation is written."""

@@ -206,6 +206,96 @@ def test_overflow_in_symbol_analyses_is_recorded(tmp_path, capsys):
         for name in ("pu_grid", "exponent_grid", "tail_mass_grid")]
 
 
+_STABLE_GRID = {"process": {"kind": "stable", "alpha": 1.5},
+                "grid": {"t_max": 1.0, "steps": 16}, "paths": 200}
+
+
+@pytest.mark.parametrize("law, failing, later", [
+    ({}, {"name": "symbol_liminf_test", "g_exponent": 1.5, "w_exponent": 0.5,
+          "w_log_exponent": -1.0, "t_max": 1.0, "levels": 8},
+     {"name": "symbol_liminf_test", "g_exponent": 1.5, "w_exponent": 0.5,
+      "t_max": 0.25, "levels": 8}),
+    (_STABLE_GRID,
+     {"name": "etemadi", "C": 1.0, "v_exponent": 0.5, "v_log_exponent": -1.0, "t_list": [1.0]},
+     {"name": "sup_probability", "t": 0.5, "R": 1.0}),
+], ids=["symbol_liminf_test", "etemadi"])
+def test_arithmetic_error_of_an_analysis_is_recorded(tmp_path, capsys, law, failing, later):
+    # |log t|^-1 at t = 1 is 0.0 ** -1.0: a ZeroDivisionError, a numeric
+    # failure; the analysis after it still runs
+    out = tmp_path / "out"
+    doc = {"seed": 5, **law, "output_dir": str(out),
+           "analyses": [*([{"name": "simulate"}] if law else []), failing, later]}
+    assert cli_main(["report", "--scenario", str(write_scenario(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    i = len(doc["analyses"]) - 2
+    results = json.loads((out / "report.json").read_text())["results"]
+    entry = results[f"{i:02d}_{failing['name']}"]
+    assert entry["status"] == "failed" and entry["analysis"] == failing["name"]
+    assert entry["error"].startswith("ZeroDivisionError: ")
+    assert (out / f"{i + 1:02d}_{later['name']}.csv").exists()
+    assert "status" not in results[f"{i + 1:02d}_{later['name']}"]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["--out", str(tmp / "a_file" / "x")],   # NotADirectoryError
+    lambda tmp: ["--out", str(tmp / "a_file")],          # FileExistsError
+    lambda tmp: ["--scenario", str(tmp)],                 # IsADirectoryError
+], ids=["out_under_a_file", "out_a_file", "scenario_a_directory"])
+def test_path_it_cannot_use_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "a_file").write_text("")
+    path = write_scenario(tmp_path, minimal_scenario(tmp_path / "out"))
+    assert cli_main(["report", "--scenario", str(path), *argv(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_scenario_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'\xff\xfe{"seed": 1}')
+    assert cli_main(["report", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario is not valid JSON: ")
+
+
+def test_power_log_options_reach_the_norming_functions(tmp_path):
+    # v(t) = t^a |log t|^b and w(t) = t^a |log t|^b (log|log t|)^c, with
+    # t_max < 1/e so that log|log t| > 0; numbers only, to a relative 1e-12
+    a, b, c = 0.5, -1.0, 0.5
+
+    def w(t):
+        return t ** a * abs(math.log(t)) ** b * math.log(abs(math.log(t))) ** c
+
+    def v(t):
+        return t ** a * abs(math.log(t)) ** 1.0
+
+    doc = {"seed": 9, "process": {"kind": "stable", "alpha": 1.5},
+           "grid": {"t_max": 0.25, "steps": 16}, "paths": 200,
+           "output_dir": str(tmp_path / "out"),
+           "analyses": [
+               {"name": "symbol_liminf_test", "g_exponent": 1.5, "g_scale": 2.0,
+                "w_exponent": a, "w_log_exponent": b, "w_loglog_exponent": c,
+                "t_max": 0.05, "levels": 8},
+               {"name": "lower_tail_test", "v_exponent": a, "v_log_exponent": 1.0, "C": 1.0,
+                "t_max": 0.25, "levels": 8},
+               {"name": "simulate"},
+               {"name": "etemadi", "C": 1.0, "v_exponent": a, "v_log_exponent": 1.0,
+                "t_list": [0.03, 0.1, 0.25]}]}
+    results = run_scenario(doc, canonical=True)["results"]
+    liminf = results["00_symbol_liminf_test"]
+    ts = [0.05 * 2.0 ** -j for j in range(9)]
+    assert liminf["probe_times"] == ts
+    assert liminf["blocks"] == pytest.approx([t * 2.0 * (1.0 / w(t)) ** 1.5 for t in ts],
+                                             rel=1e-12)
+    measure = ll.SymmetricStableProcess(alpha=1.5).levy_triplet.measure
+    direct = ll.classify_integral_at_zero(lambda t: ll.tail_mass(measure, 0.0, 2.0 * v(t)),
+                                          0.25, 8)
+    assert results["01_lower_tail_test"]["blocks"] == pytest.approx(
+        list(direct.block_values), rel=1e-12)
+    rows = results["03_etemadi"]["rows"]
+    assert [r["t"] for r in rows] == [0.03125, 0.09375, 0.25]   # snapped to k / 64
+    assert [r["v"] for r in rows] == pytest.approx([v(r["t"]) for r in rows], rel=1e-12)
+
+
 def test_verify_rows_report_the_grid_time_measured(tmp_path):
     # on 64 steps over [0, 1], t = 0.3 snaps to 19/64 and t = 5 to t_max
     doc = {"seed": 3, "process": {"kind": "stable", "alpha": 1.5},

@@ -731,7 +731,7 @@ def test_compound_poisson_triplet_round_trip_is_exact():
         cp = ll.CompoundPoissonProcess(atoms, path_drift=float(rng.normal(0.0, 2.0)))
         trip = cp.levy_triplet
         assert ll.process_from_triplet(trip) == cp
-        assert trip.to_dict()["drift"] == {"kind": "constant", "value": trip.drift_at(0.0)}
+        assert trip.drift.to_dict() == {"kind": "constant", "value": trip.drift_at(0.0)}
 
 
 def test_process_from_triplet_stable():
@@ -1068,8 +1068,16 @@ def _write_per_path_rows(ens, path):
     lambda ens, p: p.write_text("[1, 2]\n"),
     # a seed of 4.9 must not regenerate (and so match) the seed-4 ensemble
     lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, seed=4.9)),
+    # a process or a profile that is neither a mapping nor a number
+    lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, process=[1])),
+    lambda ens, p: (ll.save_ensemble_jsonl(ens, p), _edit_manifest(p, process="stable")),
+    lambda ens, p: (ll.save_ensemble_jsonl(ens, p),
+                    _edit_manifest(p, process={"kind": "stable_like", "alpha": [1]})),
+    lambda ens, p: (ll.save_ensemble_jsonl(ens, p),
+                    _edit_manifest(p, process={"kind": "stable_like", "alpha": "x"})),
 ], ids=["seed_edited", "hash_edited", "old_format", "off_grid_time",
-        "empty_file", "not_an_object", "fractional_seed"])
+        "empty_file", "not_an_object", "fractional_seed", "process_a_list",
+        "process_a_string", "alpha_a_list", "alpha_a_string"])
 def test_jsonl_load_rejects_mismatch(tmp_path, corrupt):
     ens = ll.simulate_ensemble(STABLE_15, 0.0, ll.PathGrid(t_max=0.5, steps=16), 4, 3)
     path = tmp_path / "paths.jsonl"
